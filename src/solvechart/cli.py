@@ -14,8 +14,10 @@ stdout carries machine-readable output only (answers, canonical programs,
 JSON documents); all diagnostics go to stderr. Exit codes: 0 success,
 1 domain failure, 2 usage error (from argparse).
 
-A JSON config file (``--config``) may supply defaults for most options;
-explicit flags win over the file, the file wins over built-in defaults.
+A JSON config file (``--config``) supplies defaults for the optional flags,
+checked as the flags are (see _config_value); explicit flags win over the
+file, the file wins over built-in defaults. Keys the subcommand has no
+optional flag for are ignored, so one file may serve several subcommands.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .agents.base import AgentHandle, AgentQuery
 from .agents.http import HttpAgent
@@ -35,8 +36,11 @@ from .agents.table import load_table
 from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
 from .align.invariants import check_bundle
 from .align.pipeline import PipelineConfig, run_alignment_pipeline
+from .align.principles import DEFAULT_PROXIMITY_RADIUS
 from .align.synthetic import make_grid, make_params, make_query
+from .atomic import write_text_atomic
 from .dsl.formatter import format_program
+from .dsl.nodes import SolutionProgram
 from .dsl.parser import parse_program
 from .engine.interpreter import EngineConfig, execute
 from .engine.values import stringify
@@ -46,82 +50,14 @@ from .evaluation.harness import EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
 from .solgen.client import LlmConfig
 from .solgen.generate import generate_solution
+from .solgen.prompt import chart_hints
 
 
 class CliError(SolveChartError):
     """A command cannot proceed with the given arguments."""
 
 
-_UNSET = object()
-
-
-@dataclass(frozen=True, slots=True)
-class ParseCommand:
-    path: str
-
-
-@dataclass(frozen=True, slots=True)
-class RunCommand:
-    program: str
-    agent: str
-    table: str | None = None
-    record: str | None = None
-    trace: str | None = None
-    chart_id: str = ""
-    question: str | None = None
-    fallback: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class SolveCommand:
-    question: str
-    agent: str = "oracle"
-    table: str | None = None
-    llm: str | None = None
-    llm_replay: str | None = None
-    llm_record: str | None = None
-    mode: str = "programmatic"
-    chart_id: str = ""
-    fallback: bool = True
-    show_program: bool = False
-    trace: str | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class AlignDemoCommand:
-    grid: str = "4x4"
-    dim: int = 16
-    seed: int = 0
-    layers: int = 2
-    top_k: int = 5
-    linkage_threshold: float = DEFAULT_LINKAGE_THRESHOLD
-    k_max: int = DEFAULT_K_MAX
-    proximity_radius: float = 3.0
-    disable_vp_alignment: bool = False
-    disable_intra: bool = False
-    disable_cross: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class EvalCommand:
-    dataset: str
-    mode: str = "programmatic"
-    agent: str = "oracle"
-    llm: str | None = None
-    llm_replay: str | None = None
-    workers: int = 1
-    tolerance: float = DEFAULT_TOLERANCE
-    fallback: bool = True
-    output: str | None = None
-    trace_dir: str | None = None
-
-
-Command = ParseCommand | RunCommand | SolveCommand | AlignDemoCommand | EvalCommand
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -134,161 +70,137 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve(args: argparse.Namespace, config: dict, name: str, builtin: Any) -> Any:
-    value = getattr(args, name)
-    if value is not _UNSET:
+def _config_value(action: argparse.Action, value: Any) -> Any:
+    """Checks one config value as argparse checks the flag's text; returns what to store.
+
+    A string goes through the flag's type and choices, a number must convert to
+    the flag's type without loss, and an on/off flag takes only true or false.
+    """
+    key = action.dest
+    if action.nargs == 0:  # an on/off flag
+        if not isinstance(value, bool):
+            raise CliError(f"config {key!r} must be true or false, got {value!r}")
         return value
-    if name in config:
-        return config[name]
-    return builtin
+    convert = action.type or str
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"config {key!r} must be a string or a number, got {value!r}")
+    try:
+        converted = convert(value)
+        if not isinstance(value, str) and converted != value:
+            raise ValueError("lossy conversion")
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"config {key!r}: invalid {convert.__name__} value {value!r}") from exc
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise CliError(f"config {key!r}: invalid choice {converted!r} (choose from {choices})")
+    return converted
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="PATH",
-        help="JSON file supplying defaults for this command's options",
-    )
+def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
+    """The config entries that name one of the subcommand's optional flags, checked."""
+    actions = {
+        action.dest: action
+        for action in parser._actions
+        if action.option_strings and not action.required and action.dest not in ("help", "config")
+    }
+    return {key: _config_value(actions[key], value) for key, value in config.items() if key in actions}
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def _subcommand(
+    sub: Any, name: str, help: str, handler: Callable[[argparse.Namespace], int]
+) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    parser.set_defaults(handler=handler)
+    parser.add_argument("--config", metavar="PATH", help="JSON file supplying defaults for this command's options")
+    return parser
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="solvechart",
         description="Solution-program tooling for chart question answering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    agent_help = "oracle, http(s)://URL, or replay:PATH"
+    table_help = "chart table JSON (for the oracle agent)"
+    trace_help = "write the execution trace as JSON"
+    fallback_help = "on failure, fall back to one direct ASK"
 
-    p_parse = sub.add_parser("parse", help="canonicalize a solution program")
+    p_parse = _subcommand(sub, "parse", "canonicalize a solution program", _cmd_parse)
     p_parse.add_argument("path", help="program file, or '-' for stdin")
-    _add_common(p_parse)
 
-    p_run = sub.add_parser("run", help="execute a solution program")
+    p_run = _subcommand(sub, "run", "execute a solution program", _cmd_run)
     p_run.add_argument("--program", required=True, help="program file, or '-' for stdin")
-    p_run.add_argument("--agent", default=_UNSET, help="oracle, http(s)://URL, or replay:PATH")
-    p_run.add_argument("--table", default=_UNSET, help="chart table JSON (for the oracle agent)")
-    p_run.add_argument("--record", default=_UNSET, metavar="PATH", help="record agent replies to a cassette")
-    p_run.add_argument("--trace", default=_UNSET, metavar="PATH", help="write the execution trace as JSON")
-    p_run.add_argument("--chart-id", default=_UNSET, help="chart identifier passed to the agent")
-    p_run.add_argument("--question", default=_UNSET, help="original question (used by the single-ASK fallback)")
-    p_run.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=_UNSET,
-                       help="on failure, fall back to one direct ASK (default: off)")
-    _add_common(p_run)
+    p_run.add_argument("--agent", default="oracle", help=agent_help)
+    p_run.add_argument("--table", help=table_help)
+    p_run.add_argument("--record", metavar="PATH", help="record agent replies to a cassette")
+    p_run.add_argument("--trace", metavar="PATH", help=trace_help)
+    p_run.add_argument("--chart-id", default="", help="chart identifier passed to the agent")
+    p_run.add_argument("--question", help="original question (used by the single-ASK fallback)")
+    p_run.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=False, help=fallback_help)
 
-    p_solve = sub.add_parser("solve", help="answer a question end to end")
-    p_solve.add_argument("--question", required=True)
-    p_solve.add_argument("--agent", default=_UNSET, help="oracle, http(s)://URL, or replay:PATH")
-    p_solve.add_argument("--table", default=_UNSET, help="chart table JSON (for the oracle agent)")
-    p_solve.add_argument("--llm", default=_UNSET, metavar="URL", help="chat-completions endpoint")
-    p_solve.add_argument("--llm-replay", default=_UNSET, metavar="PATH", help="cassette of recorded model replies")
-    p_solve.add_argument("--llm-record", default=_UNSET, metavar="PATH", help="record live model replies to a cassette")
-    p_solve.add_argument("--mode", default=_UNSET, choices=["programmatic", "agent-only"])
-    p_solve.add_argument("--chart-id", default=_UNSET)
-    p_solve.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=_UNSET,
-                         help="on failure, fall back to one direct ASK (default: on)")
-    p_solve.add_argument("--show-program", action="store_true", default=_UNSET,
-                         help="print the canonical program to stderr")
-    p_solve.add_argument("--trace", default=_UNSET, metavar="PATH", help="write the execution trace as JSON")
-    _add_common(p_solve)
+    p_solve = _subcommand(sub, "solve", "answer a question end to end", _cmd_solve)
+    p_solve.add_argument("--question", required=True, help="the chart question")
+    p_solve.add_argument("--agent", default="oracle", help=agent_help)
+    p_solve.add_argument("--table", help=table_help)
+    p_solve.add_argument("--llm", metavar="URL", help="chat-completions endpoint")
+    p_solve.add_argument("--llm-replay", metavar="PATH", help="cassette of recorded model replies")
+    p_solve.add_argument("--llm-record", metavar="PATH", help="record live model replies to a cassette")
+    p_solve.add_argument("--mode", default="programmatic", choices=["programmatic", "agent-only"],
+                         help="answer through a program, or ask the agent directly")
+    p_solve.add_argument("--chart-id", default="", help="chart identifier passed to the agent")
+    p_solve.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
+    p_solve.add_argument("--show-program", action="store_true", help="print the canonical program to stderr")
+    p_solve.add_argument("--trace", metavar="PATH", help=trace_help)
 
-    p_align = sub.add_parser("align-demo", help="run the alignment pipeline on synthetic patches")
-    p_align.add_argument("--grid", default=_UNSET, metavar="RxC", help="patch grid shape, e.g. 4x4")
-    p_align.add_argument("--dim", type=int, default=_UNSET)
-    p_align.add_argument("--seed", type=int, default=_UNSET)
-    p_align.add_argument("--layers", type=int, default=_UNSET)
-    p_align.add_argument("--top-k", type=int, default=_UNSET)
-    p_align.add_argument("--linkage-threshold", type=float, default=_UNSET)
-    p_align.add_argument("--k-max", type=int, default=_UNSET)
-    p_align.add_argument("--proximity-radius", type=float, default=_UNSET)
-    p_align.add_argument("--disable-vp-alignment", action="store_true", default=_UNSET,
+    p_align = _subcommand(sub, "align-demo", "run the alignment pipeline on synthetic patches", _cmd_align_demo)
+    p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
+    p_align.add_argument("--dim", type=int, default=16, help="embedding dimension")
+    p_align.add_argument("--seed", type=int, default=0, help="seed for patches, query and parameters")
+    p_align.add_argument("--layers", type=int, default=2, help="intra-cluster attention layers")
+    p_align.add_argument("--top-k", type=int, default=5, help="patches marked by cross-cluster annotation")
+    p_align.add_argument("--linkage-threshold", type=float, default=DEFAULT_LINKAGE_THRESHOLD,
+                         help="stop merging clusters farther apart than this")
+    p_align.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="maximum cluster count")
+    p_align.add_argument("--proximity-radius", type=float, default=DEFAULT_PROXIMITY_RADIUS, help="proximity radius")
+    p_align.add_argument("--disable-vp-alignment", action="store_true",
                          help="replace the alignment matrix with seeded noise")
-    p_align.add_argument("--disable-intra", action="store_true", default=_UNSET,
-                         help="skip intra-cluster reasoning")
-    p_align.add_argument("--disable-cross", action="store_true", default=_UNSET,
-                         help="skip cross-cluster annotation")
-    _add_common(p_align)
+    p_align.add_argument("--disable-intra", action="store_true", help="skip intra-cluster reasoning")
+    p_align.add_argument("--disable-cross", action="store_true", help="skip cross-cluster annotation")
 
-    p_eval = sub.add_parser("eval", help="evaluate a dataset")
+    p_eval = _subcommand(sub, "eval", "evaluate a dataset", _cmd_eval)
     p_eval.add_argument("--dataset", required=True, help="JSONL dataset file")
-    p_eval.add_argument("--mode", default=_UNSET, choices=["programmatic", "agent-only"])
-    p_eval.add_argument("--agent", default=_UNSET, help="oracle, http(s)://URL, or replay:PATH")
-    p_eval.add_argument("--llm", default=_UNSET, metavar="URL")
-    p_eval.add_argument("--replay", "--llm-replay", dest="llm_replay", default=_UNSET,
-                        metavar="PATH", help="cassette of recorded model replies")
-    p_eval.add_argument("--workers", type=int, default=_UNSET)
-    p_eval.add_argument("--tolerance", type=float, default=_UNSET)
-    p_eval.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=_UNSET,
-                        help="fall back to one direct ASK on program failure (default: on)")
-    p_eval.add_argument("--output", default=_UNSET, metavar="PATH", help="also write the report JSON here")
-    p_eval.add_argument("--trace-dir", default=_UNSET, metavar="DIR", help="write per-item traces here")
-    _add_common(p_eval)
+    p_eval.add_argument("--mode", default="programmatic", choices=["programmatic", "agent-only"],
+                        help="answer through programs, or ask the agent directly")
+    p_eval.add_argument("--agent", default="oracle", help=agent_help)
+    p_eval.add_argument("--llm", metavar="URL", help="chat-completions endpoint")
+    p_eval.add_argument("--replay", "--llm-replay", dest="llm_replay", metavar="PATH",
+                        help="cassette of recorded model replies")
+    p_eval.add_argument("--workers", type=int, default=1, help="items evaluated in parallel")
+    p_eval.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                        help="relative error allowed against a numeric gold")
+    p_eval.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
+    p_eval.add_argument("--output", metavar="PATH", help="also write the report JSON here")
+    p_eval.add_argument("--trace-dir", metavar="DIR", help="write per-item traces here")
 
-    return parser
+    return parser, sub.choices
 
 
-def parse_args(argv: list[str]) -> Command:
-    """Parse argv into a command value. argparse exits with status 2 on usage errors."""
-    parser = build_arg_parser()
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parses argv; ``handler`` on the result runs the command.
+
+    argparse exits with status 2 on usage errors. A ``--config`` file becomes
+    the subcommand's defaults and argv is parsed again, so flags still win;
+    a bad file or value raises CliError.
+    """
+    parser, subcommands = _build_parsers()
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
-
-    if args.command == "parse":
-        return ParseCommand(path=args.path)
-    if args.command == "run":
-        return RunCommand(
-            program=args.program,
-            agent=_resolve(args, config, "agent", "oracle"),
-            table=_resolve(args, config, "table", None),
-            record=_resolve(args, config, "record", None),
-            trace=_resolve(args, config, "trace", None),
-            chart_id=_resolve(args, config, "chart_id", ""),
-            question=_resolve(args, config, "question", None),
-            fallback=bool(_resolve(args, config, "fallback", False)),
-        )
-    if args.command == "solve":
-        return SolveCommand(
-            question=args.question,
-            agent=_resolve(args, config, "agent", "oracle"),
-            table=_resolve(args, config, "table", None),
-            llm=_resolve(args, config, "llm", None),
-            llm_replay=_resolve(args, config, "llm_replay", None),
-            llm_record=_resolve(args, config, "llm_record", None),
-            mode=_resolve(args, config, "mode", "programmatic"),
-            chart_id=_resolve(args, config, "chart_id", ""),
-            fallback=bool(_resolve(args, config, "fallback", True)),
-            show_program=bool(_resolve(args, config, "show_program", False)),
-            trace=_resolve(args, config, "trace", None),
-        )
-    if args.command == "align-demo":
-        return AlignDemoCommand(
-            grid=_resolve(args, config, "grid", "4x4"),
-            dim=int(_resolve(args, config, "dim", 16)),
-            seed=int(_resolve(args, config, "seed", 0)),
-            layers=int(_resolve(args, config, "layers", 2)),
-            top_k=int(_resolve(args, config, "top_k", 5)),
-            linkage_threshold=float(
-                _resolve(args, config, "linkage_threshold", DEFAULT_LINKAGE_THRESHOLD)
-            ),
-            k_max=int(_resolve(args, config, "k_max", DEFAULT_K_MAX)),
-            proximity_radius=float(_resolve(args, config, "proximity_radius", 3.0)),
-            disable_vp_alignment=bool(_resolve(args, config, "disable_vp_alignment", False)),
-            disable_intra=bool(_resolve(args, config, "disable_intra", False)),
-            disable_cross=bool(_resolve(args, config, "disable_cross", False)),
-        )
-    if args.command == "eval":
-        return EvalCommand(
-            dataset=args.dataset,
-            mode=_resolve(args, config, "mode", "programmatic"),
-            agent=_resolve(args, config, "agent", "oracle"),
-            llm=_resolve(args, config, "llm", None),
-            llm_replay=_resolve(args, config, "llm_replay", None),
-            workers=int(_resolve(args, config, "workers", 1)),
-            tolerance=float(_resolve(args, config, "tolerance", DEFAULT_TOLERANCE)),
-            fallback=bool(_resolve(args, config, "fallback", True)),
-            output=_resolve(args, config, "output", None),
-            trace_dir=_resolve(args, config, "trace_dir", None),
-        )
-    raise CliError(f"unknown command {args.command!r}")
+    if args.config is None:
+        return args
+    subparser = subcommands[args.command]
+    subparser.set_defaults(**_config_defaults(subparser, _load_config(args.config)))
+    return parser.parse_args(argv)
 
 
 def _read_source(path: str) -> str:
@@ -300,6 +212,10 @@ def _read_source(path: str) -> str:
         raise CliError(f"cannot read program: {exc}") from exc
 
 
+def _record_cassette(path: str) -> Cassette:
+    return Cassette.load(path) if Path(path).exists() else Cassette.empty(path)
+
+
 def _build_agent(spec: str, table: str | None, record: str | None) -> AgentHandle:
     if spec == "oracle":
         if table is None:
@@ -308,17 +224,13 @@ def _build_agent(spec: str, table: str | None, record: str | None) -> AgentHandl
     elif spec.startswith(("http://", "https://")):
         base = HttpAgent(spec)
     elif spec.startswith("replay:"):
-        cassette_path = spec[len("replay:"):]
-        agent = ReplayAgent(Cassette.load(cassette_path))
         if record is not None:
             raise CliError("cannot record from a replay agent")
-        return agent
+        return ReplayAgent(Cassette.load(spec[len("replay:"):]))
     else:
         raise CliError(f"unknown agent {spec!r}; use oracle, http(s)://URL, or replay:PATH")
     if record is not None:
-        record_path = Path(record)
-        cassette = Cassette.load(record_path) if record_path.exists() else Cassette.empty(record_path)
-        return ReplayAgent(cassette, live=base)
+        return ReplayAgent(_record_cassette(record), live=base)
     return base
 
 
@@ -330,13 +242,7 @@ def _build_llm(llm: str | None, llm_replay: str | None) -> LlmConfig | Cassette:
     return Cassette.load(llm_replay)
 
 
-def _write_trace(path: str, trace_dict: dict) -> None:
-    Path(path).write_text(
-        json.dumps(trace_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _cmd_parse(cmd: ParseCommand) -> int:
+def _cmd_parse(cmd: argparse.Namespace) -> int:
     program = parse_program(_read_source(cmd.path))
     sys.stdout.write(format_program(program))
     for warning in program.warnings:
@@ -344,67 +250,42 @@ def _cmd_parse(cmd: ParseCommand) -> int:
     return 0
 
 
-def _cmd_run(cmd: RunCommand) -> int:
-    program = parse_program(_read_source(cmd.program))
-    agent = _build_agent(cmd.agent, cmd.table, cmd.record)
-    result = execute(
-        program,
-        agent,
-        EngineConfig(
-            fallback_to_ask=cmd.fallback,
-            chart_id=cmd.chart_id,
-            question=cmd.question,
-        ),
-    )
+def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent: AgentHandle) -> int:
+    """Runs the program, writes the --trace file if asked, prints the answer."""
+    config = EngineConfig(fallback_to_ask=cmd.fallback, chart_id=cmd.chart_id, question=cmd.question)
+    result = execute(program, agent, config)
     if cmd.trace is not None:
-        _write_trace(cmd.trace, result.trace.to_json_dict())
+        write_text_atomic(cmd.trace, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(stringify(result.answer))
     return 0
 
 
-def _cmd_solve(cmd: SolveCommand) -> int:
+def _cmd_run(cmd: argparse.Namespace) -> int:
+    program = parse_program(_read_source(cmd.program))
+    return _execute_and_print(cmd, program, _build_agent(cmd.agent, cmd.table, cmd.record))
+
+
+def _cmd_solve(cmd: argparse.Namespace) -> int:
     agent = _build_agent(cmd.agent, cmd.table, None)
     if cmd.mode == "agent-only":
-        reply = agent.answer(AgentQuery(cmd.question, cmd.chart_id, "ASK"))
-        print(reply.answer)
+        print(agent.answer(AgentQuery(cmd.question, cmd.chart_id, "ASK")).answer)
         return 0
     llm = _build_llm(cmd.llm, cmd.llm_replay)
     record_to = None
     if cmd.llm_record is not None:
         if cmd.llm is None:
             raise CliError("--llm-record requires --llm")
-        record_path = Path(cmd.llm_record)
-        record_to = Cassette.load(record_path) if record_path.exists() else Cassette.empty(record_path)
-    hints = None
-    if cmd.table is not None:
-        chart = load_table(cmd.table)
-        hints = f"{chart.title}; series: {', '.join(chart.series_names())}"
-    program = generate_solution(
-        cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to
-    )
+        record_to = _record_cassette(cmd.llm_record)
+    hints = None if cmd.table is None else chart_hints(load_table(cmd.table))
+    program = generate_solution(cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to)
     if cmd.show_program:
         sys.stderr.write(format_program(program))
-    result = execute(
-        program,
-        agent,
-        EngineConfig(
-            fallback_to_ask=cmd.fallback,
-            chart_id=cmd.chart_id,
-            question=cmd.question,
-        ),
-    )
-    if cmd.trace is not None:
-        _write_trace(cmd.trace, result.trace.to_json_dict())
-    print(stringify(result.answer))
-    return 0
+    return _execute_and_print(cmd, program, agent)
 
 
 def _parse_grid(spec: str) -> tuple[int, int]:
-    parts = spec.lower().split("x")
-    if len(parts) != 2:
-        raise CliError(f"--grid must look like RxC, got {spec!r}")
     try:
-        rows, cols = int(parts[0]), int(parts[1])
+        rows, cols = (int(part) for part in spec.lower().split("x"))
     except ValueError as exc:
         raise CliError(f"--grid must look like RxC, got {spec!r}") from exc
     if rows < 1 or cols < 1:
@@ -412,7 +293,7 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _cmd_align_demo(cmd: AlignDemoCommand) -> int:
+def _cmd_align_demo(cmd: argparse.Namespace) -> int:
     rows, cols = _parse_grid(cmd.grid)
     grid = make_grid(rows, cols, cmd.dim, seed=cmd.seed)
     query = make_query(cmd.dim, seed=cmd.seed)
@@ -428,20 +309,9 @@ def _cmd_align_demo(cmd: AlignDemoCommand) -> int:
     )
     bundle = run_alignment_pipeline(grid, query, params, pipeline_config)
     report = check_bundle(grid, bundle)
+    settings = {k: v for k, v in vars(cmd).items() if k not in ("command", "config", "handler")}
     document = {
-        "config": {
-            "grid": f"{rows}x{cols}",
-            "dim": cmd.dim,
-            "seed": cmd.seed,
-            "layers": cmd.layers,
-            "top_k": cmd.top_k,
-            "linkage_threshold": cmd.linkage_threshold,
-            "k_max": cmd.k_max,
-            "proximity_radius": cmd.proximity_radius,
-            "disable_vp_alignment": cmd.disable_vp_alignment,
-            "disable_intra": cmd.disable_intra,
-            "disable_cross": cmd.disable_cross,
-        },
+        "config": {**settings, "grid": f"{rows}x{cols}"},
         "bundle": bundle.to_json_dict(),
         "invariants": report,
     }
@@ -449,7 +319,7 @@ def _cmd_align_demo(cmd: AlignDemoCommand) -> int:
     return 0
 
 
-def _cmd_eval(cmd: EvalCommand) -> int:
+def _cmd_eval(cmd: argparse.Namespace) -> int:
     try:
         items = load_dataset(cmd.dataset)
     except OSError as exc:
@@ -461,36 +331,30 @@ def _cmd_eval(cmd: EvalCommand) -> int:
         def factory(item: EvalItem) -> AgentHandle:
             if item.table_path is None:
                 raise CliError(f"item {item.id!r} has no table_path for the oracle agent")
-            agent = tables.get(item.table_path)
-            if agent is None:
-                agent = OracleAgent(load_table(item.table_path))
-                tables[item.table_path] = agent
-            return agent
+            if item.table_path not in tables:
+                tables[item.table_path] = OracleAgent(load_table(item.table_path))
+            return tables[item.table_path]
     else:
         shared = _build_agent(cmd.agent, None, None)
 
         def factory(item: EvalItem) -> AgentHandle:
             return shared
 
-    llm = None
-    if mode == "programmatic":
-        llm = _build_llm(cmd.llm, cmd.llm_replay)
-    report = run_eval(
-        items,
-        EvalConfig(
-            mode=mode,
-            agent_factory=factory,
-            llm_client=llm,
-            fallback_to_ask=cmd.fallback,
-            workers=cmd.workers,
-            tolerance=cmd.tolerance,
-            trace_dir=cmd.trace_dir,
-        ),
+    llm = _build_llm(cmd.llm, cmd.llm_replay) if mode == "programmatic" else None
+    config = EvalConfig(
+        mode=mode,
+        agent_factory=factory,
+        llm_client=llm,
+        fallback_to_ask=cmd.fallback,
+        workers=cmd.workers,
+        tolerance=cmd.tolerance,
+        trace_dir=cmd.trace_dir,
     )
+    report = run_eval(items, config)
     text = report.to_json_text()
     sys.stdout.write(text)
     if cmd.output is not None:
-        Path(cmd.output).write_text(text, encoding="utf-8")
+        write_text_atomic(cmd.output, text)
     total = len(report.items)
     correct = sum(1 for item in report.items if item.correct)
     print(f"accuracy {correct}/{total} = {report.accuracy:.3f}", file=sys.stderr)
@@ -499,27 +363,25 @@ def _cmd_eval(cmd: EvalCommand) -> int:
     return 0
 
 
-def run_command(cmd: Command) -> int:
-    """Execute a parsed command. Returns the process exit status."""
+def _report_error(exc: SolveChartError) -> int:
+    print(f"solvechart: error: {exc}", file=sys.stderr)
+    return 1
+
+
+def run_command(cmd: argparse.Namespace) -> int:
+    """Executes a parsed command. Returns the process exit status."""
     try:
-        if isinstance(cmd, ParseCommand):
-            return _cmd_parse(cmd)
-        if isinstance(cmd, RunCommand):
-            return _cmd_run(cmd)
-        if isinstance(cmd, SolveCommand):
-            return _cmd_solve(cmd)
-        if isinstance(cmd, AlignDemoCommand):
-            return _cmd_align_demo(cmd)
-        if isinstance(cmd, EvalCommand):
-            return _cmd_eval(cmd)
-        raise CliError(f"unhandled command {type(cmd).__name__}")
+        return cmd.handler(cmd)
     except SolveChartError as exc:
-        print(f"solvechart: error: {exc}", file=sys.stderr)
-        return 1
+        return _report_error(exc)
 
 
 def main() -> None:
-    sys.exit(run_command(parse_args(sys.argv[1:])))
+    try:
+        cmd = parse_args(sys.argv[1:])
+    except CliError as exc:
+        sys.exit(_report_error(exc))
+    sys.exit(run_command(cmd))
 
 
 if __name__ == "__main__":

@@ -23,11 +23,14 @@ from typing import Callable, Union
 
 from ..agents.base import AgentHandle, AgentQuery
 from ..agents.replay import Cassette
+from ..agents.table import load_table
+from ..atomic import write_text_atomic
 from ..engine.interpreter import EngineConfig, execute
 from ..engine.values import stringify
 from ..errors import SolveChartError
 from ..solgen.client import LlmConfig
 from ..solgen.generate import generate_solution
+from ..solgen.prompt import chart_hints
 from .dataset import EvalItem
 from .metrics import DEFAULT_TOLERANCE, relaxed_match
 
@@ -119,11 +122,7 @@ class EvalReport:
 def _chart_hints(item: EvalItem) -> str | None:
     if item.table_path is None:
         return None
-    from ..agents.table import load_table
-
-    table = load_table(item.table_path)
-    names = ", ".join(table.series_names())
-    return f"{table.title}; series: {names}"
+    return chart_hints(load_table(item.table_path))
 
 
 def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
@@ -157,9 +156,8 @@ def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
             if config.trace_dir is not None:
                 out = Path(config.trace_dir) / f"{item.id}.json"
                 out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(
-                    json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
+                write_text_atomic(
+                    out, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n"
                 )
                 trace_path = str(out)
         correct = relaxed_match(prediction, item.gold, config.tolerance)

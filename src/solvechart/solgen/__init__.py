@@ -5,7 +5,7 @@ from __future__ import annotations
 from .client import LlmConfig, LlmError, chat_completion
 from .extract import ExtractionError, extract_program
 from .generate import GenerationError, generate_solution
-from .prompt import PromptBundle, build_prompt, system_prompt
+from .prompt import PromptBundle, build_prompt, chart_hints, system_prompt
 
 __all__ = [
     "ExtractionError",
@@ -14,6 +14,7 @@ __all__ = [
     "LlmError",
     "PromptBundle",
     "build_prompt",
+    "chart_hints",
     "chat_completion",
     "extract_program",
     "generate_solution",

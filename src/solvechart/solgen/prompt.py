@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-__all__ = ["PromptBundle", "build_prompt", "system_prompt"]
+from ..agents.table import ChartTable
+
+__all__ = ["PromptBundle", "build_prompt", "chart_hints", "system_prompt"]
 
 
 @dataclass(frozen=True)
@@ -24,6 +26,11 @@ def system_prompt() -> str:
     return (resources.files("solvechart.solgen") / "assets" / "system_prompt.txt").read_text(
         encoding="utf-8"
     )
+
+
+def chart_hints(table: ChartTable) -> str:
+    """The chart context passed to build_prompt: the table's title and series names."""
+    return f"{table.title}; series: {', '.join(table.series_names())}"
 
 
 def build_prompt(question: str, chart_hints: str | None = None) -> PromptBundle:

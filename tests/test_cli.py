@@ -6,17 +6,7 @@ import json
 import pytest
 
 from conftest import ELECTION_PROGRAM
-from solvechart.cli import (
-    AlignDemoCommand,
-    CliError,
-    EvalCommand,
-    ParseCommand,
-    RunCommand,
-    SolveCommand,
-    _load_config,
-    parse_args,
-    run_command,
-)
+from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
 
 def cli(*argv: str) -> int:
@@ -39,7 +29,7 @@ def program_file(tmp_path) -> str:
 
 def test_parse_args_run_defaults(program_file, election_json):
     cmd = parse_args(["run", "--program", program_file, "--table", election_json])
-    assert isinstance(cmd, RunCommand)
+    assert cmd.command == "run"
     assert cmd.agent == "oracle"
     assert cmd.fallback is False
     assert cmd.record is None
@@ -50,7 +40,7 @@ def test_parse_args_eval_replay_alias():
     cmd = parse_args(
         ["eval", "--dataset", "d.jsonl", "--mode", "programmatic", "--replay", "c.json"]
     )
-    assert isinstance(cmd, EvalCommand)
+    assert cmd.command == "eval"
     assert cmd.llm_replay == "c.json"
     assert cmd.mode == "programmatic"
 
@@ -62,7 +52,7 @@ def test_parse_args_eval_long_replay_spelling():
 
 def test_parse_args_solve_defaults():
     cmd = parse_args(["solve", "--question", "Q?"])
-    assert isinstance(cmd, SolveCommand)
+    assert cmd.command == "solve"
     assert cmd.mode == "programmatic"
     assert cmd.fallback is True
     assert cmd.agent == "oracle"
@@ -82,7 +72,7 @@ def test_parse_args_align_demo_flags():
     cmd = parse_args(
         ["align-demo", "--grid", "3x5", "--dim", "8", "--seed", "4", "--disable-intra"]
     )
-    assert isinstance(cmd, AlignDemoCommand)
+    assert cmd.command == "align-demo"
     assert cmd.grid == "3x5"
     assert cmd.dim == 8
     assert cmd.seed == 4
@@ -131,6 +121,68 @@ def test_config_supplies_defaults_flags_win(tmp_path, program_file):
     assert cmd.chart_id == "cfg-chart"  # config beats builtin
     assert cmd.fallback is True
     assert cmd.record is None  # builtin default
+
+
+@pytest.mark.parametrize(
+    "argv, config, expected",
+    [
+        (["align-demo"], {"dim": "8"}, {"dim": 8}),
+        (["align-demo"], {"dim": 8.0}, {"dim": 8}),
+        (["align-demo"], {"linkage_threshold": 1}, {"linkage_threshold": 1.0}),
+        (["align-demo"], {"disable_cross": True}, {"disable_cross": True}),
+        (["solve", "--question", "q"], {"fallback": False, "mode": "agent-only"},
+         {"fallback": False, "mode": "agent-only"}),
+        # Keys the subcommand has no optional flag for are ignored.
+        (["solve", "--question", "q"], {"dataset": 3, "question": "cfg", "command": "eval"},
+         {"question": "q", "command": "solve"}),
+    ],
+)
+def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, expected):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    cmd = parse_args([*argv, "--config", str(path)])
+    for key, value in expected.items():
+        assert getattr(cmd, key) == value
+        assert type(getattr(cmd, key)) is type(value)
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["run", "--program", "p"], {"fallback": "false"}, "'fallback' must be true or false"),
+        (["solve", "--question", "q"], {"show_program": "no"}, "'show_program' must be true or false"),
+        (["align-demo"], {"dim": 2.9}, "'dim': invalid int value 2.9"),
+        (["align-demo"], {"grid": 5}, "'grid': invalid str value 5"),
+        (["align-demo"], {"seed": True}, "'seed' must be a string or a number"),
+        (["eval", "--dataset", "d"], {"mode": "telepathy"}, "'mode': invalid choice 'telepathy'"),
+        (["eval", "--dataset", "d"], None, "cannot read config file"),
+        (["eval", "--dataset", "d"], "{oops", "config file is not valid JSON"),
+        (["eval", "--dataset", "d"], "[1, 2]", "config file must contain a JSON object"),
+    ],
+)
+def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):
+    path = tmp_path / "conf.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+    monkeypatch.setattr("sys.argv", ["solvechart", *argv, "--config", str(path)])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solvechart: error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_help_shows_parser_defaults(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(["solve", "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "fall back to one direct ASK (default: True)" in text
+    assert "(default: programmatic)" in text
+    assert "print the canonical program to stderr (default: False)" in text
 
 
 def test_config_file_must_exist(tmp_path):
@@ -465,14 +517,12 @@ def test_eval_item_without_table_fails_per_item(tmp_path, capsys):
 # -- dispatch ---------------------------------------------------------------
 
 def test_run_command_reports_domain_errors(capsys):
-    assert run_command(ParseCommand(path="/definitely/not/here.txt")) == 1
+    assert run_command(parse_args(["parse", "/definitely/not/here.txt"])) == 1
     err = capsys.readouterr().err
     assert err.startswith("solvechart: error: ")
 
 
 def test_main_exits_zero(monkeypatch, tmp_path, capsys):
-    from solvechart.cli import main
-
     path = tmp_path / "p.txt"
     path.write_text("answer = 1\n", encoding="utf-8")
     monkeypatch.setattr("sys.argv", ["solvechart", "parse", str(path)])

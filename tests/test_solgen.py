@@ -17,7 +17,7 @@ from solvechart.solgen.client import (
 )
 from solvechart.solgen.extract import ExtractionError, extract_program
 from solvechart.solgen.generate import GenerationError, GenerationErrorKind, generate_solution
-from solvechart.solgen.prompt import build_prompt, system_prompt
+from solvechart.solgen.prompt import build_prompt, chart_hints, system_prompt
 
 GOOD_SOURCE = 'first = SUBSTEP("what is the value of Apples in Jan")\nanswer = first'
 GOOD_REPLY = f"Here is the program.\n```\n{GOOD_SOURCE}\n```\n"
@@ -52,6 +52,10 @@ def test_build_prompt_appends_hints():
         "Question: q",
         "Chart: Fruit sales; series: Apples, Oranges",
     ]
+
+
+def test_chart_hints_names_title_and_series(election_table):
+    assert chart_hints(election_table) == "Vote share by party; series: Republican, Democrat"
 
 
 def test_build_prompt_blank_hints_ignored():
