@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from .base import AgentAnswer, AgentError, AgentErrorKind, AgentHandle, AgentQuery
-from .http import HttpAgent, http_answer
+from .http import HttpAgent
 from .oracle import NoMatch, OracleAgent, TemplateMatch, match_template, oracle_answer
-from .replay import Cassette, ReplayAgent, replay_answer
+from .replay import Cassette, ReplayAgent
 from .table import ChartTable, Series, load_table
 
 __all__ = [
@@ -22,9 +22,7 @@ __all__ = [
     "ReplayAgent",
     "Series",
     "TemplateMatch",
-    "http_answer",
     "load_table",
     "match_template",
     "oracle_answer",
-    "replay_answer",
 ]

@@ -12,43 +12,9 @@ import requests
 
 from .base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
 
-__all__ = ["HttpAgent", "http_answer"]
+__all__ = ["HttpAgent"]
 
 DEFAULT_TIMEOUT_S = 30.0
-
-
-def http_answer(endpoint: str, query: AgentQuery, timeout_s: float = DEFAULT_TIMEOUT_S) -> AgentAnswer:
-    """Sends one query to a remote agent service.
-
-    Args:
-        endpoint: Base URL of the service; "/answer" is appended.
-        query: The question plus chart id and operator metadata.
-        timeout_s: Socket timeout for the request.
-
-    Raises:
-        AgentError: TIMEOUT on timeouts, TRANSPORT on connection failures or
-            non-2xx statuses, BAD_RESPONSE when the reply is not the expected
-            JSON shape.
-    """
-    url = endpoint.rstrip("/") + "/answer"
-    payload = {"question": query.question, "chart_id": query.chart_id, "operator": query.operator}
-    started = time.perf_counter()
-    try:
-        response = requests.post(url, json=payload, timeout=timeout_s)
-    except requests.Timeout as err:
-        raise AgentError(AgentErrorKind.TIMEOUT, f"agent at {url} timed out") from err
-    except requests.RequestException as err:
-        raise AgentError(AgentErrorKind.TRANSPORT, f"cannot reach agent at {url}: {err}") from err
-    latency_ms = (time.perf_counter() - started) * 1000.0
-    if response.status_code != 200:
-        raise AgentError(AgentErrorKind.TRANSPORT, f"agent at {url} returned HTTP {response.status_code}")
-    try:
-        body = response.json()
-    except ValueError as err:
-        raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent non-JSON body") from err
-    if not isinstance(body, dict) or not isinstance(body.get("answer"), str):
-        raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent no \"answer\" field")
-    return AgentAnswer(body["answer"], latency_ms, "http")
 
 
 class HttpAgent:
@@ -59,4 +25,29 @@ class HttpAgent:
         self.timeout_s = timeout_s
 
     def answer(self, query: AgentQuery) -> AgentAnswer:
-        return http_answer(self.endpoint, query, self.timeout_s)
+        """Sends one query to POST {endpoint}/answer.
+
+        Raises:
+            AgentError: TIMEOUT on timeouts, TRANSPORT on connection failures or
+                non-2xx statuses, BAD_RESPONSE when the reply is not the expected
+                JSON shape.
+        """
+        url = self.endpoint.rstrip("/") + "/answer"
+        payload = {"question": query.question, "chart_id": query.chart_id, "operator": query.operator}
+        started = time.perf_counter()
+        try:
+            response = requests.post(url, json=payload, timeout=self.timeout_s)
+        except requests.Timeout as err:
+            raise AgentError(AgentErrorKind.TIMEOUT, f"agent at {url} timed out") from err
+        except requests.RequestException as err:
+            raise AgentError(AgentErrorKind.TRANSPORT, f"cannot reach agent at {url}: {err}") from err
+        latency_ms = (time.perf_counter() - started) * 1000.0
+        if response.status_code != 200:
+            raise AgentError(AgentErrorKind.TRANSPORT, f"agent at {url} returned HTTP {response.status_code}")
+        try:
+            body = response.json()
+        except ValueError as err:
+            raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent non-JSON body") from err
+        if not isinstance(body, dict) or not isinstance(body.get("answer"), str):
+            raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent no \"answer\" field")
+        return AgentAnswer(body["answer"], latency_ms, "http")

@@ -27,26 +27,23 @@ class NoMatch(SolveChartError):
 @dataclass(frozen=True)
 class TemplateMatch:
     kind: str
-    slots: tuple[tuple[str, str], ...]
-
-    def slot(self, name: str) -> str:
-        for key, value in self.slots:
-            if key == name:
-                return value
-        raise KeyError(name)
+    slots: dict[str, str]
 
 
 _PREFIX = r"(?:what is |whats |what s |what was )?(?:the )?"
 _EXTREME_WORDS = {"highest": "highest", "maximum": "highest", "max": "highest",
                   "lowest": "lowest", "minimum": "lowest", "min": "lowest"}
 
-_VALUE_OF_RE = re.compile(_PREFIX + r"value of (?P<rest>.+)")
-_EXTREME_RE = re.compile(
-    _PREFIX + r"(?P<which>highest|lowest|maximum|minimum|max|min) value of (?P<series>.+)"
+# Tried in order; the first full match wins.
+_TEMPLATES = (
+    ("extreme_of_series", re.compile(
+        _PREFIX + r"(?P<which>highest|lowest|maximum|minimum|max|min) value of (?P<series>.+)"
+    )),
+    ("value_of", re.compile(_PREFIX + r"value of (?P<rest>.+)")),
+    ("arg_extreme", re.compile(r"which (?P<subject>\w+) has the (?P<which>highest|lowest) value")),
+    ("cell_sum", re.compile(_PREFIX + r"sum of (?P<rest>.+)")),
+    ("cell_diff", re.compile(_PREFIX + r"difference (?:of|between) (?P<rest>.+)")),
 )
-_ARG_EXTREME_RE = re.compile(r"which (?P<subject>\w+) has the (?P<which>highest|lowest) value")
-_CELL_SUM_RE = re.compile(_PREFIX + r"sum of (?P<rest>.+)")
-_CELL_DIFF_RE = re.compile(_PREFIX + r"difference (?:of|between) (?P<rest>.+)")
 
 
 def normalize_question(text: str) -> str:
@@ -63,24 +60,13 @@ def match_template(question: str) -> TemplateMatch:
     they are resolved against a concrete table only at answer time.
     """
     text = normalize_question(question)
-    match = _EXTREME_RE.fullmatch(text)
-    if match:
-        which = _EXTREME_WORDS[match.group("which")]
-        return TemplateMatch("extreme_of_series", (("which", which), ("series", match.group("series"))))
-    match = _VALUE_OF_RE.fullmatch(text)
-    if match:
-        return TemplateMatch("value_of", (("rest", match.group("rest")),))
-    match = _ARG_EXTREME_RE.fullmatch(text)
-    if match:
-        return TemplateMatch(
-            "arg_extreme", (("subject", match.group("subject")), ("which", match.group("which")))
-        )
-    match = _CELL_SUM_RE.fullmatch(text)
-    if match:
-        return TemplateMatch("cell_sum", (("rest", match.group("rest")),))
-    match = _CELL_DIFF_RE.fullmatch(text)
-    if match:
-        return TemplateMatch("cell_diff", (("rest", match.group("rest")),))
+    for kind, pattern in _TEMPLATES:
+        match = pattern.fullmatch(text)
+        if match:
+            slots = match.groupdict()
+            if kind == "extreme_of_series":
+                slots["which"] = _EXTREME_WORDS[slots["which"]]
+            return TemplateMatch(kind, slots)
     raise NoMatch(f"no template matches {question!r}")
 
 
@@ -170,21 +156,21 @@ def oracle_answer(table: ChartTable, question: str) -> str:
     except NoMatch as err:
         raise _unanswerable(str(err)) from err
     if match.kind == "value_of":
-        return stringify(_cell_value(table, match.slot("rest")))
+        return stringify(_cell_value(table, match.slots["rest"]))
     if match.kind == "extreme_of_series":
-        name = _resolve_name(match.slot("series"), table.series_names())
+        name = _resolve_name(match.slots["series"], table.series_names())
         series = table.find_series(name) if name is not None else None
         if series is None or not series.points:
-            raise _unanswerable(f"cannot resolve series {match.slot('series')!r}")
+            raise _unanswerable(f"cannot resolve series {match.slots['series']!r}")
         values = [value for _, value in series.points]
-        extreme = max(values) if match.slot("which") == "highest" else min(values)
+        extreme = max(values) if match.slots["which"] == "highest" else min(values)
         return stringify(extreme)
     if match.kind == "arg_extreme":
-        series_name, category, _ = _overall_extreme(table, match.slot("which"))
-        if match.slot("subject") == "series":
+        series_name, category, _ = _overall_extreme(table, match.slots["which"])
+        if match.slots["subject"] == "series":
             return series_name
         return category
-    first, second = _split_two_cells(table, match.slot("rest"))
+    first, second = _split_two_cells(table, match.slots["rest"])
     if match.kind == "cell_sum":
         return stringify(first + second)
     return stringify(first - second)

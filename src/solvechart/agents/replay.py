@@ -15,7 +15,7 @@ from pathlib import Path
 from ..errors import SolveChartError
 from .base import AgentAnswer, AgentError, AgentErrorKind, AgentHandle, AgentQuery
 
-__all__ = ["Cassette", "CassetteFormatError", "ReplayAgent", "replay_answer", "normalize_key"]
+__all__ = ["Cassette", "CassetteFormatError", "ReplayAgent", "normalize_key"]
 
 
 class CassetteFormatError(SolveChartError):
@@ -55,6 +55,8 @@ class Cassette:
     def load(cls, path: str | Path) -> "Cassette":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as err:
+            raise CassetteFormatError(f"cannot read cassette {path}: {err.strerror or err}") from err
         except json.JSONDecodeError as err:
             raise CassetteFormatError(f"invalid JSON in {path}: {err}") from err
         if not isinstance(payload, list):
@@ -84,17 +86,6 @@ class Cassette:
         return len(self.entries)
 
 
-def replay_answer(cassette: Cassette, query: AgentQuery) -> AgentAnswer:
-    """Strict replay: a miss is an error, never a silent fabrication."""
-    answer = cassette.lookup(query.chart_id, query.question)
-    if answer is None:
-        raise AgentError(
-            AgentErrorKind.CASSETTE_MISS,
-            f"no recording for chart {query.chart_id!r}, question {query.question!r}",
-        )
-    return AgentAnswer(answer, 0.0, "replay")
-
-
 class ReplayAgent:
     """Replay backend; in record mode misses are filled by a live agent."""
 
@@ -107,7 +98,11 @@ class ReplayAgent:
         if recorded is not None:
             return AgentAnswer(recorded, 0.0, "replay")
         if self.live is None:
-            return replay_answer(self.cassette, query)  # raises CASSETTE_MISS
+            # Strict replay: a miss is an error, never a silent fabrication.
+            raise AgentError(
+                AgentErrorKind.CASSETTE_MISS,
+                f"no recording for chart {query.chart_id!r}, question {query.question!r}",
+            )
         reply = self.live.answer(query)
         self.cassette.append(query.chart_id, query.question, reply.answer)
         return AgentAnswer(reply.answer, reply.latency_ms, "record")

@@ -112,6 +112,8 @@ def load_table(path: str | Path) -> ChartTable:
     """Loads one chart table from a JSON file."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise TableFormatError(f"cannot read table {path}: {err.strerror or err}") from err
     except json.JSONDecodeError as err:
         raise TableFormatError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(payload, dict):

@@ -8,7 +8,7 @@ equivariance a testable property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class PatchGrid:
 @dataclass(frozen=True)
 class QueryEmbedding:
     q_global: np.ndarray  # (d,)
-    tokens: np.ndarray | None = None  # (m, d)
 
     def __post_init__(self) -> None:
         q_global = _freeze(self.q_global)
@@ -104,12 +103,6 @@ class QueryEmbedding:
             raise ShapeMismatch("q_global must be a 1-d array")
         _require_finite(q_global, "q_global")
         object.__setattr__(self, "q_global", q_global)
-        if self.tokens is not None:
-            tokens = _freeze(self.tokens)
-            if tokens.ndim != 2 or tokens.shape[1] != q_global.shape[0]:
-                raise ShapeMismatch("tokens must be (m, d) with matching d")
-            _require_finite(tokens, "tokens")
-            object.__setattr__(self, "tokens", tokens)
 
 
 @dataclass(frozen=True)
@@ -155,9 +148,6 @@ class PrincipleMatrices:
             if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape != shape:
                 raise ShapeMismatch(f"{name} must be square and consistently sized")
             object.__setattr__(self, name, array)
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([self.crosshair, self.proximity, self.similarity])
 
 
 @dataclass(frozen=True)

@@ -88,12 +88,22 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
         converted = convert(value)
         if not isinstance(value, str) and converted != value:
             raise ValueError("lossy conversion")
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"config {key!r}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise CliError(f"config {key!r}: invalid {convert.__name__} value {value!r}") from exc
     if action.choices is not None and converted not in action.choices:
         choices = ", ".join(map(repr, action.choices))
         raise CliError(f"config {key!r}: invalid choice {converted!r} (choose from {choices})")
     return converted
+
+
+def positive_int(text: str) -> int:
+    """argparse type for counts: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
@@ -177,7 +187,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_eval.add_argument("--llm", metavar="URL", help="chat-completions endpoint")
     p_eval.add_argument("--replay", "--llm-replay", dest="llm_replay", metavar="PATH",
                         help="cassette of recorded model replies")
-    p_eval.add_argument("--workers", type=int, default=1, help="items evaluated in parallel")
+    p_eval.add_argument("--workers", type=positive_int, default=1, help="items evaluated in parallel")
     p_eval.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
                         help="relative error allowed against a numeric gold")
     p_eval.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
@@ -210,6 +220,13 @@ def _read_source(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read program: {exc}") from exc
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        write_text_atomic(path, text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _record_cassette(path: str) -> Cassette:
@@ -255,7 +272,7 @@ def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent:
     config = EngineConfig(fallback_to_ask=cmd.fallback, chart_id=cmd.chart_id, question=cmd.question)
     result = execute(program, agent, config)
     if cmd.trace is not None:
-        write_text_atomic(cmd.trace, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_output(cmd.trace, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n")
     print(stringify(result.answer))
     return 0
 
@@ -352,9 +369,9 @@ def _cmd_eval(cmd: argparse.Namespace) -> int:
     )
     report = run_eval(items, config)
     text = report.to_json_text()
-    sys.stdout.write(text)
     if cmd.output is not None:
-        write_text_atomic(cmd.output, text)
+        _write_output(cmd.output, text)
+    sys.stdout.write(text)
     total = len(report.items)
     correct = sum(1 for item in report.items if item.correct)
     print(f"accuracy {correct}/{total} = {report.accuracy:.3f}", file=sys.stderr)

@@ -21,7 +21,6 @@ from .nodes import (
     Statement,
     StringLit,
     Unary,
-    count_nodes,
 )
 from .parser import make_program, parse_program
 
@@ -45,7 +44,6 @@ __all__ = [
     "Token",
     "TokenKind",
     "Unary",
-    "count_nodes",
     "format_expression",
     "format_program",
     "make_program",

@@ -24,7 +24,7 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["format_program", "format_statements", "format_expression"]
+__all__ = ["format_program", "format_expression"]
 
 _INDENT = "    "
 
@@ -118,15 +118,11 @@ def _statement_lines(stmt: Statement, depth: int) -> list[str]:
     raise TypeError(f"not a statement node: {stmt!r}")
 
 
-def format_statements(statements: tuple[Statement, ...]) -> str:
+def format_program(program: SolutionProgram) -> str:
+    """Renders a program in canonical form; an empty program is empty text."""
     lines: list[str] = []
-    for stmt in statements:
+    for stmt in program.statements:
         lines.extend(_statement_lines(stmt, 0))
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
-
-
-def format_program(program: SolutionProgram) -> str:
-    """Renders a program in canonical form; an empty program is empty text."""
-    return format_statements(program.statements)

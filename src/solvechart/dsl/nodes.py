@@ -2,14 +2,14 @@
 
 All nodes are frozen dataclasses holding tuples, so structural equality is
 dataclass equality and parsed programs are safe to share.  A program's
-source_hash and warnings are bookkeeping, not structure, and are excluded
-from comparison: two programs are equal iff their statements are.
+warnings are bookkeeping, not structure, and are excluded from comparison:
+two programs are equal iff their statements are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "AGENT_CALLEES",
@@ -27,8 +27,6 @@ __all__ = [
     "Statement",
     "StringLit",
     "Unary",
-    "count_nodes",
-    "iter_expressions",
 ]
 
 # The callable surface is closed: two agent operators plus five builtins.
@@ -105,35 +103,5 @@ Statement = Union[Assignment, If]
 @dataclass(frozen=True)
 class SolutionProgram:
     statements: tuple[Statement, ...]
-    source_hash: str = field(default="", compare=False)
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
-
-def iter_expressions(root: Expression) -> Iterator[Expression]:
-    """Yields root and every expression nested under it, preorder."""
-    yield root
-    if isinstance(root, Unary):
-        yield from iter_expressions(root.operand)
-    elif isinstance(root, Binary):
-        yield from iter_expressions(root.left)
-        yield from iter_expressions(root.right)
-    elif isinstance(root, (ListLit, Call)):
-        for item in (root.items if isinstance(root, ListLit) else root.args):
-            yield from iter_expressions(item)
-
-
-def _count_statement(stmt: Statement) -> int:
-    if isinstance(stmt, Assignment):
-        return 1 + sum(1 for _ in iter_expressions(stmt.expr))
-    total = 1
-    for condition, body in stmt.branches:
-        total += sum(1 for _ in iter_expressions(condition))
-        total += sum(_count_statement(child) for child in body)
-    if stmt.else_body is not None:
-        total += sum(_count_statement(child) for child in stmt.else_body)
-    return total
-
-
-def count_nodes(program: SolutionProgram) -> int:
-    """Counts statements plus expression nodes, for execution-bound checks."""
-    return sum(_count_statement(stmt) for stmt in program.statements)

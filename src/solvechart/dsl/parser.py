@@ -16,13 +16,9 @@ not a runtime one.
 
 from __future__ import annotations
 
-import hashlib
-
 from .errors import ParseError
-from .formatter import format_statements
 from .lexer import Token, TokenKind, decode_string, tokenize
 from .nodes import (
-    AGENT_CALLEES,
     ANSWER_VARIABLE,
     Assignment,
     Binary,
@@ -270,13 +266,11 @@ def _validate(statements: tuple[Statement, ...]) -> tuple[str, ...]:
 
 
 def make_program(statements: tuple[Statement, ...]) -> SolutionProgram:
-    """Builds a program from statements, deriving hash and warnings."""
-    canonical = format_statements(statements)
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return SolutionProgram(statements, source_hash=digest, warnings=_validate(statements))
+    """Builds a program from statements, deriving its warnings."""
+    return SolutionProgram(statements, warnings=_validate(statements))
 
 
 def parse_program(source: str) -> SolutionProgram:
-    """Parses program text; the result carries its canonical-source hash."""
+    """Parses program text; the result carries the static-validation warnings."""
     parser = _Parser(tokenize(source))
     return make_program(parser.parse())

@@ -8,7 +8,6 @@ from .interpreter import (
     ExecutionResult,
     ExecutionTrace,
     TraceStep,
-    eval_expr,
     execute,
 )
 from .values import EngineError, EngineErrorKind, Value, coerce_numeric, stringify
@@ -23,7 +22,6 @@ __all__ = [
     "TraceStep",
     "Value",
     "coerce_numeric",
-    "eval_expr",
     "execute",
     "stringify",
 ]

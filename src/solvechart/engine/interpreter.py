@@ -23,7 +23,6 @@ from ..dsl.nodes import (
     Call,
     Expression,
     Identifier,
-    If,
     ListLit,
     NumberLit,
     SolutionProgram,
@@ -40,7 +39,6 @@ __all__ = [
     "ExecutionTrace",
     "TraceStep",
     "execute",
-    "eval_expr",
 ]
 
 
@@ -305,19 +303,6 @@ class _Evaluator:
         if stmt.else_body is not None:
             self.trace.steps.append(TraceStep("branch", "else -> taken", True))
             self.run_block(stmt.else_body, env)
-
-
-def eval_expr(
-    expr: Expression,
-    env: dict[str, Value],
-    agent: AgentHandle,
-    trace: ExecutionTrace,
-    *,
-    chart_id: str = "",
-) -> Value:
-    """Evaluates one expression against an environment and an agent."""
-    evaluator = _Evaluator(agent, EngineConfig(chart_id=chart_id), trace)
-    return evaluator.eval(expr, env)
 
 
 def execute(program: SolutionProgram, agent: AgentHandle, config: EngineConfig | None = None) -> ExecutionResult:

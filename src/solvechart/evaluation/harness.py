@@ -119,8 +119,9 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _chart_hints(item: EvalItem) -> str | None:
-    if item.table_path is None:
+def _chart_hints(item: EvalItem, llm_client: LlmSource) -> str | None:
+    """The prompt's chart context; only a live model gets a prompt, so a cassette reads no table."""
+    if not isinstance(llm_client, LlmConfig) or item.table_path is None:
         return None
     return chart_hints(load_table(item.table_path))
 
@@ -138,7 +139,7 @@ def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
             program = generate_solution(
                 item.question,
                 config.llm_client,
-                chart_hints=_chart_hints(item),
+                chart_hints=_chart_hints(item, config.llm_client),
                 chart_id=item.chart_id,
             )
             result = execute(

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
-from solvechart.agents.http import HttpAgent, http_answer
+from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import (
     NoMatch,
     OracleAgent,
@@ -71,6 +71,13 @@ def test_load_table_bad_json(tmp_path):
         load_table(bad)
 
 
+def test_load_table_missing_file_names_path(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(TableFormatError) as err:
+        load_table(missing)
+    assert str(missing) in str(err.value)
+
+
 def test_load_table_wrong_shape(tmp_path):
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps({"title": "t"}), encoding="utf-8")
@@ -89,20 +96,20 @@ def test_normalize_question():
 def test_match_value_of():
     match = match_template("What is the value of Democrat in 2012?")
     assert match.kind == "value_of"
-    assert match.slot("rest") == "democrat in 2012"
+    assert match.slots["rest"] == "democrat in 2012"
 
 
 def test_match_arg_extreme():
     match = match_template("which year has the lowest value")
     assert match.kind == "arg_extreme"
-    assert match.slot("subject") == "year"
-    assert match.slot("which") == "lowest"
+    assert match.slots["subject"] == "year"
+    assert match.slots["which"] == "lowest"
 
 
 def test_match_extreme_of_series():
     match = match_template("What is the maximum value of Apples?")
     assert match.kind == "extreme_of_series"
-    assert match.slot("which") == "highest"
+    assert match.slots["which"] == "highest"
 
 
 def test_no_match():
@@ -185,6 +192,13 @@ def test_cassette_roundtrip(tmp_path, election_agent):
     replayed = replayer.answer(query)
     assert replayed.answer == "50"
     assert replayed.backend == "replay"
+
+
+def test_cassette_load_missing_file_names_path(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(CassetteFormatError) as err:
+        Cassette.load(missing)
+    assert str(missing) in str(err.value)
 
 
 def test_cassette_strict_miss(tmp_path):
@@ -311,9 +325,9 @@ def http_server():
         server.server_close()
 
 
-def test_http_answer_protocol(http_server):
+def test_http_agent_protocol(http_server):
     server, url = http_server
-    reply = http_answer(url, AgentQuery("what?", "c1", "SUBSTEP"))
+    reply = HttpAgent(url).answer(AgentQuery("what?", "c1", "SUBSTEP"))
     assert reply.answer == "50"
     assert reply.backend == "http"
     assert reply.latency_ms >= 0.0
@@ -334,7 +348,7 @@ def test_http_500_is_transport_error(http_server):
     server, url = http_server
     server.mode = "http500"
     with pytest.raises(AgentError) as err:
-        http_answer(url, AgentQuery("q", "c", "ASK"))
+        HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
     assert err.value.kind is AgentErrorKind.TRANSPORT
 
 
@@ -342,7 +356,7 @@ def test_http_non_json_is_bad_response(http_server):
     server, url = http_server
     server.mode = "notjson"
     with pytest.raises(AgentError) as err:
-        http_answer(url, AgentQuery("q", "c", "ASK"))
+        HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
     assert err.value.kind is AgentErrorKind.BAD_RESPONSE
 
 
@@ -350,11 +364,11 @@ def test_http_missing_answer_key_is_bad_response(http_server):
     server, url = http_server
     server.mode = "missing-key"
     with pytest.raises(AgentError) as err:
-        http_answer(url, AgentQuery("q", "c", "ASK"))
+        HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
     assert err.value.kind is AgentErrorKind.BAD_RESPONSE
 
 
 def test_http_connection_refused_is_transport():
     with pytest.raises(AgentError) as err:
-        http_answer("http://127.0.0.1:9", AgentQuery("q", "c", "ASK"), timeout_s=0.5)
+        HttpAgent("http://127.0.0.1:9", timeout_s=0.5).answer(AgentQuery("q", "c", "ASK"))
     assert err.value.kind is AgentErrorKind.TRANSPORT

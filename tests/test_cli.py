@@ -92,6 +92,13 @@ def test_parse_args_missing_required_exits_2():
     assert excinfo.value.code == 2
 
 
+def test_parse_args_workers_below_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(["eval", "--dataset", "d", "--workers", "0"])
+    assert excinfo.value.code == 2
+    assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_parse_args_bad_choice_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         parse_args(["eval", "--dataset", "d", "--mode", "telepathy"])
@@ -158,6 +165,7 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
         (["eval", "--dataset", "d"], None, "cannot read config file"),
         (["eval", "--dataset", "d"], "{oops", "config file is not valid JSON"),
         (["eval", "--dataset", "d"], "[1, 2]", "config file must contain a JSON object"),
+        (["eval", "--dataset", "d"], {"workers": 0}, "'workers': must be at least 1, got 0"),
     ],
 )
 def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):
@@ -512,6 +520,72 @@ def test_eval_item_without_table_fails_per_item(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["accuracy"] == 0.0
     assert "table_path" in report["items"][0]["reason"]
+
+
+def test_eval_item_with_missing_table_fails_per_item(tmp_path, fixtures_dir, capsys):
+    missing = tmp_path / "missing.json"
+    dataset = tmp_path / "d.jsonl"
+    records = [
+        {"id": "x1", "question": "What is the value of Democrat in 2012?", "gold": "44",
+         "chart_id": "election", "table_path": str(missing)},
+        {"id": "x2", "question": "What is the value of Democrat in 2012?", "gold": "44",
+         "chart_id": "election", "table_path": str(fixtures_dir / "tables" / "election.json")},
+    ]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = cli("eval", "--dataset", str(dataset), "--mode", "agent-only")
+    assert code == 0
+    first, second = json.loads(capsys.readouterr().out)["items"]
+    assert first["correct"] is False
+    assert str(missing) in first["reason"]
+    assert second["correct"] is True
+
+
+# -- errors through main() --------------------------------------------------
+
+def run_main(monkeypatch, capsys, *argv: str) -> tuple[int, str, str]:
+    monkeypatch.setattr("sys.argv", ["solvechart", *argv])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--program", "{program}", "--agent", "replay:{missing}"],
+        ["run", "--program", "{program}", "--table", "{missing}"],
+        ["eval", "--dataset", "{dataset}", "--llm-replay", "{missing}"],
+        ["solve", "--question", "q", "--table", "{table}", "--llm-replay", "{missing}"],
+    ],
+)
+def test_missing_input_file_exits_1_naming_it(monkeypatch, capsys, tmp_path, fixtures_dir, program_file, argv):
+    missing = str(tmp_path / "missing.json")
+    paths = {"missing": missing, "program": program_file, "dataset": fixtures_dir / "dataset.jsonl",
+             "table": fixtures_dir / "tables" / "election.json"}
+    code, out, err = run_main(monkeypatch, capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solvechart: error: ")
+    assert missing in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_output_under_missing_directory_exits_1_naming_target(
+    monkeypatch, capsys, tmp_path, fixtures_dir, program_file, election_json, command
+):
+    target = str(tmp_path / "no-such-dir" / "out.json")
+    if command == "run":
+        argv = ["run", "--program", program_file, "--table", election_json, "--trace", target]
+    else:
+        argv = ["eval", "--dataset", str(fixtures_dir / "dataset.jsonl"), "--mode", "agent-only",
+                "--output", target]
+    code, out, err = run_main(monkeypatch, capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"solvechart: error: cannot write {target}: ")
+    assert ".tmp" not in err
 
 
 # -- dispatch ---------------------------------------------------------------

@@ -3,14 +3,9 @@ from __future__ import annotations
 import pytest
 
 from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
-from solvechart.dsl.nodes import Binary, Call, NumberLit, StringLit
+from solvechart.dsl.nodes import Assignment, Binary, NumberLit, SolutionProgram
 from solvechart.dsl.parser import parse_program
-from solvechart.engine.interpreter import (
-    EngineConfig,
-    ExecutionTrace,
-    eval_expr,
-    execute,
-)
+from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.engine.values import (
     EngineError,
     EngineErrorKind,
@@ -157,7 +152,7 @@ def test_division_variants_and_zero():
 def test_overflow_is_non_finite_error():
     big = NumberLit(1e308)
     with pytest.raises(EngineError) as err:
-        eval_expr(Binary("*", big, big), {}, NO_AGENT, ExecutionTrace())
+        execute(SolutionProgram((Assignment("answer", Binary("*", big, big)),)), NO_AGENT)
     assert err.value.kind is EngineErrorKind.NON_FINITE
 
 

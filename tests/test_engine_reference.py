@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from gen_programs import AGENT_ANSWERS, random_program
 from reference_interp import ref_execute, values_identical
 from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
-from solvechart.dsl.nodes import count_nodes
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.engine.values import EngineError
 
@@ -22,6 +22,15 @@ class StubAgent:
 
 
 AGENT = StubAgent()
+
+
+def ast_size(node) -> int:
+    """Counts the statements and expression nodes in a node or a (nested) tuple of them."""
+    if isinstance(node, tuple):
+        return sum(ast_size(child) for child in node)
+    if not dataclasses.is_dataclass(node):
+        return 0
+    return 1 + sum(ast_size(getattr(node, field.name)) for field in dataclasses.fields(node))
 
 
 def engine_outcome(program):
@@ -53,4 +62,4 @@ def test_step_count_bounded_by_ast_size(seed: int):
         result = execute(program, AGENT, EngineConfig())
     except EngineError:
         return
-    assert len(result.trace.steps) <= 2 * count_nodes(program)
+    assert len(result.trace.steps) <= 2 * ast_size(program.statements)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from solvechart.agents.base import AgentError, AgentErrorKind
+from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
@@ -16,6 +16,8 @@ from solvechart.evaluation.dataset import (
 )
 from solvechart.evaluation.harness import EvalConfig, run_eval
 from solvechart.evaluation.metrics import relaxed_match
+from solvechart.solgen.client import LlmConfig
+from solvechart.solgen.prompt import chart_hints
 
 
 def write_jsonl(path, records):
@@ -318,6 +320,41 @@ def test_runtime_error_uses_ask_fallback(temps_path):
     )
     assert without.items[0].correct is False
     assert "division-by-zero" in without.items[0].reason
+
+
+class FixedAgent:
+    def answer(self, query):
+        return AgentAnswer("42", 0.0, "stub")
+
+
+def test_cassette_model_reads_no_table(tmp_path):
+    item = EvalItem(id="x1", question="What is X?", gold="42", chart_id="c",
+                    table_path=str(tmp_path / "missing.json"))
+    cassette = Cassette.empty()
+    cassette.append("c", item.question, '```\nanswer = ASK("What is X?")\n```')
+    config = EvalConfig(mode="programmatic", agent_factory=lambda _: FixedAgent(), llm_client=cassette)
+    result = run_eval([item], config).items[0]
+    assert result.reason is None
+    assert result.correct is True
+
+
+def test_live_model_gets_chart_hints(temps_path, monkeypatch):
+    prompts = []
+
+    def fake_chat_completion(config, bundle):
+        prompts.append(bundle.user)
+        return '```\nanswer = ASK("What is the value of Mon?")\n```'
+
+    monkeypatch.setattr("solvechart.solgen.generate.chat_completion", fake_chat_completion)
+    config = EvalConfig(
+        mode="programmatic",
+        agent_factory=oracle_factory,
+        llm_client=LlmConfig(endpoint="http://127.0.0.1:9"),
+    )
+    report = run_eval(temps_items(temps_path)[:1], config)
+    assert report.items[0].correct is True
+    table = load_table(temps_path)
+    assert prompts == [f"Question: {TEMPS_QA[0][1]}\nChart: {chart_hints(table)}"]
 
 
 def test_trace_dir_writes_per_item_traces(temps_path, tmp_path):
