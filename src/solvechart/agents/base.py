@@ -41,10 +41,13 @@ class AgentQuery:
     operator: str  # "ASK" or "SUBSTEP"
 
     def __post_init__(self) -> None:
+        # The operator is set by code, so a bad one is a programming error.
+        # The question comes from a model or a dataset, so a blank one is an
+        # agent failure that the engine's fallback and the harness handle.
         if self.operator not in OPERATORS:
             raise ValueError(f"unknown operator {self.operator!r}")
         if not self.question.strip():
-            raise ValueError("question must be non-empty")
+            raise AgentError(AgentErrorKind.UNANSWERABLE, "question must be non-empty")
 
 
 @dataclass(frozen=True)

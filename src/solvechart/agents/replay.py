@@ -57,6 +57,8 @@ class Cassette:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as err:
             raise CassetteFormatError(f"cannot read cassette {path}: {err.strerror or err}") from err
+        except UnicodeDecodeError as err:
+            raise CassetteFormatError(f"cannot read cassette {path}: {err}") from err
         except json.JSONDecodeError as err:
             raise CassetteFormatError(f"invalid JSON in {path}: {err}") from err
         if not isinstance(payload, list):

@@ -114,6 +114,8 @@ def load_table(path: str | Path) -> ChartTable:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise TableFormatError(f"cannot read table {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise TableFormatError(f"cannot read table {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise TableFormatError(f"invalid JSON in {path}: {err}") from err
     if not isinstance(payload, dict):

@@ -63,6 +63,8 @@ def _load_config(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"config file is not valid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -220,6 +222,8 @@ def _read_source(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read program: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read program {path}: {exc}") from exc
 
 
 def _write_output(path: str, text: str) -> None:
@@ -367,6 +371,11 @@ def _cmd_eval(cmd: argparse.Namespace) -> int:
         tolerance=cmd.tolerance,
         trace_dir=cmd.trace_dir,
     )
+    if cmd.trace_dir is not None:
+        try:
+            Path(cmd.trace_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {cmd.trace_dir}: {exc.strerror or exc}") from exc
     report = run_eval(items, config)
     text = report.to_json_text()
     if cmd.output is not None:

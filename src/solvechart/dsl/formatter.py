@@ -9,6 +9,8 @@ canonical text is a stable identity for a program.
 from __future__ import annotations
 
 from .nodes import (
+    BINARY_PRECEDENCE,
+    UNARY_PRECEDENCE,
     Assignment,
     Binary,
     BoolLit,
@@ -27,18 +29,6 @@ from .nodes import (
 __all__ = ["format_program", "format_expression"]
 
 _INDENT = "    "
-
-# Binding strength, loosest first.  All binary operators are left-associative;
-# a right operand at the same level keeps its parentheses.
-_BINARY_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6, "//": 6, "%": 6,
-}
-_NOT_PRECEDENCE = 3
-_NEG_PRECEDENCE = 7
 _ATOM_PRECEDENCE = 9
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
@@ -83,11 +73,11 @@ def _render(node: Expression) -> tuple[int, str]:
         args = ", ".join(_expr(arg, 0) for arg in node.args)
         return _ATOM_PRECEDENCE, f"{node.callee}({args})"
     if isinstance(node, Unary):
-        if node.op == "not":
-            return _NOT_PRECEDENCE, f"not {_expr(node.operand, _NOT_PRECEDENCE)}"
-        return _NEG_PRECEDENCE, f"-{_expr(node.operand, _NEG_PRECEDENCE)}"
+        precedence = UNARY_PRECEDENCE[node.op]
+        separator = " " if node.op == "not" else ""
+        return precedence, f"{node.op}{separator}{_expr(node.operand, precedence)}"
     if isinstance(node, Binary):
-        precedence = _BINARY_PRECEDENCE[node.op]
+        precedence = BINARY_PRECEDENCE[node.op]
         left = _expr(node.left, precedence)
         right = _expr(node.right, precedence + 1)
         return precedence, f"{left} {node.op} {right}"

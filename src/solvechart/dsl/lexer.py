@@ -9,6 +9,7 @@ disturb indentation tracking.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,112 +40,36 @@ class Token:
 
 KEYWORDS = frozenset({"if", "elif", "else", "and", "or", "not", "True", "False"})
 
-# Two-character operators must be tried before their one-character prefixes.
-_TWO_CHAR_OPERATORS = ("==", "!=", "<=", ">=", "//")
-_ONE_CHAR_OPERATORS = frozenset("+-*/%<>=()[],:")
-
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
-
-def _is_identifier_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_identifier_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-class _LineLexer:
-    """Scans the content of one physical line (indentation already consumed)."""
-
-    def __init__(self, text: str, line_number: int) -> None:
-        self.text = text
-        self.line = line_number
-        self.pos = 0
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def _peek(self) -> str:
-        return self.text[self.pos]
-
-    def tokens(self) -> list[Token]:
-        out: list[Token] = []
-        while not self.at_end():
-            ch = self._peek()
-            if ch == " ":
-                self.pos += 1
-                continue
-            if ch == "#":
-                break
-            column = self.pos + 1
-            if ch == '"':
-                out.append(self._string(column))
-            elif ch.isdigit():
-                out.append(self._number(column))
-            elif _is_identifier_start(ch):
-                out.append(self._identifier(column))
-            else:
-                out.append(self._operator(column))
-        return out
-
-    def _string(self, column: int) -> Token:
-        start = self.pos
-        self.pos += 1
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch == '"':
-                self.pos += 1
-                return Token(TokenKind.STRING, self.text[start:self.pos], self.line, column)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    break
-                escape = self.text[self.pos + 1]
-                if escape not in _ESCAPES:
-                    raise LexError(f"invalid escape sequence '\\{escape}'", self.line, self.pos + 2)
-                self.pos += 2
-                continue
-            self.pos += 1
-        raise LexError("unterminated string literal", self.line, column)
-
-    def _number(self, column: int) -> Token:
-        start = self.pos
-        while not self.at_end() and self._peek().isdigit():
-            self.pos += 1
-        if not self.at_end() and self._peek() == "." and self.pos + 1 < len(self.text) and self.text[self.pos + 1].isdigit():
-            self.pos += 1
-            while not self.at_end() and self._peek().isdigit():
-                self.pos += 1
-        return Token(TokenKind.NUMBER, self.text[start:self.pos], self.line, column)
-
-    def _identifier(self, column: int) -> Token:
-        start = self.pos
-        while not self.at_end() and _is_identifier_char(self._peek()):
-            self.pos += 1
-        lexeme = self.text[start:self.pos]
-        kind = TokenKind.KEYWORD if lexeme in KEYWORDS else TokenKind.IDENTIFIER
-        return Token(kind, lexeme, self.line, column)
-
-    def _operator(self, column: int) -> Token:
-        two = self.text[self.pos:self.pos + 2]
-        if two in _TWO_CHAR_OPERATORS:
-            self.pos += 2
-            return Token(TokenKind.OPERATOR, two, self.line, column)
-        ch = self._peek()
-        if ch in _ONE_CHAR_OPERATORS:
-            self.pos += 1
-            return Token(TokenKind.OPERATOR, ch, self.line, column)
-        raise LexError(f"illegal character {ch!r}", self.line, column)
+# The tokenizer recipe of the `re` docs: one alternative per group, tried in
+# order at each position of a line's content, so two-character operators come
+# before their prefixes.  STRING runs up to its closing quote or its first
+# error; without CLOSE it is no token.  IDENTIFIER is any run of word
+# characters (str.isalnum or "_"); tokenize rejects one whose first character
+# is neither a letter nor "_".  ERROR catches the one character at which no
+# token starts.
+_TOKEN_PATTERN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
+    ("SPACE", r" +"),
+    ("COMMENT", r"#.*"),
+    ("STRING", r'"[^"\\]*(?:\\[' + re.escape("".join(_ESCAPES)) + r'][^"\\]*)*(?P<CLOSE>")?'),
+    ("NUMBER", r"\d+(?:\.\d+)?"),
+    ("IDENTIFIER", r"\w+"),
+    ("OPERATOR", r"==|!=|<=|>=|//|[-+*/%<>=()\[\],:]"),
+    ("ERROR", r"."),
+)))
+_ESCAPE_PATTERN = re.compile(r"\\(.)")
 
 
-def _split_indent(line: str, line_number: int) -> tuple[int, str]:
-    """Returns (indent width, remaining content).  Only spaces may indent."""
-    width = 0
-    while width < len(line) and line[width] == " ":
-        width += 1
-    if width < len(line) and line[width] == "\t":
-        raise LexError("tab character in indentation", line_number, width + 1)
-    return width, line[width:]
+def _lex_error(line: str, match: re.Match[str], line_number: int) -> LexError:
+    """The error for a match that is no token: a string without CLOSE, or else
+    an illegal character at its start."""
+    start, stop = match.span()
+    if match.lastgroup != "STRING":
+        return LexError(f"illegal character {line[start]!r}", line_number, start + 1)
+    if line[stop:stop + 1] == "\\" and stop + 1 < len(line):
+        return LexError(f"invalid escape sequence '\\{line[stop + 1]}'", line_number, stop + 2)
+    return LexError("unterminated string literal", line_number, start + 1)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -160,7 +85,10 @@ def tokenize(source: str) -> list[Token]:
     for raw_line in source.split("\n"):
         line_number += 1
         line = raw_line.rstrip("\r")
-        width, content = _split_indent(line, line_number)
+        content = line.lstrip(" ")
+        width = len(line) - len(content)
+        if content.startswith("\t"):
+            raise LexError("tab character in indentation", line_number, width + 1)
         stripped = content.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -174,9 +102,20 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token(TokenKind.DEDENT, "", line_number, column))
             if width != indent_stack[-1]:
                 raise ParseError("unindent does not match any outer level", line_number, column)
-        lexer = _LineLexer(line, line_number)
-        lexer.pos = width
-        tokens.extend(lexer.tokens())
+        for match in _TOKEN_PATTERN.finditer(line, width):
+            group = match.lastgroup
+            if group == "SPACE" or group == "COMMENT":
+                continue
+            if group == "ERROR" or group == "STRING" and match.group("CLOSE") is None:
+                raise _lex_error(line, match, line_number)
+            lexeme = match.group()
+            kind = TokenKind[group]
+            if kind is TokenKind.IDENTIFIER:
+                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                    raise _lex_error(line, match, line_number)
+                if lexeme in KEYWORDS:
+                    kind = TokenKind.KEYWORD
+            tokens.append(Token(kind, lexeme, line_number, match.start() + 1))
         tokens.append(Token(TokenKind.NEWLINE, "\n", line_number, len(line) + 1))
     final_column = 1
     while indent_stack[-1] > 0:
@@ -188,15 +127,4 @@ def tokenize(source: str) -> list[Token]:
 
 def decode_string(lexeme: str) -> str:
     """Decodes a STRING token's raw lexeme (quotes included) to its value."""
-    body = lexeme[1:-1]
-    out: list[str] = []
-    index = 0
-    while index < len(body):
-        ch = body[index]
-        if ch == "\\":
-            out.append(_ESCAPES[body[index + 1]])
-            index += 2
-        else:
-            out.append(ch)
-            index += 1
-    return "".join(out)
+    return _ESCAPE_PATTERN.sub(lambda match: _ESCAPES[match.group(1)], lexeme[1:-1])

@@ -13,7 +13,9 @@ from typing import Union
 
 __all__ = [
     "AGENT_CALLEES",
+    "BINARY_PRECEDENCE",
     "CALLEES",
+    "UNARY_PRECEDENCE",
     "Assignment",
     "Binary",
     "BoolLit",
@@ -35,6 +37,19 @@ BUILTIN_CALLEES = frozenset({"abs", "min", "max", "sum", "round"})
 CALLEES = AGENT_CALLEES | BUILTIN_CALLEES
 
 ANSWER_VARIABLE = "answer"
+
+# Binding strength, loosest first; the parser and the formatter both read
+# these.  Binary operators are left-associative, so a right operand at the
+# same level needs parentheses.  A unary operator's operand binds at its own
+# level: "not" takes a comparison, "-" only another unary or an atom.
+BINARY_PRECEDENCE = {
+    "or": 1,
+    "and": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "//": 6, "%": 6,
+}
+UNARY_PRECEDENCE = {"not": 3, "-": 7}
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,14 @@ not a runtime one.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParseError
 from .lexer import Token, TokenKind, decode_string, tokenize
 from .nodes import (
     ANSWER_VARIABLE,
+    BINARY_PRECEDENCE,
+    UNARY_PRECEDENCE,
     Assignment,
     Binary,
     BoolLit,
@@ -36,11 +40,13 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["parse_program", "make_program"]
+__all__ = ["MAX_DEPTH", "parse_program", "make_program"]
 
-_COMPARISON_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-_ADDITIVE_OPS = frozenset({"+", "-"})
-_MULTIPLICATIVE_OPS = frozenset({"*", "/", "//", "%"})
+# Deepest nesting accepted: the most levels on a path from a statement down to
+# a leaf, where each if block, parenthesis, bracket, call, unary operator and
+# binary operator on the path is a level.  The formatter and the engine
+# recurse on the tree, so this keeps them well inside Python's recursion limit.
+MAX_DEPTH = 100
 
 # Builtins with a fixed argument count; the variadic ones need at least one.
 _EXACT_ARITY = {"ASK": 1, "SUBSTEP": 1, "abs": 1, "round": 1}
@@ -50,6 +56,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -85,6 +92,15 @@ class _Parser:
         token = self._peek()
         return ParseError(message, token.line, token.column)
 
+    def _check_depth(self, token: Token, levels: int) -> None:
+        if levels > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", token.line, token.column)
+
+    def _enter(self, token: Token) -> None:
+        """Opens one nesting level at `token`; the caller restores `depth`."""
+        self.depth += 1
+        self._check_depth(token, self.depth)
+
     # -- statements ---------------------------------------------------------
 
     def parse(self) -> tuple[Statement, ...]:
@@ -99,13 +115,13 @@ class _Parser:
         if self._check(TokenKind.IDENTIFIER):
             name = self._advance()
             self._expect(TokenKind.OPERATOR, "=")
-            expr = self._expression()
+            expr, _ = self._expression()
             self._expect(TokenKind.NEWLINE, what="end of line")
             return Assignment(name.lexeme, expr)
         raise self._error("expected a statement")
 
     def _if_statement(self) -> If:
-        self._expect(TokenKind.KEYWORD, "if")
+        self._enter(self._expect(TokenKind.KEYWORD, "if"))
         branches = [(self._expression_then_colon(), self._block())]
         while self._check(TokenKind.KEYWORD, "elif"):
             self._advance()
@@ -114,10 +130,11 @@ class _Parser:
         if self._match(TokenKind.KEYWORD, "else"):
             self._expect(TokenKind.OPERATOR, ":")
             else_body = self._block()
+        self.depth -= 1
         return If(tuple(branches), else_body)
 
     def _expression_then_colon(self) -> Expression:
-        condition = self._expression()
+        condition, _ = self._expression()
         self._expect(TokenKind.OPERATOR, ":")
         return condition
 
@@ -132,88 +149,76 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def _expression(self) -> Expression:
-        return self._or_expr()
+    # Each expression method returns the expression and its height: the most
+    # nesting levels on a path down from it.  `depth` counts the levels open
+    # above the current token, checked as each opens; this bounds the
+    # parser's own recursion.  A binary operator is known only after its left
+    # operand is built, so its level is checked from the height it builds.
 
-    def _or_expr(self) -> Expression:
-        left = self._and_expr()
-        while self._check(TokenKind.KEYWORD, "or"):
-            self._advance()
-            left = Binary("or", left, self._and_expr())
-        return left
+    def _expression(self, minimum: int = 0) -> tuple[Expression, int]:
+        """Precedence climbing: one expression whose operators bind at least `minimum`.
 
-    def _and_expr(self) -> Expression:
-        left = self._not_expr()
-        while self._check(TokenKind.KEYWORD, "and"):
-            self._advance()
-            left = Binary("and", left, self._not_expr())
-        return left
+        Operators are looked up by lexeme alone: no other token has one of
+        theirs, as a string's lexeme keeps its quotes and a keyword is never
+        an identifier.
+        """
+        token = self._peek()
+        prefix = UNARY_PRECEDENCE.get(token.lexeme)
+        if prefix is not None and prefix >= minimum:
+            self._enter(self._advance())
+            operand, height = self._expression(prefix)
+            self.depth -= 1
+            left: Expression = Unary(token.lexeme, operand)
+            height += 1
+        else:
+            left, height = self._atom()
+        while True:
+            precedence = BINARY_PRECEDENCE.get(self._peek().lexeme)
+            if precedence is None or precedence < minimum:
+                break
+            op = self._advance()
+            self._enter(op)
+            right, right_height = self._expression(precedence + 1)
+            self.depth -= 1
+            height = 1 + max(height, right_height)
+            self._check_depth(op, self.depth + height)
+            left = Binary(op.lexeme, left, right)
+        return left, height
 
-    def _not_expr(self) -> Expression:
-        if self._match(TokenKind.KEYWORD, "not"):
-            return Unary("not", self._not_expr())
-        return self._comparison()
-
-    def _comparison(self) -> Expression:
-        left = self._additive()
-        while self._check(TokenKind.OPERATOR) and self._peek().lexeme in _COMPARISON_OPS:
-            op = self._advance().lexeme
-            left = Binary(op, left, self._additive())
-        return left
-
-    def _additive(self) -> Expression:
-        left = self._multiplicative()
-        while self._check(TokenKind.OPERATOR) and self._peek().lexeme in _ADDITIVE_OPS:
-            op = self._advance().lexeme
-            left = Binary(op, left, self._multiplicative())
-        return left
-
-    def _multiplicative(self) -> Expression:
-        left = self._unary()
-        while self._check(TokenKind.OPERATOR) and self._peek().lexeme in _MULTIPLICATIVE_OPS:
-            op = self._advance().lexeme
-            left = Binary(op, left, self._unary())
-        return left
-
-    def _unary(self) -> Expression:
-        if self._match(TokenKind.OPERATOR, "-"):
-            return Unary("-", self._unary())
-        return self._atom()
-
-    def _atom(self) -> Expression:
+    def _atom(self) -> tuple[Expression, int]:
         token = self._peek()
         if token.kind is TokenKind.NUMBER:
+            value = float(token.lexeme)
+            if not math.isfinite(value):
+                raise self._error("number literal is too large")
             self._advance()
-            return NumberLit(float(token.lexeme))
+            return NumberLit(value), 0
         if token.kind is TokenKind.STRING:
             self._advance()
-            return StringLit(decode_string(token.lexeme))
+            return StringLit(decode_string(token.lexeme)), 0
         if token.kind is TokenKind.KEYWORD and token.lexeme in ("True", "False"):
             self._advance()
-            return BoolLit(token.lexeme == "True")
+            return BoolLit(token.lexeme == "True"), 0
         if token.kind is TokenKind.IDENTIFIER:
             self._advance()
             if self._check(TokenKind.OPERATOR, "("):
                 return self._call(token)
-            return Identifier(token.lexeme)
-        if self._match(TokenKind.OPERATOR, "("):
-            inner = self._expression()
+            return Identifier(token.lexeme), 0
+        if self._check(TokenKind.OPERATOR, "("):
+            self._enter(self._advance())
+            inner, height = self._expression()
             self._expect(TokenKind.OPERATOR, ")")
-            return inner
-        if self._match(TokenKind.OPERATOR, "["):
-            return self._list_literal()
+            self.depth -= 1
+            return inner, height + 1
+        if self._check(TokenKind.OPERATOR, "["):
+            items, height = self._sequence(self._advance(), "]")
+            return ListLit(items), height
         raise self._error(f"expected an expression, found {token.lexeme or token.kind.value!r}")
 
-    def _call(self, name: Token) -> Expression:
+    def _call(self, name: Token) -> tuple[Expression, int]:
         if name.lexeme not in CALLEES:
             raise ParseError(f"unknown callee {name.lexeme!r}", name.line, name.column)
-        self._expect(TokenKind.OPERATOR, "(")
-        args: list[Expression] = []
-        if not self._check(TokenKind.OPERATOR, ")"):
-            args.append(self._expression())
-            while self._match(TokenKind.OPERATOR, ","):
-                args.append(self._expression())
-        self._expect(TokenKind.OPERATOR, ")")
+        args, height = self._sequence(self._expect(TokenKind.OPERATOR, "("), ")")
         exact = _EXACT_ARITY.get(name.lexeme)
         if exact is not None and len(args) != exact:
             raise ParseError(
@@ -222,16 +227,23 @@ class _Parser:
             )
         if exact is None and not args:
             raise ParseError(f"{name.lexeme} needs at least one argument", name.line, name.column)
-        return Call(name.lexeme, tuple(args))
+        return Call(name.lexeme, args), height
 
-    def _list_literal(self) -> Expression:
+    def _sequence(self, opener: Token, closer: str) -> tuple[tuple[Expression, ...], int]:
+        """The comma-separated expressions after `opener`, through `closer`."""
+        self._enter(opener)
         items: list[Expression] = []
-        if not self._check(TokenKind.OPERATOR, "]"):
-            items.append(self._expression())
-            while self._match(TokenKind.OPERATOR, ","):
-                items.append(self._expression())
-        self._expect(TokenKind.OPERATOR, "]")
-        return ListLit(tuple(items))
+        height = 0
+        if not self._check(TokenKind.OPERATOR, closer):
+            while True:
+                item, item_height = self._expression()
+                items.append(item)
+                height = max(height, item_height)
+                if not self._match(TokenKind.OPERATOR, ","):
+                    break
+        self._expect(TokenKind.OPERATOR, closer)
+        self.depth -= 1
+        return tuple(items), height + 1
 
 
 # -- validation --------------------------------------------------------------

@@ -264,8 +264,8 @@ class _Evaluator:
         return self.ask_agent(expr.callee, question)
 
     def ask_agent(self, operator: str, question: str) -> Value:
-        query = AgentQuery(question=question, chart_id=self.config.chart_id, operator=operator)
         try:
+            query = AgentQuery(question=question, chart_id=self.config.chart_id, operator=operator)
             reply = self.agent.answer(query)
         except AgentError as err:
             raise EngineError(EngineErrorKind.AGENT_FAILURE, f"{operator} failed: {err}") from err

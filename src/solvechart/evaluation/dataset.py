@@ -9,6 +9,7 @@ together.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +60,13 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
     base_dir = dataset_path.parent
     items: list[EvalItem] = []
     seen: set[str] = set()
-    with open(dataset_path, encoding="utf-8") as handle:
+    data = dataset_path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise DatasetFormatError(f"{dataset_path} is not UTF-8 text ({exc})", lineno) from exc
+    with io.StringIO(text, newline=None) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:

@@ -156,10 +156,13 @@ def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
             trace_path = None
             if config.trace_dir is not None:
                 out = Path(config.trace_dir) / f"{item.id}.json"
-                out.parent.mkdir(parents=True, exist_ok=True)
-                write_text_atomic(
-                    out, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n"
-                )
+                try:
+                    out.parent.mkdir(parents=True, exist_ok=True)
+                    write_text_atomic(
+                        out, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n"
+                    )
+                except OSError as exc:
+                    raise SolveChartError(f"cannot write trace {out}: {exc.strerror or exc}") from exc
                 trace_path = str(out)
         correct = relaxed_match(prediction, item.gold, config.tolerance)
         return ItemResult(

@@ -31,8 +31,10 @@ def make_table(*series) -> ChartTable:
 # -- query/answer types -----------------------------------------------------
 
 def test_query_requires_nonempty_question():
-    with pytest.raises(ValueError):
-        AgentQuery("", "c", "ASK")
+    for question in ("", " \t\n"):
+        with pytest.raises(AgentError) as err:
+            AgentQuery(question, "c", "ASK")
+        assert err.value.kind is AgentErrorKind.UNANSWERABLE
 
 
 def test_query_requires_known_operator():

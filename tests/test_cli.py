@@ -588,6 +588,49 @@ def test_output_under_missing_directory_exits_1_naming_target(
     assert ".tmp" not in err
 
 
+def test_eval_trace_dir_naming_a_file_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir):
+    target = tmp_path / "traces"
+    target.write_text("", encoding="utf-8")
+    code, out, err = run_main(
+        monkeypatch, capsys, "eval", "--dataset", str(fixtures_dir / "dataset.jsonl"),
+        "--llm-replay", str(fixtures_dir / "llm_cassette.json"), "--trace-dir", str(target),
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"solvechart: error: cannot write {target}: ")
+
+
+def test_solve_blank_question_agent_only_exits_1(monkeypatch, capsys, election_json):
+    code, out, err = run_main(
+        monkeypatch, capsys, "solve", "--question", " ", "--mode", "agent-only", "--table", election_json
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solvechart: error: unanswerable: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--program", "{program}", "--table", "{bad}"],
+        ["run", "--program", "{program}", "--agent", "replay:{bad}"],
+        ["eval", "--dataset", "{bad}", "--mode", "agent-only"],
+        ["parse", "{bad}"],
+        ["parse", "{program}", "--config", "{bad}"],
+    ],
+    ids=["table", "cassette", "dataset", "program", "config"],
+)
+def test_non_utf8_input_exits_1_naming_it(monkeypatch, capsys, tmp_path, program_file, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}\n")
+    code, out, err = run_main(monkeypatch, capsys, *(arg.format(bad=bad, program=program_file) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solvechart: error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
 # -- dispatch ---------------------------------------------------------------
 
 def test_run_command_reports_domain_errors(capsys):

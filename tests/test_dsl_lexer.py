@@ -58,6 +58,13 @@ def test_illegal_character_reports_position():
     assert err.value.column == 7
 
 
+def test_non_decimal_digit_is_illegal_character():
+    # str.isdigit() accepts "²", float() does not: it must not reach a number.
+    with pytest.raises(LexError, match="illegal character '²'") as err:
+        tokenize("answer = 2²")
+    assert (err.value.line, err.value.column) == (1, 11)
+
+
 def test_tab_indentation_rejected():
     with pytest.raises(LexError):
         tokenize('if a:\n\tx = 1')

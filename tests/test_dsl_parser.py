@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvechart.dsl.errors import ParseError
+from solvechart.dsl.formatter import format_program
 from solvechart.dsl.nodes import (
     Assignment,
     Binary,
@@ -13,7 +16,8 @@ from solvechart.dsl.nodes import (
     StringLit,
     Unary,
 )
-from solvechart.dsl.parser import parse_program
+from solvechart.dsl.parser import MAX_DEPTH, parse_program
+from solvechart.engine.interpreter import execute
 
 
 def test_election_program_shape(election_program_source):
@@ -170,3 +174,82 @@ def test_list_literal_parses():
     items = call.args[0].items
     assert items[0] == NumberLit(1.0)
     assert items[2] == Identifier("x")
+
+
+# One source per kind of nesting, `n` levels deep, and the lexeme that opens
+# each level.
+NESTINGS = {
+    "parentheses": (lambda n: "answer = " + "(" * n + "1" + ")" * n, "("),
+    "operator chain": (lambda n: "answer = 1" + " + 1" * n, "+"),
+    # The group's parenthesis and chain are n - 1 levels; the chain over it is one more.
+    "chain over a group": (lambda n: "answer = (1" + " + 1" * (n - 2) + ") + 1", "+"),
+    "unary minus": (lambda n: "answer = " + "-" * n + "1", "-"),
+    "not": (lambda n: "answer = " + "not " * n + "True", "not"),
+    "lists": (lambda n: "answer = " + "[" * n + "1" + "]" * n, "["),
+    "calls": (lambda n: "answer = " + "abs(" * n + "1" + ")" * n, "("),
+    "if blocks": (lambda n: "".join("    " * i + "if True:\n" for i in range(n)) + "    " * n + "answer = 1\n", "if"),
+}
+
+# Five nested groups, each a chain over the group inside it: no group is more
+# than 5 levels below the statement, but the tree under the outermost chain
+# is about 585 levels deep.
+NESTED_GROUPS = "(" * 5 + "1" + "".join(" + 1" * (100 - j) + ")" for j in range(5, 0, -1)) + " + 1" * 100
+
+
+class _NoAgent:
+    def answer(self, query):
+        raise AssertionError("no agent call expected")
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_at_the_limit_formats_and_runs(kind):
+    build, _ = NESTINGS[kind]
+    program = parse_program(build(MAX_DEPTH))
+    assert parse_program(format_program(program)) == program
+    assert execute(program, _NoAgent()).answer is not None
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_beyond_the_limit_is_parse_error_at_the_opener(kind):
+    build, opener = NESTINGS[kind]
+    source = build(MAX_DEPTH + 1)
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels") as err:
+        parse_program(source)
+    at = source.rindex(opener)
+    line_start = source.rfind("\n", 0, at) + 1
+    assert (err.value.line, err.value.column) == (source.count("\n", 0, at) + 1, at - line_start + 1)
+
+
+def test_unbounded_nesting_is_parse_error():
+    # These used to raise RecursionError in the parser, the formatter or the engine.
+    for source in ("answer = " + "(" * 200, "answer = " + " + ".join(["1"] * 500), "answer = " + NESTED_GROUPS):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_program(source)
+
+
+def test_number_literal_must_be_finite():
+    assert parse_program("answer = 1" + "0" * 308).statements[0].expr == NumberLit(1e308)
+    for digits in ("1" + "0" * 309, "9" * 400):
+        with pytest.raises(ParseError, match="number literal is too large") as err:
+            parse_program("x = 2\nanswer = " + digits)
+        assert (err.value.line, err.value.column) == (2, 10)
+
+
+_FRAGMENTS = (
+    "answer", "x", "=", "ASK", "(", ")", "[", "]", ",", ":", '"q"', "1", "2.5", "9" * 400,
+    "+", "-", "*", "//", "%", "<", "==", "and", "or", "not", "True", "if", "else",
+    "\n", "\n    ", "(" * 40, "- " * 40, " + 1" * 40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(max_size=60)
+    | st.lists(st.sampled_from(_FRAGMENTS), max_size=16).map(lambda parts: "answer = " + " ".join(parts))
+)
+def test_any_text_parses_or_raises_parse_error_and_round_trips(source: str):
+    try:
+        program = parse_program(source)
+    except ParseError:
+        return
+    assert parse_program(format_program(program)) == program

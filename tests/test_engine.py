@@ -290,6 +290,17 @@ def test_fallback_degrades_to_single_ask():
     assert result.trace.agent_calls[-1].operator == "ASK"
 
 
+def test_blank_agent_question_takes_fallback():
+    agent = MapAgent({"original?": "42"})
+    result = run('answer = SUBSTEP("  ")', agent, fallback_to_ask=True, question="original?")
+    assert result.fallback_used is True
+    assert result.answer == 42.0
+    with pytest.raises(EngineError) as err:
+        run('answer = SUBSTEP("")', agent)
+    assert err.value.kind is EngineErrorKind.AGENT_FAILURE
+    assert "unanswerable" in str(err.value)
+
+
 def test_fallback_requires_question():
     with pytest.raises(EngineError):
         run("answer = 1 / 0", fallback_to_ask=True)

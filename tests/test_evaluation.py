@@ -18,6 +18,7 @@ from solvechart.evaluation.harness import EvalConfig, run_eval
 from solvechart.evaluation.metrics import relaxed_match
 from solvechart.solgen.client import LlmConfig
 from solvechart.solgen.prompt import chart_hints
+from test_dsl_parser import NESTED_GROUPS
 
 
 def write_jsonl(path, records):
@@ -98,6 +99,23 @@ def test_load_dataset_rejects_empty_id(tmp_path):
     with pytest.raises(DatasetFormatError) as excinfo:
         load_dataset(path)
     assert excinfo.value.line == 1
+
+
+def test_load_dataset_reads_any_line_ending(tmp_path):
+    lines = [json.dumps(record(name, "q", "1")) for name in ("a", "b", "c")]
+    path = tmp_path / "d.jsonl"
+    path.write_bytes((lines[0] + "\r" + lines[1] + "\r\n" + lines[2] + "\n").encode("utf-8"))
+    assert [item.id for item in load_dataset(path)] == ["a", "b", "c"]
+
+
+def test_load_dataset_non_utf8_reports_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    good = json.dumps(record("a", "q", "1")).encode("utf-8")
+    path.write_bytes(good + b"\r" + good + b"\r\n{\"id\": \"\xff\"}\n")
+    with pytest.raises(DatasetFormatError) as excinfo:
+        load_dataset(path)
+    assert excinfo.value.line == 3
+    assert str(path) in str(excinfo.value)
 
 
 def test_eval_item_validation():
@@ -370,6 +388,49 @@ def test_trace_dir_writes_per_item_traces(temps_path, tmp_path):
         assert result.trace_path == str(tmp_path / "traces" / f"{result.id}.json")
         doc = json.loads((tmp_path / "traces" / f"{result.id}.json").read_text())
         assert doc["steps"]
+
+
+def test_blank_question_fails_only_its_item(temps_path):
+    blank = EvalItem(id="b", question=" \t", gold="12", chart_id="temps", table_path=str(temps_path))
+    config = EvalConfig(mode="agent_only", agent_factory=oracle_factory)
+    report = run_eval([blank, *temps_items(temps_path)[:1]], config)
+    first, second = report.items
+    assert first.correct is False and "unanswerable" in first.reason
+    assert second.correct is True
+
+
+def test_front_end_rejections_fail_only_their_items():
+    # Each of the first four replies used to abort the whole run with a
+    # RecursionError or an OverflowError.
+    replies = {
+        "deep": "answer = " + "(" * 200,
+        "long": "answer = " + " + ".join(["1"] * 500),
+        "huge": "answer = " + "9" * 400,
+        "groups": "answer = " + NESTED_GROUPS,
+        "fine": 'answer = ASK("What is X?")',
+    }
+    cassette = Cassette.empty()
+    for name, program in replies.items():
+        cassette.append("c", f"{name}?", f"```\n{program}\n```")
+    items = [EvalItem(id=name, question=f"{name}?", gold="42", chart_id="c") for name in replies]
+    config = EvalConfig(mode="programmatic", agent_factory=lambda _: FixedAgent(), llm_client=cassette)
+    results = run_eval(items, config).items
+    assert [r.correct for r in results] == [False, False, False, False, True]
+    assert all("invalid-program" in r.reason for r in results[:4])
+
+
+def test_trace_write_failure_fails_only_that_item(temps_path, tmp_path):
+    traces = tmp_path / "traces"
+    (traces / "t2.json").mkdir(parents=True)
+    config = EvalConfig(
+        mode="programmatic",
+        agent_factory=oracle_factory,
+        llm_client=temps_cassette(),
+        trace_dir=str(traces),
+    )
+    report = run_eval(temps_items(temps_path), config)
+    assert [r.correct for r in report.items] == [True, False, True, True]
+    assert f"cannot write trace {traces / 't2.json'}" in report.items[1].reason
 
 
 def test_config_validation():
