@@ -1,20 +1,46 @@
-"""HTTP agent backend.
+"""HTTP agent backend, and the JSON POST that both live backends send.
 
-Speaks a one-endpoint protocol: POST {endpoint}/answer with the query as
-JSON, expecting {"answer": "..."} back.
+The agent speaks a one-endpoint protocol: POST {endpoint}/answer with the
+query as JSON, expecting {"answer": "..."} back.  The model client posts
+through post_json too, so both reuse connections from one pooled session.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Any
 
 import requests
 
 from .base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
 
-__all__ = ["HttpAgent"]
+__all__ = ["HttpAgent", "post_json"]
 
 DEFAULT_TIMEOUT_S = 30.0
+
+_SESSION = requests.Session()  # shared by all threads: urllib3's connection pool is thread-safe
+
+
+def post_json(endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None) -> Any:
+    """POSTs payload as JSON to {endpoint}{path} and returns the decoded body.
+
+    Raises:
+        AgentError: TIMEOUT on timeouts, TRANSPORT on connection failures or
+            non-200 statuses, BAD_RESPONSE when the body is not JSON.
+    """
+    url = endpoint.rstrip("/") + path
+    try:
+        response = _SESSION.post(url, json=payload, headers=headers, timeout=timeout_s)
+    except requests.Timeout as err:
+        raise AgentError(AgentErrorKind.TIMEOUT, f"{url} timed out") from err
+    except requests.RequestException as err:
+        raise AgentError(AgentErrorKind.TRANSPORT, f"cannot reach {url}: {err}") from err
+    if response.status_code != 200:
+        raise AgentError(AgentErrorKind.TRANSPORT, f"{url} returned HTTP {response.status_code}")
+    try:
+        return response.json()
+    except ValueError as err:
+        raise AgentError(AgentErrorKind.BAD_RESPONSE, f"{url} sent a non-JSON body") from err
 
 
 class HttpAgent:
@@ -25,29 +51,11 @@ class HttpAgent:
         self.timeout_s = timeout_s
 
     def answer(self, query: AgentQuery) -> AgentAnswer:
-        """Sends one query to POST {endpoint}/answer.
-
-        Raises:
-            AgentError: TIMEOUT on timeouts, TRANSPORT on connection failures or
-                non-2xx statuses, BAD_RESPONSE when the reply is not the expected
-                JSON shape.
-        """
-        url = self.endpoint.rstrip("/") + "/answer"
+        """Sends one query to POST {endpoint}/answer; raises AgentError as post_json does."""
         payload = {"question": query.question, "chart_id": query.chart_id, "operator": query.operator}
         started = time.perf_counter()
-        try:
-            response = requests.post(url, json=payload, timeout=self.timeout_s)
-        except requests.Timeout as err:
-            raise AgentError(AgentErrorKind.TIMEOUT, f"agent at {url} timed out") from err
-        except requests.RequestException as err:
-            raise AgentError(AgentErrorKind.TRANSPORT, f"cannot reach agent at {url}: {err}") from err
+        body = post_json(self.endpoint, "/answer", payload, timeout_s=self.timeout_s)
         latency_ms = (time.perf_counter() - started) * 1000.0
-        if response.status_code != 200:
-            raise AgentError(AgentErrorKind.TRANSPORT, f"agent at {url} returned HTTP {response.status_code}")
-        try:
-            body = response.json()
-        except ValueError as err:
-            raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent non-JSON body") from err
         if not isinstance(body, dict) or not isinstance(body.get("answer"), str):
-            raise AgentError(AgentErrorKind.BAD_RESPONSE, f"agent at {url} sent no \"answer\" field")
+            raise AgentError(AgentErrorKind.BAD_RESPONSE, f'agent at {self.endpoint} sent no "answer" field')
         return AgentAnswer(body["answer"], latency_ms, "http")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -105,6 +106,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def tolerance_float(text: str) -> float:
+    """argparse type for tolerances: a finite float of at least 0."""
+    value = float(text)
+    if not 0 <= value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
     return value
 
 
@@ -190,7 +199,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_eval.add_argument("--replay", "--llm-replay", dest="llm_replay", metavar="PATH",
                         help="cassette of recorded model replies")
     p_eval.add_argument("--workers", type=positive_int, default=1, help="items evaluated in parallel")
-    p_eval.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+    p_eval.add_argument("--tolerance", type=tolerance_float, default=DEFAULT_TOLERANCE,
                         help="relative error allowed against a numeric gold")
     p_eval.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
     p_eval.add_argument("--output", metavar="PATH", help="also write the report JSON here")

@@ -16,8 +16,9 @@ snapshot so that two runs over the same inputs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Union
 
@@ -59,6 +60,8 @@ class EvalConfig:
             raise ValueError("programmatic mode requires an llm_client")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if not 0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be a finite number of at least 0")
 
     def snapshot(self) -> dict:
         """The subset of settings recorded in reports.
@@ -87,15 +90,7 @@ class ItemResult:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "prediction": self.prediction,
-            "correct": self.correct,
-            "mode": self.mode,
-            "fallback_used": self.fallback_used,
-            "trace_path": self.trace_path,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,12 +103,7 @@ class EvalReport:
     empty_dataset: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "config": self.config,
-            "empty_dataset": self.empty_dataset,
-            "items": [item.to_json_dict() for item in self.items],
-        }
+        return asdict(self)
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -129,11 +119,9 @@ def _chart_hints(item: EvalItem, llm_client: LlmSource) -> str | None:
 def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
     try:
         agent = config.agent_factory(item)
+        fallback_used, trace_path = False, None
         if config.mode == "agent_only":
-            reply = agent.answer(AgentQuery(item.question, item.chart_id, "ASK"))
-            prediction = reply.answer
-            fallback_used = False
-            trace_path = None
+            prediction = agent.answer(AgentQuery(item.question, item.chart_id, "ASK")).answer
         else:
             assert config.llm_client is not None
             program = generate_solution(
@@ -153,8 +141,9 @@ def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
             )
             prediction = stringify(result.answer)
             fallback_used = result.fallback_used
-            trace_path = None
             if config.trace_dir is not None:
+                if item.id in (".", "..") or "/" in item.id or "\0" in item.id:
+                    raise SolveChartError(f"cannot name a trace after item id {item.id!r}: not a plain file name")
                 out = Path(config.trace_dir) / f"{item.id}.json"
                 try:
                     out.parent.mkdir(parents=True, exist_ok=True)

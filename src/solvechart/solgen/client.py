@@ -12,8 +12,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 
-import requests
-
+from ..agents.base import AgentError, AgentErrorKind
+from ..agents.http import post_json
 from ..errors import SolveChartError
 from .prompt import PromptBundle
 
@@ -49,19 +49,11 @@ class LlmConfig:
         if self.temperature < 0:
             raise ValueError("temperature must be non-negative")
 
-    def resolved_key(self) -> str | None:
-        if self.api_key is not None:
-            return self.api_key
-        return os.environ.get(API_KEY_ENV)
-
 
 def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
     """Sends one prompt bundle and returns the model's reply text."""
-    url = config.endpoint.rstrip("/") + "/v1/chat/completions"
-    headers = {"Content-Type": "application/json"}
-    key = config.resolved_key()
-    if key:
-        headers["Authorization"] = f"Bearer {key}"
+    key = config.api_key if config.api_key is not None else os.environ.get(API_KEY_ENV)
+    headers = {"Authorization": f"Bearer {key}"} if key else None
     payload = {
         "model": config.model,
         "messages": [
@@ -72,15 +64,15 @@ def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
         "max_tokens": config.max_tokens,
     }
     try:
-        response = requests.post(url, json=payload, headers=headers, timeout=config.timeout_s)
-    except requests.RequestException as err:
-        raise LlmError(LlmErrorKind.TRANSPORT, f"cannot reach model endpoint {url}: {err}") from err
-    if response.status_code != 200:
-        raise LlmError(LlmErrorKind.TRANSPORT, f"model endpoint returned HTTP {response.status_code}")
+        body = post_json(
+            config.endpoint, "/v1/chat/completions", payload, timeout_s=config.timeout_s, headers=headers
+        )
+    except AgentError as err:
+        kind = LlmErrorKind.BAD_RESPONSE if err.kind is AgentErrorKind.BAD_RESPONSE else LlmErrorKind.TRANSPORT
+        raise LlmError(kind, err.reason) from err
     try:
-        body = response.json()
         content = body["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError, TypeError) as err:
+    except (KeyError, IndexError, TypeError) as err:
         raise LlmError(LlmErrorKind.BAD_RESPONSE, f"unexpected completion shape: {err}") from err
     if not isinstance(content, str):
         raise LlmError(LlmErrorKind.BAD_RESPONSE, "completion content is not text")

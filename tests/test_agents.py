@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from conftest import json_server
 from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
 from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import (
@@ -17,6 +19,8 @@ from solvechart.agents.oracle import (
 )
 from solvechart.agents.replay import Cassette, CassetteFormatError, ReplayAgent
 from solvechart.agents.table import ChartTable, Series, TableFormatError, load_table
+from solvechart.solgen.client import LlmConfig, LlmError, LlmErrorKind, chat_completion
+from solvechart.solgen.prompt import build_prompt
 
 
 def make_table(*series) -> ChartTable:
@@ -374,3 +378,30 @@ def test_http_connection_refused_is_transport():
     with pytest.raises(AgentError) as err:
         HttpAgent("http://127.0.0.1:9", timeout_s=0.5).answer(AgentQuery("q", "c", "ASK"))
     assert err.value.kind is AgentErrorKind.TRANSPORT
+
+
+def test_http_backends_reuse_one_connection_per_endpoint():
+    def complete(path, body):
+        return {"choices": [{"message": {"content": "answer = 1"}}]}
+
+    with json_server(lambda path, body: {"answer": "50"}) as (agent_server, agent_url), \
+            json_server(complete) as (model_server, model_url):
+        agent, model = HttpAgent(agent_url), LlmConfig(endpoint=model_url)
+        for _ in range(3):
+            assert agent.answer(AgentQuery("q", "c", "ASK")).answer == "50"
+            assert chat_completion(model, build_prompt("q")) == "answer = 1"
+    assert (len(agent_server.connections), len(model_server.connections)) == (1, 1)
+
+
+def test_http_timeouts_map_to_each_backends_kind():
+    def slow(path, body):
+        time.sleep(0.3)
+        return {}
+
+    with json_server(slow) as (_, url):
+        with pytest.raises(AgentError) as agent_err:
+            HttpAgent(url, timeout_s=0.05).answer(AgentQuery("q", "c", "ASK"))
+        with pytest.raises(LlmError) as model_err:
+            chat_completion(LlmConfig(endpoint=url, timeout_s=0.05), build_prompt("q"))
+    assert agent_err.value.kind is AgentErrorKind.TIMEOUT
+    assert model_err.value.kind is LlmErrorKind.TRANSPORT

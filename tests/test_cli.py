@@ -105,6 +105,18 @@ def test_parse_args_bad_choice_exits_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["-1", "-0.5", "nan", "inf", "-inf"])
+def test_parse_args_tolerance_not_finite_non_negative_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(["eval", "--dataset", "d", f"--tolerance={text}"])
+    assert excinfo.value.code == 2
+    assert f"--tolerance: must be a finite number of at least 0, got {text}" in capsys.readouterr().err
+
+
+def test_parse_args_tolerance_accepts_zero():
+    assert parse_args(["eval", "--dataset", "d", "--tolerance", "0"]).tolerance == 0.0
+
+
 # -- config file layering ---------------------------------------------------
 
 def test_config_supplies_defaults_flags_win(tmp_path, program_file):
@@ -166,6 +178,10 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
         (["eval", "--dataset", "d"], "{oops", "config file is not valid JSON"),
         (["eval", "--dataset", "d"], "[1, 2]", "config file must contain a JSON object"),
         (["eval", "--dataset", "d"], {"workers": 0}, "'workers': must be at least 1, got 0"),
+        (["eval", "--dataset", "d"], {"tolerance": -1},
+         "'tolerance': must be a finite number of at least 0, got -1"),
+        (["eval", "--dataset", "d"], {"tolerance": "nan"},
+         "'tolerance': must be a finite number of at least 0, got nan"),
     ],
 )
 def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):

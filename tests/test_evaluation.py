@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import replace
 
 import pytest
 
-from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
+from conftest import json_server
+from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
+from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
@@ -433,6 +437,66 @@ def test_trace_write_failure_fails_only_that_item(temps_path, tmp_path):
     assert f"cannot write trace {traces / 't2.json'}" in report.items[1].reason
 
 
+def test_trace_dir_rejects_ids_that_are_not_plain_file_names(temps_path, tmp_path):
+    traces = tmp_path / "out" / "traces"
+    mon = temps_items(temps_path)[0]
+    bad_ids = ["../escaped", "/abs", "a/b", ".", "..", "nul\0byte"]
+    items = [replace(mon, id=item_id) for item_id in bad_ids] + [mon]
+    config = EvalConfig(
+        mode="programmatic",
+        agent_factory=oracle_factory,
+        llm_client=temps_cassette(),
+        trace_dir=str(traces),
+    )
+    report = run_eval(items, config)
+    for result in report.items[:-1]:
+        assert result.correct is False and result.trace_path is None
+        assert "not a plain file name" in result.reason
+    assert report.items[-1].correct is True
+    assert sorted(path.relative_to(tmp_path) for path in tmp_path.rglob("*.json")) == [
+        traces.relative_to(tmp_path) / "t1.json"
+    ]
+
+
+def test_live_backends_from_worker_threads_match_serial(temps_path):
+    # Both HTTP backends share one pooled session; worker threads must not
+    # cross their replies.
+    oracle = OracleAgent(load_table(temps_path))
+    programs = temps_cassette()
+
+    def agent_reply(path, body):
+        return {"answer": oracle.answer(AgentQuery(body["question"], body["chart_id"], body["operator"])).answer}
+
+    def model_reply(path, body):
+        question = body["messages"][1]["content"].splitlines()[0].removeprefix("Question: ")
+        return {"choices": [{"message": {"content": programs.lookup("temps", question)}}]}
+
+    items = [replace(item, id=f"{item.id}-{n}") for n in range(4) for item in temps_items(temps_path)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a shared-state race shows
+    try:
+        with json_server(agent_reply) as (_, agent_url), json_server(model_reply) as (_, model_url):
+            agent = HttpAgent(agent_url, timeout_s=5.0)
+            reports = [
+                run_eval(
+                    items,
+                    EvalConfig(
+                        mode="programmatic",
+                        agent_factory=lambda _: agent,
+                        llm_client=LlmConfig(endpoint=model_url, timeout_s=5.0),
+                        workers=workers,
+                    ),
+                )
+                for workers in (1, 4)
+            ]
+    finally:
+        sys.setswitchinterval(interval)
+    serial, threaded = (report.to_json_dict() for report in reports)
+    assert serial["accuracy"] == 1.0
+    assert threaded["config"] == {**serial["config"], "workers": 4}
+    assert threaded["items"] == serial["items"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EvalConfig(mode="hybrid", agent_factory=oracle_factory)
@@ -440,6 +504,9 @@ def test_config_validation():
         EvalConfig(mode="programmatic", agent_factory=oracle_factory)
     with pytest.raises(ValueError):
         EvalConfig(mode="agent_only", agent_factory=oracle_factory, workers=0)
+    for tolerance in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            EvalConfig(mode="agent_only", agent_factory=oracle_factory, tolerance=tolerance)
 
 
 def test_snapshot_is_limited_and_stable():
