@@ -7,31 +7,17 @@ through the same lookup path, so routing never depends on the operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Protocol
 
-from ..errors import SolveChartError
+from ..errors import ErrorKind, SolveChartError
 
-__all__ = ["AgentAnswer", "AgentError", "AgentErrorKind", "AgentHandle", "AgentQuery"]
+__all__ = ["AgentAnswer", "AgentError", "AgentHandle", "AgentQuery"]
 
 OPERATORS = frozenset({"ASK", "SUBSTEP"})
 
 
-class AgentErrorKind(Enum):
-    UNANSWERABLE = "unanswerable"
-    TRANSPORT = "transport"
-    TIMEOUT = "timeout"
-    BAD_RESPONSE = "bad-response"
-    CASSETTE_MISS = "cassette-miss"
-
-
 class AgentError(SolveChartError):
     """Raised when a backend cannot produce an answer."""
-
-    def __init__(self, kind: AgentErrorKind, message: str) -> None:
-        super().__init__(f"{kind.value}: {message}")
-        self.kind = kind
-        self.reason = message
 
 
 @dataclass(frozen=True)
@@ -47,7 +33,7 @@ class AgentQuery:
         if self.operator not in OPERATORS:
             raise ValueError(f"unknown operator {self.operator!r}")
         if not self.question.strip():
-            raise AgentError(AgentErrorKind.UNANSWERABLE, "question must be non-empty")
+            raise AgentError("question must be non-empty", ErrorKind.UNANSWERABLE)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from typing import Any
 
 import requests
 
-from .base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
+from ..errors import ErrorKind, SolveChartError
+from .base import AgentAnswer, AgentError, AgentQuery
 
 __all__ = ["HttpAgent", "post_json"]
 
@@ -21,26 +22,30 @@ DEFAULT_TIMEOUT_S = 30.0
 _SESSION = requests.Session()  # shared by all threads: urllib3's connection pool is thread-safe
 
 
-def post_json(endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None) -> Any:
+def post_json(
+    endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None,
+    error: type[SolveChartError] = AgentError,
+) -> Any:
     """POSTs payload as JSON to {endpoint}{path} and returns the decoded body.
 
     Raises:
-        AgentError: TIMEOUT on timeouts, TRANSPORT on connection failures or
-            non-200 statuses, BAD_RESPONSE when the body is not JSON.
+        error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
+            connection failures or non-200 statuses, BAD_RESPONSE when the
+            body is not JSON.
     """
     url = endpoint.rstrip("/") + path
     try:
         response = _SESSION.post(url, json=payload, headers=headers, timeout=timeout_s)
     except requests.Timeout as err:
-        raise AgentError(AgentErrorKind.TIMEOUT, f"{url} timed out") from err
+        raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
     except requests.RequestException as err:
-        raise AgentError(AgentErrorKind.TRANSPORT, f"cannot reach {url}: {err}") from err
+        raise error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT) from err
     if response.status_code != 200:
-        raise AgentError(AgentErrorKind.TRANSPORT, f"{url} returned HTTP {response.status_code}")
+        raise error(f"{url} returned HTTP {response.status_code}", ErrorKind.TRANSPORT)
     try:
         return response.json()
     except ValueError as err:
-        raise AgentError(AgentErrorKind.BAD_RESPONSE, f"{url} sent a non-JSON body") from err
+        raise error(f"{url} sent a non-JSON body", ErrorKind.BAD_RESPONSE) from err
 
 
 class HttpAgent:
@@ -57,5 +62,5 @@ class HttpAgent:
         body = post_json(self.endpoint, "/answer", payload, timeout_s=self.timeout_s)
         latency_ms = (time.perf_counter() - started) * 1000.0
         if not isinstance(body, dict) or not isinstance(body.get("answer"), str):
-            raise AgentError(AgentErrorKind.BAD_RESPONSE, f'agent at {self.endpoint} sent no "answer" field')
+            raise AgentError(f'agent at {self.endpoint} sent no "answer" field', ErrorKind.BAD_RESPONSE)
         return AgentAnswer(body["answer"], latency_ms, "http")

@@ -13,15 +13,11 @@ import re
 from dataclasses import dataclass
 
 from ..engine.values import stringify
-from ..errors import SolveChartError
-from .base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
+from ..errors import ErrorKind
+from .base import AgentAnswer, AgentError, AgentQuery
 from .table import ChartTable
 
-__all__ = ["NoMatch", "OracleAgent", "TemplateMatch", "match_template", "oracle_answer"]
-
-
-class NoMatch(SolveChartError):
-    """The question fits none of the supported templates."""
+__all__ = ["OracleAgent", "TemplateMatch", "match_template", "oracle_answer"]
 
 
 @dataclass(frozen=True)
@@ -53,11 +49,16 @@ def normalize_question(text: str) -> str:
     return cleaned.strip()
 
 
+def _unanswerable(message: str) -> AgentError:
+    return AgentError(message, ErrorKind.UNANSWERABLE)
+
+
 def match_template(question: str) -> TemplateMatch:
     """Classifies a question against the closed template set.
 
-    Raises NoMatch when nothing fits.  Slot strings are raw normalized text;
-    they are resolved against a concrete table only at answer time.
+    Raises AgentError (UNANSWERABLE) when nothing fits.  Slot strings are
+    raw normalized text; they are resolved against a concrete table only at
+    answer time.
     """
     text = normalize_question(question)
     for kind, pattern in _TEMPLATES:
@@ -67,11 +68,7 @@ def match_template(question: str) -> TemplateMatch:
             if kind == "extreme_of_series":
                 slots["which"] = _EXTREME_WORDS[slots["which"]]
             return TemplateMatch(kind, slots)
-    raise NoMatch(f"no template matches {question!r}")
-
-
-def _unanswerable(message: str) -> AgentError:
-    return AgentError(AgentErrorKind.UNANSWERABLE, message)
+    raise _unanswerable(f"no template matches {question!r}")
 
 
 def _resolve_name(part: str, names: list[str]) -> str | None:
@@ -151,10 +148,7 @@ def _overall_extreme(table: ChartTable, which: str) -> tuple[str, str, float]:
 
 def oracle_answer(table: ChartTable, question: str) -> str:
     """Answers a template question from the table, numbers via stringify."""
-    try:
-        match = match_template(question)
-    except NoMatch as err:
-        raise _unanswerable(str(err)) from err
+    match = match_template(question)
     if match.kind == "value_of":
         return stringify(_cell_value(table, match.slots["rest"]))
     if match.kind == "extreme_of_series":

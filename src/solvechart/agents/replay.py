@@ -12,8 +12,9 @@ import json
 import threading
 from pathlib import Path
 
-from ..errors import SolveChartError
-from .base import AgentAnswer, AgentError, AgentErrorKind, AgentHandle, AgentQuery
+from ..errors import ErrorKind, SolveChartError
+from .base import AgentAnswer, AgentError, AgentHandle, AgentQuery
+from .table import read_json
 
 __all__ = ["Cassette", "CassetteFormatError", "ReplayAgent", "normalize_key"]
 
@@ -53,14 +54,7 @@ class Cassette:
 
     @classmethod
     def load(cls, path: str | Path) -> "Cassette":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as err:
-            raise CassetteFormatError(f"cannot read cassette {path}: {err.strerror or err}") from err
-        except UnicodeDecodeError as err:
-            raise CassetteFormatError(f"cannot read cassette {path}: {err}") from err
-        except json.JSONDecodeError as err:
-            raise CassetteFormatError(f"invalid JSON in {path}: {err}") from err
+        payload = read_json(path, "cassette", CassetteFormatError)
         if not isinstance(payload, list):
             raise CassetteFormatError(f"expected a JSON array in {path}")
         return cls(payload, path=path)
@@ -102,8 +96,8 @@ class ReplayAgent:
         if self.live is None:
             # Strict replay: a miss is an error, never a silent fabrication.
             raise AgentError(
-                AgentErrorKind.CASSETTE_MISS,
                 f"no recording for chart {query.chart_id!r}, question {query.question!r}",
+                ErrorKind.CASSETTE_MISS,
             )
         reply = self.live.answer(query)
         self.cassette.append(query.chart_id, query.question, reply.answer)

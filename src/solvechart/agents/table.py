@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from ..errors import SolveChartError
 
-__all__ = ["ChartTable", "Series", "TableFormatError", "load_table"]
+__all__ = ["ChartTable", "Series", "TableFormatError", "load_table", "read_json"]
 
 
 class TableFormatError(SolveChartError):
@@ -108,16 +109,21 @@ def _parse_table(payload: dict) -> ChartTable:
         raise TableFormatError(f"malformed chart table: {err}") from err
 
 
+def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
+    """Decodes one UTF-8 JSON file; an unreadable or invalid file raises `error`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise error(f"cannot read {what} {path}: {err.strerror or err}") from err
+    except UnicodeDecodeError as err:
+        raise error(f"cannot read {what} {path}: {err}") from err
+    except json.JSONDecodeError as err:
+        raise error(f"invalid JSON in {path}: {err}") from err
+
+
 def load_table(path: str | Path) -> ChartTable:
     """Loads one chart table from a JSON file."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise TableFormatError(f"cannot read table {path}: {err.strerror or err}") from err
-    except UnicodeDecodeError as err:
-        raise TableFormatError(f"cannot read table {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise TableFormatError(f"invalid JSON in {path}: {err}") from err
+    payload = read_json(path, "table", TableFormatError)
     if not isinstance(payload, dict):
         raise TableFormatError(f"expected a JSON object in {path}")
     return _parse_table(payload)

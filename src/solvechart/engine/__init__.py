@@ -10,13 +10,12 @@ from .interpreter import (
     TraceStep,
     execute,
 )
-from .values import EngineError, EngineErrorKind, Value, coerce_numeric, stringify
+from .values import EngineError, Value, coerce_numeric, stringify
 
 __all__ = [
     "AgentCallRecord",
     "EngineConfig",
     "EngineError",
-    "EngineErrorKind",
     "ExecutionResult",
     "ExecutionTrace",
     "TraceStep",

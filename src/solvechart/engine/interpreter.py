@@ -10,7 +10,7 @@ into a single direct ASK of the original question.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..agents.base import AgentError, AgentHandle, AgentQuery
 from ..dsl.formatter import format_expression
@@ -30,7 +30,8 @@ from ..dsl.nodes import (
     StringLit,
     Unary,
 )
-from .values import EngineError, EngineErrorKind, Value, coerce_numeric, is_number, stringify
+from ..errors import ErrorKind
+from .values import EngineError, Value, coerce_numeric, is_number, stringify
 
 __all__ = [
     "AgentCallRecord",
@@ -62,20 +63,7 @@ class ExecutionTrace:
     agent_calls: list[AgentCallRecord] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "steps": [
-                {"kind": step.kind, "detail": step.detail, "value": step.value}
-                for step in self.steps
-            ],
-            "agent_calls": [
-                {
-                    "operator": call.operator,
-                    "question": call.question,
-                    "raw_answer": call.raw_answer,
-                }
-                for call in self.agent_calls
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -96,12 +84,12 @@ class ExecutionResult:
 
 def _mismatch(op: str, *values: Value) -> EngineError:
     names = ", ".join(type(v).__name__ for v in values)
-    return EngineError(EngineErrorKind.TYPE_MISMATCH, f"cannot apply {op!r} to {names}")
+    return EngineError(f"cannot apply {op!r} to {names}", ErrorKind.TYPE_MISMATCH)
 
 
 def _require_finite(value: float, op: str) -> float:
     if not math.isfinite(value):
-        raise EngineError(EngineErrorKind.NON_FINITE, f"{op!r} produced a non-finite number")
+        raise EngineError(f"{op!r} produced a non-finite number", ErrorKind.NON_FINITE)
     return value
 
 
@@ -138,7 +126,7 @@ class _Evaluator:
             return expr.value
         if isinstance(expr, Identifier):
             if expr.name not in env:
-                raise EngineError(EngineErrorKind.UNBOUND_VARIABLE, f"variable {expr.name!r} is not bound")
+                raise EngineError(f"variable {expr.name!r} is not bound", ErrorKind.UNBOUND_VARIABLE)
             return env[expr.name]
         if isinstance(expr, ListLit):
             return [self.eval(item, env) for item in expr.items]
@@ -184,7 +172,7 @@ class _Evaluator:
             if not (is_number(left) and is_number(right)):
                 raise _mismatch(op, left, right)
             if op in ("/", "//", "%") and right == 0.0:
-                raise EngineError(EngineErrorKind.DIVISION_BY_ZERO, f"{op!r} by zero")
+                raise EngineError(f"{op!r} by zero", ErrorKind.DIVISION_BY_ZERO)
             if op == "-":
                 result = left - right
             elif op == "*":
@@ -254,7 +242,7 @@ class _Evaluator:
                 total = _require_finite(total + item, name)
             return total
         if not items:
-            raise EngineError(EngineErrorKind.TYPE_MISMATCH, f"{name} of an empty list")
+            raise EngineError(f"{name} of an empty list", ErrorKind.TYPE_MISMATCH)
         return max(items) if name == "max" else min(items)
 
     def _agent_call(self, expr: Call, env: dict[str, Value]) -> Value:
@@ -268,7 +256,7 @@ class _Evaluator:
             query = AgentQuery(question=question, chart_id=self.config.chart_id, operator=operator)
             reply = self.agent.answer(query)
         except AgentError as err:
-            raise EngineError(EngineErrorKind.AGENT_FAILURE, f"{operator} failed: {err}") from err
+            raise EngineError(f"{operator} failed: {err}", ErrorKind.AGENT_FAILURE) from err
         value = coerce_numeric(reply.answer)
         self.trace.agent_calls.append(AgentCallRecord(operator, question, reply.answer))
         self.trace.steps.append(TraceStep("agent_call", f'{operator}("{question}")', value))
@@ -320,8 +308,7 @@ def execute(program: SolutionProgram, agent: AgentHandle, config: EngineConfig |
         evaluator.run_block(program.statements, env)
         if ANSWER_VARIABLE not in env:
             raise EngineError(
-                EngineErrorKind.ANSWER_UNASSIGNED,
-                f"program finished without assigning '{ANSWER_VARIABLE}'",
+                f"program finished without assigning '{ANSWER_VARIABLE}'", ErrorKind.ANSWER_UNASSIGNED
             )
         return ExecutionResult(env[ANSWER_VARIABLE], trace, fallback_used=False)
     except EngineError as err:

@@ -10,32 +10,17 @@ from __future__ import annotations
 
 import math
 import re
-from enum import Enum
 from typing import Union
 
 from ..errors import SolveChartError
 
-__all__ = ["EngineError", "EngineErrorKind", "Value", "coerce_numeric", "stringify", "is_number"]
+__all__ = ["EngineError", "Value", "coerce_numeric", "stringify", "is_number"]
 
 Value = Union[float, str, bool, list]
 
 
-class EngineErrorKind(Enum):
-    UNBOUND_VARIABLE = "unbound-variable"
-    TYPE_MISMATCH = "type-mismatch"
-    DIVISION_BY_ZERO = "division-by-zero"
-    ANSWER_UNASSIGNED = "answer-unassigned"
-    AGENT_FAILURE = "agent-failure"
-    NON_FINITE = "non-finite"
-
-
 class EngineError(SolveChartError):
     """Execution failure, tagged with the kind of violation."""
-
-    def __init__(self, kind: EngineErrorKind, message: str) -> None:
-        super().__init__(f"{kind.value}: {message}")
-        self.kind = kind
-        self.reason = message
 
 
 def is_number(value: Value) -> bool:

@@ -10,6 +10,8 @@ case-insensitive trimmed string equality.
 
 from __future__ import annotations
 
+import math
+
 from ..engine.values import coerce_numeric, is_number
 
 DEFAULT_TOLERANCE = 0.05
@@ -17,8 +19,8 @@ DEFAULT_TOLERANCE = 0.05
 
 def relaxed_match(prediction: str, gold: str, tolerance: float = DEFAULT_TOLERANCE) -> bool:
     """Return True when `prediction` counts as correct against `gold`."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be a finite number of at least 0")
     pred_value = coerce_numeric(prediction)
     gold_value = coerce_numeric(gold)
     if is_number(pred_value) and is_number(gold_value):

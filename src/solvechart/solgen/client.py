@@ -10,30 +10,20 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from enum import Enum
 
-from ..agents.base import AgentError, AgentErrorKind
 from ..agents.http import post_json
-from ..errors import SolveChartError
+from ..errors import ErrorKind, SolveChartError
 from .prompt import PromptBundle
 
-__all__ = ["API_KEY_ENV", "LlmConfig", "LlmError", "LlmErrorKind", "chat_completion"]
+__all__ = ["API_KEY_ENV", "LlmConfig", "LlmError", "chat_completion"]
 
 API_KEY_ENV = "SOLVECHART_API_KEY"
 DEFAULT_MODEL = "Qwen2-7B-Instruct"
 DEFAULT_TIMEOUT_S = 120.0
 
 
-class LlmErrorKind(Enum):
-    TRANSPORT = "transport"
-    BAD_RESPONSE = "bad-response"
-
-
 class LlmError(SolveChartError):
-    def __init__(self, kind: LlmErrorKind, message: str) -> None:
-        super().__init__(f"{kind.value}: {message}")
-        self.kind = kind
-        self.reason = message
+    """The model endpoint failed or sent a reply of the wrong shape."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,12 @@ class LlmConfig:
 
 
 def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
-    """Sends one prompt bundle and returns the model's reply text."""
+    """Sends one prompt bundle and returns the model's reply text.
+
+    Raises:
+        LlmError: TIMEOUT, TRANSPORT or BAD_RESPONSE as post_json maps them;
+            BAD_RESPONSE also when the completion lacks a text content field.
+    """
     key = config.api_key if config.api_key is not None else os.environ.get(API_KEY_ENV)
     headers = {"Authorization": f"Bearer {key}"} if key else None
     payload = {
@@ -63,17 +58,13 @@ def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
     }
-    try:
-        body = post_json(
-            config.endpoint, "/v1/chat/completions", payload, timeout_s=config.timeout_s, headers=headers
-        )
-    except AgentError as err:
-        kind = LlmErrorKind.BAD_RESPONSE if err.kind is AgentErrorKind.BAD_RESPONSE else LlmErrorKind.TRANSPORT
-        raise LlmError(kind, err.reason) from err
+    body = post_json(
+        config.endpoint, "/v1/chat/completions", payload, timeout_s=config.timeout_s, headers=headers, error=LlmError
+    )
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as err:
-        raise LlmError(LlmErrorKind.BAD_RESPONSE, f"unexpected completion shape: {err}") from err
+        raise LlmError(f"unexpected completion shape: {err}", ErrorKind.BAD_RESPONSE) from err
     if not isinstance(content, str):
-        raise LlmError(LlmErrorKind.BAD_RESPONSE, "completion content is not text")
+        raise LlmError("completion content is not text", ErrorKind.BAD_RESPONSE)
     return content

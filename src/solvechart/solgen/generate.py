@@ -8,32 +8,22 @@ and the answer-assignment check, so the engine never sees junk.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Union
 
 from ..agents.replay import Cassette
 from ..dsl import ParseError, SolutionProgram, parse_program
-from ..errors import SolveChartError
-from .client import LlmConfig, LlmError, chat_completion
+from ..errors import ErrorKind, SolveChartError
+from .client import LlmConfig, chat_completion
 from .extract import ExtractionError, extract_program
 from .prompt import PromptBundle, build_prompt
 
-__all__ = ["GenerationError", "GenerationErrorKind", "generate_solution"]
+__all__ = ["GenerationError", "generate_solution"]
 
 _ANSWER_WARNING = "without assigning"
 
 
-class GenerationErrorKind(Enum):
-    TRANSPORT = "transport"
-    INVALID_PROGRAM = "invalid-program"
-    CASSETTE_MISS = "cassette-miss"
-
-
 class GenerationError(SolveChartError):
-    def __init__(self, kind: GenerationErrorKind, message: str) -> None:
-        super().__init__(f"{kind.value}: {message}")
-        self.kind = kind
-        self.reason = message
+    """No usable program could be produced for the question."""
 
 
 def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
@@ -77,31 +67,27 @@ def generate_solution(
             so later runs can replay it.
 
     Raises:
-        GenerationError: TRANSPORT when the endpoint cannot be reached,
-            CASSETTE_MISS for unrecorded questions, INVALID_PROGRAM when no
-            usable program emerges after the single repair retry.
+        GenerationError: CASSETTE_MISS for unrecorded questions,
+            INVALID_PROGRAM when no usable program emerges after the single
+            repair retry.
+        LlmError: from the live model, unchanged: TIMEOUT, TRANSPORT or
+            BAD_RESPONSE.
     """
     if isinstance(client, Cassette):
         reply = client.lookup(chart_id, question)
         if reply is None:
             raise GenerationError(
-                GenerationErrorKind.CASSETTE_MISS,
-                f"no recorded reply for chart {chart_id!r}, question {question!r}",
+                f"no recorded reply for chart {chart_id!r}, question {question!r}", ErrorKind.CASSETTE_MISS
             )
         program, fault = _try_accept(reply)
         if program is None:
-            raise GenerationError(
-                GenerationErrorKind.INVALID_PROGRAM, f"recorded reply unusable: {fault}"
-            )
+            raise GenerationError(f"recorded reply unusable: {fault}", ErrorKind.INVALID_PROGRAM)
         return program
 
     bundle = build_prompt(question, chart_hints)
     fault = ""
     for attempt in range(2):
-        try:
-            reply = chat_completion(client, bundle)
-        except LlmError as err:
-            raise GenerationError(GenerationErrorKind.TRANSPORT, str(err)) from err
+        reply = chat_completion(client, bundle)
         program, fault = _try_accept(reply)
         if program is not None:
             if record_to is not None:
@@ -109,6 +95,4 @@ def generate_solution(
             return program
         if attempt == 0:
             bundle = _repair_bundle(bundle, reply, fault)
-    raise GenerationError(
-        GenerationErrorKind.INVALID_PROGRAM, f"no usable program after retry: {fault}"
-    )
+    raise GenerationError(f"no usable program after retry: {fault}", ErrorKind.INVALID_PROGRAM)

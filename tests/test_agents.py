@@ -8,10 +8,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from conftest import json_server
-from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
+from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import (
-    NoMatch,
     OracleAgent,
     match_template,
     normalize_question,
@@ -19,7 +18,8 @@ from solvechart.agents.oracle import (
 )
 from solvechart.agents.replay import Cassette, CassetteFormatError, ReplayAgent
 from solvechart.agents.table import ChartTable, Series, TableFormatError, load_table
-from solvechart.solgen.client import LlmConfig, LlmError, LlmErrorKind, chat_completion
+from solvechart.errors import ErrorKind
+from solvechart.solgen.client import LlmConfig, LlmError, chat_completion
 from solvechart.solgen.prompt import build_prompt
 
 
@@ -38,7 +38,7 @@ def test_query_requires_nonempty_question():
     for question in ("", " \t\n"):
         with pytest.raises(AgentError) as err:
             AgentQuery(question, "c", "ASK")
-        assert err.value.kind is AgentErrorKind.UNANSWERABLE
+        assert err.value.kind is ErrorKind.UNANSWERABLE
 
 
 def test_query_requires_known_operator():
@@ -119,8 +119,9 @@ def test_match_extreme_of_series():
 
 
 def test_no_match():
-    with pytest.raises(NoMatch):
+    with pytest.raises(AgentError) as err:
         match_template("compare the trends")
+    assert err.value.kind is ErrorKind.UNANSWERABLE
 
 
 # -- oracle answers ---------------------------------------------------------
@@ -137,7 +138,7 @@ def test_oracle_overall_argmax_series():
 def test_oracle_unanswerable(election_table):
     with pytest.raises(AgentError) as err:
         oracle_answer(election_table, "what is the capital of France")
-    assert err.value.kind is AgentErrorKind.UNANSWERABLE
+    assert err.value.kind is ErrorKind.UNANSWERABLE
 
 
 def test_oracle_extremes(fruit_table, temps_table):
@@ -211,7 +212,7 @@ def test_cassette_strict_miss(tmp_path):
     agent = ReplayAgent(Cassette.empty())
     with pytest.raises(AgentError) as err:
         agent.answer(AgentQuery("q", "c", "ASK"))
-    assert err.value.kind is AgentErrorKind.CASSETTE_MISS
+    assert err.value.kind is ErrorKind.CASSETTE_MISS
 
 
 def test_cassette_key_normalization():
@@ -355,7 +356,7 @@ def test_http_500_is_transport_error(http_server):
     server.mode = "http500"
     with pytest.raises(AgentError) as err:
         HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
-    assert err.value.kind is AgentErrorKind.TRANSPORT
+    assert err.value.kind is ErrorKind.TRANSPORT
 
 
 def test_http_non_json_is_bad_response(http_server):
@@ -363,7 +364,7 @@ def test_http_non_json_is_bad_response(http_server):
     server.mode = "notjson"
     with pytest.raises(AgentError) as err:
         HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
-    assert err.value.kind is AgentErrorKind.BAD_RESPONSE
+    assert err.value.kind is ErrorKind.BAD_RESPONSE
 
 
 def test_http_missing_answer_key_is_bad_response(http_server):
@@ -371,13 +372,13 @@ def test_http_missing_answer_key_is_bad_response(http_server):
     server.mode = "missing-key"
     with pytest.raises(AgentError) as err:
         HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
-    assert err.value.kind is AgentErrorKind.BAD_RESPONSE
+    assert err.value.kind is ErrorKind.BAD_RESPONSE
 
 
 def test_http_connection_refused_is_transport():
     with pytest.raises(AgentError) as err:
         HttpAgent("http://127.0.0.1:9", timeout_s=0.5).answer(AgentQuery("q", "c", "ASK"))
-    assert err.value.kind is AgentErrorKind.TRANSPORT
+    assert err.value.kind is ErrorKind.TRANSPORT
 
 
 def test_http_backends_reuse_one_connection_per_endpoint():
@@ -403,5 +404,5 @@ def test_http_timeouts_map_to_each_backends_kind():
             HttpAgent(url, timeout_s=0.05).answer(AgentQuery("q", "c", "ASK"))
         with pytest.raises(LlmError) as model_err:
             chat_completion(LlmConfig(endpoint=url, timeout_s=0.05), build_prompt("q"))
-    assert agent_err.value.kind is AgentErrorKind.TIMEOUT
-    assert model_err.value.kind is LlmErrorKind.TRANSPORT
+    assert agent_err.value.kind is ErrorKind.TIMEOUT
+    assert model_err.value.kind is ErrorKind.TIMEOUT

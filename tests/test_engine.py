@@ -2,16 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
+from solvechart.agents.base import AgentAnswer, AgentError
 from solvechart.dsl.nodes import Assignment, Binary, NumberLit, SolutionProgram
 from solvechart.dsl.parser import parse_program
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.engine.values import (
     EngineError,
-    EngineErrorKind,
     coerce_numeric,
     stringify,
 )
+from solvechart.errors import ErrorKind
 
 
 class MapAgent:
@@ -24,7 +24,7 @@ class MapAgent:
     def answer(self, query):
         self.calls += 1
         if query.question not in self.table:
-            raise AgentError(AgentErrorKind.UNANSWERABLE, f"no answer for {query.question!r}")
+            raise AgentError(f"no answer for {query.question!r}", ErrorKind.UNANSWERABLE)
         return AgentAnswer(self.table[query.question], 0.0, "map")
 
 
@@ -118,7 +118,7 @@ def test_equality_rules():
 def test_equality_cross_type_is_mismatch():
     with pytest.raises(EngineError) as err:
         run('answer = 1 == "1"')
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
     with pytest.raises(EngineError):
         run("answer = True == 1")
 
@@ -126,13 +126,13 @@ def test_equality_cross_type_is_mismatch():
 def test_ordering_text_vs_number_is_mismatch():
     with pytest.raises(EngineError) as err:
         run('answer = "5" < 7')
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
 
 
 def test_arithmetic_on_text_is_mismatch():
     with pytest.raises(EngineError) as err:
         run('answer = -"x"')
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
     with pytest.raises(EngineError):
         run('answer = "x" * 2')
     with pytest.raises(EngineError):
@@ -146,32 +146,32 @@ def test_division_variants_and_zero():
     for op in ("/", "//", "%"):
         with pytest.raises(EngineError) as err:
             run(f"answer = 1 {op} 0")
-        assert err.value.kind is EngineErrorKind.DIVISION_BY_ZERO
+        assert err.value.kind is ErrorKind.DIVISION_BY_ZERO
 
 
 def test_overflow_is_non_finite_error():
     big = NumberLit(1e308)
     with pytest.raises(EngineError) as err:
         execute(SolutionProgram((Assignment("answer", Binary("*", big, big)),)), NO_AGENT)
-    assert err.value.kind is EngineErrorKind.NON_FINITE
+    assert err.value.kind is ErrorKind.NON_FINITE
 
 
 def test_unbound_variable():
     with pytest.raises(EngineError) as err:
         run("answer = mystery")
-    assert err.value.kind is EngineErrorKind.UNBOUND_VARIABLE
+    assert err.value.kind is ErrorKind.UNBOUND_VARIABLE
 
 
 def test_answer_unassigned():
     with pytest.raises(EngineError) as err:
         run("x = 1")
-    assert err.value.kind is EngineErrorKind.ANSWER_UNASSIGNED
+    assert err.value.kind is ErrorKind.ANSWER_UNASSIGNED
 
 
 def test_condition_must_be_boolean():
     with pytest.raises(EngineError) as err:
         run("if 1:\n    answer = 1")
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
 
 
 def test_builtins():
@@ -193,7 +193,7 @@ def test_builtin_type_errors():
         run('answer = min(["a", "b"])')
     with pytest.raises(EngineError) as err:
         run("answer = min([])")
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
 
 
 # -- agent interaction ------------------------------------------------------
@@ -206,13 +206,13 @@ def test_agent_answers_coerce():
 def test_agent_question_must_be_text():
     with pytest.raises(EngineError) as err:
         run("answer = ASK(5)")
-    assert err.value.kind is EngineErrorKind.TYPE_MISMATCH
+    assert err.value.kind is ErrorKind.TYPE_MISMATCH
 
 
 def test_agent_failure_without_fallback():
     with pytest.raises(EngineError) as err:
         run('answer = ASK("unknown")')
-    assert err.value.kind is EngineErrorKind.AGENT_FAILURE
+    assert err.value.kind is ErrorKind.AGENT_FAILURE
 
 
 def test_short_circuit_skips_agent_calls():
@@ -297,7 +297,7 @@ def test_blank_agent_question_takes_fallback():
     assert result.answer == 42.0
     with pytest.raises(EngineError) as err:
         run('answer = SUBSTEP("")', agent)
-    assert err.value.kind is EngineErrorKind.AGENT_FAILURE
+    assert err.value.kind is ErrorKind.AGENT_FAILURE
     assert "unanswerable" in str(err.value)
 
 

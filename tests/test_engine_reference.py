@@ -9,15 +9,16 @@ import pytest
 
 from gen_programs import AGENT_ANSWERS, random_program
 from reference_interp import ref_execute, values_identical
-from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind
+from solvechart.agents.base import AgentAnswer, AgentError
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.engine.values import EngineError
+from solvechart.errors import ErrorKind
 
 
 class StubAgent:
     def answer(self, query):
         if query.question not in AGENT_ANSWERS:
-            raise AgentError(AgentErrorKind.UNANSWERABLE, "unknown question")
+            raise AgentError("unknown question", ErrorKind.UNANSWERABLE)
         return AgentAnswer(AGENT_ANSWERS[query.question], 0.0, "stub")
 
 

@@ -7,11 +7,12 @@ from dataclasses import replace
 import pytest
 
 from conftest import json_server
-from solvechart.agents.base import AgentAnswer, AgentError, AgentErrorKind, AgentQuery
+from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
+from solvechart.errors import ErrorKind
 from solvechart.evaluation.dataset import (
     DatasetFormatError,
     DuplicateIdError,
@@ -177,6 +178,12 @@ def test_relaxed_match_negative_tolerance():
         relaxed_match("1", "1", tolerance=-0.01)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_relaxed_match_rejects_non_finite_tolerance(tolerance):
+    with pytest.raises(ValueError):
+        relaxed_match("2", "2", tolerance)
+
+
 def test_relaxed_match_reflexive():
     for value in ("50", "Republican", "45%", "Apples, Oranges", "0"):
         assert relaxed_match(value, value) is True
@@ -299,7 +306,7 @@ def test_factory_failure_is_per_item(temps_path):
 
     def flaky(item):
         if item.id == "t2":
-            raise AgentError(AgentErrorKind.TRANSPORT, "backend down")
+            raise AgentError("backend down", ErrorKind.TRANSPORT)
         return oracle_factory(item)
 
     report = run_eval(items, EvalConfig(mode="agent_only", agent_factory=flaky))
@@ -377,6 +384,18 @@ def test_live_model_gets_chart_hints(temps_path, monkeypatch):
     assert report.items[0].correct is True
     table = load_table(temps_path)
     assert prompts == [f"Question: {TEMPS_QA[0][1]}\nChart: {chart_hints(table)}"]
+
+
+def test_refused_model_is_reported_once_as_transport(temps_path):
+    config = EvalConfig(
+        mode="programmatic",
+        agent_factory=oracle_factory,
+        llm_client=LlmConfig(endpoint="http://127.0.0.1:9", timeout_s=2.0),
+    )
+    result = run_eval(temps_items(temps_path)[:1], config).items[0]
+    assert result.correct is False
+    assert result.reason.startswith("transport: cannot reach http://127.0.0.1:9/v1/chat/completions")
+    assert result.reason.count("transport:") == 1
 
 
 def test_trace_dir_writes_per_item_traces(temps_path, tmp_path):

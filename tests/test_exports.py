@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+from enum import Enum
 
 import pytest
 
@@ -24,3 +25,13 @@ def test_all_names_resolve(name: str):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+def test_one_error_kind_enum():
+    kinds = {
+        value
+        for name in MODULES
+        for value in vars(importlib.import_module(name)).values()
+        if isinstance(value, type) and issubclass(value, Enum) and value.__name__.endswith("ErrorKind")
+    }
+    assert [kind.__qualname__ for kind in kinds] == ["ErrorKind"]

@@ -8,15 +8,15 @@ import pytest
 
 from solvechart.agents.replay import Cassette
 from solvechart.dsl import format_program, parse_program
+from solvechart.errors import ErrorKind
 from solvechart.solgen.client import (
     API_KEY_ENV,
     LlmConfig,
     LlmError,
-    LlmErrorKind,
     chat_completion,
 )
 from solvechart.solgen.extract import ExtractionError, extract_program
-from solvechart.solgen.generate import GenerationError, GenerationErrorKind, generate_solution
+from solvechart.solgen.generate import GenerationError, generate_solution
 from solvechart.solgen.prompt import build_prompt, chart_hints, system_prompt
 
 GOOD_SOURCE = 'first = SUBSTEP("what is the value of Apples in Jan")\nanswer = first'
@@ -218,7 +218,7 @@ def test_chat_completion_http_error_is_transport(chat_server):
     server.script = [("http500",)]
     with pytest.raises(LlmError) as excinfo:
         chat_completion(LlmConfig(endpoint=url), build_prompt("q"))
-    assert excinfo.value.kind is LlmErrorKind.TRANSPORT
+    assert excinfo.value.kind is ErrorKind.TRANSPORT
 
 
 def test_chat_completion_rejects_non_json(chat_server):
@@ -226,7 +226,7 @@ def test_chat_completion_rejects_non_json(chat_server):
     server.script = [("notjson",)]
     with pytest.raises(LlmError) as excinfo:
         chat_completion(LlmConfig(endpoint=url), build_prompt("q"))
-    assert excinfo.value.kind is LlmErrorKind.BAD_RESPONSE
+    assert excinfo.value.kind is ErrorKind.BAD_RESPONSE
 
 
 def test_chat_completion_rejects_bad_shape(chat_server):
@@ -234,7 +234,7 @@ def test_chat_completion_rejects_bad_shape(chat_server):
     server.script = [("badshape",)]
     with pytest.raises(LlmError) as excinfo:
         chat_completion(LlmConfig(endpoint=url), build_prompt("q"))
-    assert excinfo.value.kind is LlmErrorKind.BAD_RESPONSE
+    assert excinfo.value.kind is ErrorKind.BAD_RESPONSE
 
 
 def test_chat_completion_rejects_non_string_content(chat_server):
@@ -242,7 +242,7 @@ def test_chat_completion_rejects_non_string_content(chat_server):
     server.script = [("nonstr",)]
     with pytest.raises(LlmError) as excinfo:
         chat_completion(LlmConfig(endpoint=url), build_prompt("q"))
-    assert excinfo.value.kind is LlmErrorKind.BAD_RESPONSE
+    assert excinfo.value.kind is ErrorKind.BAD_RESPONSE
     assert "not text" in str(excinfo.value)
 
 
@@ -250,7 +250,7 @@ def test_chat_completion_connection_refused():
     config = LlmConfig(endpoint="http://127.0.0.1:9", timeout_s=2.0)
     with pytest.raises(LlmError) as excinfo:
         chat_completion(config, build_prompt("q"))
-    assert excinfo.value.kind is LlmErrorKind.TRANSPORT
+    assert excinfo.value.kind is ErrorKind.TRANSPORT
 
 
 def test_llm_config_rejects_negative_temperature():
@@ -270,7 +270,7 @@ def test_generate_from_cassette_matches_source():
 def test_generate_cassette_miss():
     with pytest.raises(GenerationError) as excinfo:
         generate_solution("never recorded", Cassette.empty(), chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.CASSETTE_MISS
+    assert excinfo.value.kind is ErrorKind.CASSETTE_MISS
 
 
 def test_generate_cassette_unusable_reply_no_retry():
@@ -278,7 +278,7 @@ def test_generate_cassette_unusable_reply_no_retry():
     cassette.append("c1", "q", "```\n???\n```")
     with pytest.raises(GenerationError) as excinfo:
         generate_solution("q", cassette, chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.INVALID_PROGRAM
+    assert excinfo.value.kind is ErrorKind.INVALID_PROGRAM
     assert "recorded reply unusable" in str(excinfo.value)
 
 
@@ -287,7 +287,7 @@ def test_generate_cassette_rejects_answerless_program():
     cassette.append("c1", "q", NO_ANSWER_REPLY)
     with pytest.raises(GenerationError) as excinfo:
         generate_solution("q", cassette, chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.INVALID_PROGRAM
+    assert excinfo.value.kind is ErrorKind.INVALID_PROGRAM
     assert "without assigning" in str(excinfo.value)
 
 
@@ -318,24 +318,33 @@ def test_generate_live_gives_up_after_one_retry(chat_server):
     server.script = [("reply", GARBAGE_REPLY), ("reply", GARBAGE_REPLY)]
     with pytest.raises(GenerationError) as excinfo:
         generate_solution("q", LlmConfig(endpoint=url), chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.INVALID_PROGRAM
+    assert excinfo.value.kind is ErrorKind.INVALID_PROGRAM
     assert "after retry" in str(excinfo.value)
     assert len(server.requests) == 2
 
 
 def test_generate_live_transport_failure():
     config = LlmConfig(endpoint="http://127.0.0.1:9", timeout_s=2.0)
-    with pytest.raises(GenerationError) as excinfo:
+    with pytest.raises(LlmError) as excinfo:
         generate_solution("q", config, chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.TRANSPORT
+    assert excinfo.value.kind is ErrorKind.TRANSPORT
 
 
 def test_generate_live_http_error_maps_to_transport(chat_server):
     server, url = chat_server
     server.script = [("http500",)]
-    with pytest.raises(GenerationError) as excinfo:
+    with pytest.raises(LlmError) as excinfo:
         generate_solution("q", LlmConfig(endpoint=url), chart_id="c1")
-    assert excinfo.value.kind is GenerationErrorKind.TRANSPORT
+    assert excinfo.value.kind is ErrorKind.TRANSPORT
+
+
+def test_generate_live_malformed_completion_keeps_bad_response(chat_server):
+    server, url = chat_server
+    server.script = [("badshape",)]
+    with pytest.raises(LlmError) as excinfo:
+        generate_solution("q", LlmConfig(endpoint=url), chart_id="c1")
+    assert excinfo.value.kind is ErrorKind.BAD_RESPONSE
+    assert str(excinfo.value).startswith("bad-response: unexpected completion shape")
 
 
 def test_generate_records_accepted_reply(chat_server, tmp_path):
