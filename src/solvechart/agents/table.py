@@ -72,20 +72,6 @@ class ChartTable:
                 return value
         return None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "x_label": self.x_label,
-            "y_label": self.y_label,
-            "series": [
-                {
-                    "name": entry.name,
-                    "points": [{"category": c, "value": v} for c, v in entry.points],
-                }
-                for entry in self.series
-            ],
-        }
-
 
 def _parse_table(payload: dict) -> ChartTable:
     try:

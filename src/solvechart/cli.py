@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -416,7 +417,15 @@ def main() -> None:
         cmd = parse_args(sys.argv[1:])
     except CliError as exc:
         sys.exit(_report_error(exc))
-    sys.exit(run_command(cmd))
+    try:
+        status = run_command(cmd)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush at
+        # interpreter exit cannot fail again (the `signal` module docs' recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["MAX_DEPTH", "parse_program", "make_program"]
+__all__ = ["MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "make_program"]
 
 # Deepest nesting accepted: the most levels on a path from a statement down to
 # a leaf, where each if block, parenthesis, bracket, call, unary operator and
@@ -248,6 +248,8 @@ class _Parser:
 
 # -- validation --------------------------------------------------------------
 
+UNASSIGNED_WARNING = f"program may finish without assigning '{ANSWER_VARIABLE}'"
+
 
 def _always_assigns_answer(statements: tuple[Statement, ...]) -> bool:
     for stmt in statements:
@@ -264,7 +266,7 @@ def _always_assigns_answer(statements: tuple[Statement, ...]) -> bool:
 def _validate(statements: tuple[Statement, ...]) -> tuple[str, ...]:
     warnings: list[str] = []
     if not _always_assigns_answer(statements):
-        warnings.append(f"program may finish without assigning '{ANSWER_VARIABLE}'")
+        warnings.append(UNASSIGNED_WARNING)
     settled = False
     for stmt in statements:
         if settled:

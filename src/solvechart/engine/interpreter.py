@@ -10,6 +10,7 @@ into a single direct ASK of the original question.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 from ..agents.base import AgentError, AgentHandle, AgentQuery
@@ -109,6 +110,12 @@ def _values_equal(left: Value, right: Value) -> bool:
     raise _mismatch("==", left, right)
 
 
+# Arithmetic takes two numbers, ordering two numbers or two texts; "+", "==",
+# "!=", "and" and "or" have rules of their own in _binary.
+_ARITHMETIC = {"-": operator.sub, "*": operator.mul, "/": operator.truediv, "//": operator.floordiv, "%": operator.mod}
+_ORDERING = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 class _Evaluator:
     def __init__(self, agent: AgentHandle, config: EngineConfig, trace: ExecutionTrace) -> None:
         self.agent = agent
@@ -118,11 +125,7 @@ class _Evaluator:
     # -- expressions --------------------------------------------------------
 
     def eval(self, expr: Expression, env: dict[str, Value]) -> Value:
-        if isinstance(expr, NumberLit):
-            return expr.value
-        if isinstance(expr, StringLit):
-            return expr.value
-        if isinstance(expr, BoolLit):
+        if isinstance(expr, (NumberLit, StringLit, BoolLit)):
             return expr.value
         if isinstance(expr, Identifier):
             if expr.name not in env:
@@ -154,12 +157,10 @@ class _Evaluator:
             left = self.eval(expr.left, env)
             if not isinstance(left, bool):
                 raise _mismatch(op, left)
-            # Short circuit: the right side is never evaluated when the left
-            # side decides, so its agent calls are never issued.
-            if op == "and" and not left:
-                return False
-            if op == "or" and left:
-                return True
+            # Short circuit: False decides "and" and True decides "or"; the right
+            # side is then never evaluated, so its agent calls are never issued.
+            if left is (op == "or"):
+                return left
             right = self.eval(expr.right, env)
             if not isinstance(right, bool):
                 raise _mismatch(op, right)
@@ -168,37 +169,19 @@ class _Evaluator:
         right = self.eval(expr.right, env)
         if op == "+":
             return self._add(left, right)
-        if op in ("-", "*", "/", "//", "%"):
+        if op in ("==", "!="):
+            equal = _values_equal(left, right)
+            return equal if op == "==" else not equal
+        if op in _ARITHMETIC:
             if not (is_number(left) and is_number(right)):
                 raise _mismatch(op, left, right)
             if op in ("/", "//", "%") and right == 0.0:
                 raise EngineError(f"{op!r} by zero", ErrorKind.DIVISION_BY_ZERO)
-            if op == "-":
-                result = left - right
-            elif op == "*":
-                result = left * right
-            elif op == "/":
-                result = left / right
-            elif op == "//":
-                result = left // right
-            else:
-                result = left % right
-            return _require_finite(result, op)
-        if op in ("==", "!="):
-            equal = _values_equal(left, right)
-            return equal if op == "==" else not equal
-        if op in ("<", "<=", ">", ">="):
-            both_numbers = is_number(left) and is_number(right)
-            both_text = isinstance(left, str) and isinstance(right, str)
-            if not (both_numbers or both_text):
+            return _require_finite(_ARITHMETIC[op](left, right), op)
+        if op in _ORDERING:
+            if not ((is_number(left) and is_number(right)) or (isinstance(left, str) and isinstance(right, str))):
                 raise _mismatch(op, left, right)
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            return left >= right
+            return _ORDERING[op](left, right)
         raise TypeError(f"unknown operator {op!r}")
 
     def _add(self, left: Value, right: Value) -> Value:
@@ -219,14 +202,10 @@ class _Evaluator:
             return self._agent_call(expr, env)
         args = [self.eval(arg, env) for arg in expr.args]
         name = expr.callee
-        if name == "abs":
+        if name in ("abs", "round"):
             if not is_number(args[0]):
                 raise _mismatch(name, args[0])
-            return _require_finite(abs(args[0]), name)
-        if name == "round":
-            if not is_number(args[0]):
-                raise _mismatch(name, args[0])
-            return float(round(args[0]))
+            return _require_finite(abs(args[0]), name) if name == "abs" else float(round(args[0]))
         if len(args) == 1:
             items = args[0]
             if not isinstance(items, list):
@@ -278,16 +257,12 @@ class _Evaluator:
             decision = self.eval(condition, env)
             if not isinstance(decision, bool):
                 raise _mismatch("if", decision)
-            label = "if" if index == 0 else "elif"
+            outcome = "taken" if decision else "skipped"
+            detail = f"{'if' if index == 0 else 'elif'} {format_expression(condition)} -> {outcome}"
+            self.trace.steps.append(TraceStep("branch", detail, decision))
             if decision:
-                self.trace.steps.append(
-                    TraceStep("branch", f"{label} {format_expression(condition)} -> taken", True)
-                )
                 self.run_block(body, env)
                 return
-            self.trace.steps.append(
-                TraceStep("branch", f"{label} {format_expression(condition)} -> skipped", False)
-            )
         if stmt.else_body is not None:
             self.trace.steps.append(TraceStep("branch", "else -> taken", True))
             self.run_block(stmt.else_body, env)

@@ -2,8 +2,8 @@
 
 Values are plain Python data: float for numbers, str for text, bool for
 booleans, list for lists.  Numbers are always finite; any operation that
-would produce NaN or an infinity raises instead.  bool is checked before
-float everywhere since Python booleans are also ints.
+would produce NaN or an infinity raises instead.  A Python bool is an int,
+never a float, so a float check alone tells numbers from booleans.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class EngineError(SolveChartError):
 
 
 def is_number(value: Value) -> bool:
-    return isinstance(value, float) and not isinstance(value, bool)
+    return isinstance(value, float)
 
 
 # Optional sign, then digits with an optional fractional part.  There is no

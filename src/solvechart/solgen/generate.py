@@ -12,14 +12,13 @@ from typing import Union
 
 from ..agents.replay import Cassette
 from ..dsl import ParseError, SolutionProgram, parse_program
+from ..dsl.parser import UNASSIGNED_WARNING
 from ..errors import ErrorKind, SolveChartError
 from .client import LlmConfig, chat_completion
 from .extract import ExtractionError, extract_program
 from .prompt import PromptBundle, build_prompt
 
 __all__ = ["GenerationError", "generate_solution"]
-
-_ANSWER_WARNING = "without assigning"
 
 
 class GenerationError(SolveChartError):
@@ -33,9 +32,8 @@ def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
         program = parse_program(source)
     except (ExtractionError, ParseError) as err:
         return None, str(err)
-    for warning in program.warnings:
-        if _ANSWER_WARNING in warning:
-            return None, warning
+    if UNASSIGNED_WARNING in program.warnings:
+        return None, UNASSIGNED_WARNING
     return program, None
 
 

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import solvechart
 from conftest import ELECTION_PROGRAM
 from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
@@ -462,6 +467,21 @@ def test_align_demo_output_is_deterministic(capsys):
     cli("align-demo", "--grid", "2x2", "--dim", "8", "--seed", "3")
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_closed_stdout_exits_quietly():
+    # The document (about 272 KB) overflows the pipe buffer, so the process is
+    # still writing when the reader goes away, as with `| head -c 600`.
+    src = str(Path(solvechart.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "solvechart.cli", "align-demo", "--grid", "8x8", "--seed", "3"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(600)) == 600
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert stderr == b""
+    assert status == 1
 
 
 # -- eval command -----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Engine behavior against the independent naive reference evaluator."""
+"""Engine behavior against the independent naive reference evaluator:
+random programs, plus every operator and builtin over operands of every type."""
 
 from __future__ import annotations
 
@@ -10,6 +11,18 @@ import pytest
 from gen_programs import AGENT_ANSWERS, random_program
 from reference_interp import ref_execute, values_identical
 from solvechart.agents.base import AgentAnswer, AgentError
+from solvechart.dsl.nodes import (
+    BINARY_PRECEDENCE,
+    BUILTIN_CALLEES,
+    Assignment,
+    Binary,
+    BoolLit,
+    Call,
+    ListLit,
+    NumberLit,
+    StringLit,
+)
+from solvechart.dsl.parser import make_program
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.engine.values import EngineError
 from solvechart.errors import ErrorKind
@@ -64,3 +77,51 @@ def test_step_count_bounded_by_ast_size(seed: int):
     except EngineError:
         return
     assert len(result.trace.steps) <= 2 * ast_size(program.statements)
+
+
+# Operands of every type, with zero, a negative, a fraction and a number whose
+# products overflow.
+OPERANDS = {
+    "0": NumberLit(0.0),
+    "2.5": NumberLit(2.5),
+    "-3": NumberLit(-3.0),
+    "1e308": NumberLit(1e308),
+    '"a"': StringLit("a"),
+    '"b"': StringLit("b"),
+    '""': StringLit(""),
+    "True": BoolLit(True),
+    "False": BoolLit(False),
+    "[1]": ListLit((NumberLit(1.0),)),
+    "[]": ListLit(()),
+}
+PAIRS = [(a, b) for a in OPERANDS for b in OPERANDS]
+
+
+def truth_table_disagreements(cases: list[tuple[str, object]]) -> list[str]:
+    """The cases, as `label: engine != reference`, whose outcomes differ."""
+    disagreements = []
+    for label, expr in cases:
+        program = make_program((Assignment("answer", expr),))
+        (ref_kind, ref_payload), _ = ref_execute(program, AGENT_ANSWERS)
+        engine_result, _ = engine_outcome(program)
+        if ref_kind == "error":
+            agree = engine_result == ("error", ref_payload)
+        else:
+            agree = engine_result[0] == "value" and values_identical(engine_result[1], ref_payload)
+        if not agree:
+            disagreements.append(f"{label}: {engine_result} != {(ref_kind, ref_payload)}")
+    return disagreements
+
+
+@pytest.mark.parametrize("op", sorted(BINARY_PRECEDENCE))
+def test_binary_operator_truth_table(op: str):
+    cases = [(f"{a} {op} {b}", Binary(op, OPERANDS[a], OPERANDS[b])) for a, b in PAIRS]
+    assert truth_table_disagreements(cases) == []
+
+
+@pytest.mark.parametrize("callee", sorted(BUILTIN_CALLEES))
+def test_builtin_truth_table(callee: str):
+    cases = [(f"{callee}({a})", Call(callee, (OPERANDS[a],))) for a in OPERANDS]
+    if callee in ("min", "max", "sum"):
+        cases += [(f"{callee}({a}, {b})", Call(callee, (OPERANDS[a], OPERANDS[b]))) for a, b in PAIRS]
+    assert truth_table_disagreements(cases) == []

@@ -291,6 +291,14 @@ def test_generate_cassette_rejects_answerless_program():
     assert "without assigning" in str(excinfo.value)
 
 
+def test_generate_cassette_accepts_program_with_unreachable_statement():
+    cassette = Cassette.empty()
+    cassette.append("c1", "q", "answer = 1\nx = 2")
+    program = generate_solution("q", cassette, chart_id="c1")
+    assert program.warnings == ("unreachable statements after an unconditional 'answer' assignment",)
+    assert format_program(program) == "answer = 1\nx = 2\n"
+
+
 # -- live generation --------------------------------------------------------
 
 def test_generate_live_single_shot(chat_server):
