@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .base import AgentAnswer, AgentError, AgentHandle, AgentQuery
 from .http import HttpAgent
-from .oracle import OracleAgent, TemplateMatch, match_template, oracle_answer
+from .oracle import OracleAgent, oracle_answer
 from .replay import Cassette, ReplayAgent
 from .table import ChartTable, Series, load_table
 
@@ -19,8 +19,6 @@ __all__ = [
     "OracleAgent",
     "ReplayAgent",
     "Series",
-    "TemplateMatch",
     "load_table",
-    "match_template",
     "oracle_answer",
 ]

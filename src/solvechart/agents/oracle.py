@@ -9,66 +9,21 @@ which is what makes compositional questions interesting for programs.
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..engine.values import stringify
 from ..errors import ErrorKind
 from .base import AgentAnswer, AgentError, AgentQuery
-from .table import ChartTable
+from .table import ChartTable, normalize_question
 
-__all__ = ["OracleAgent", "TemplateMatch", "match_template", "oracle_answer"]
-
-
-@dataclass(frozen=True)
-class TemplateMatch:
-    kind: str
-    slots: dict[str, str]
-
-
-_PREFIX = r"(?:what is |whats |what s |what was )?(?:the )?"
-_EXTREME_WORDS = {"highest": "highest", "maximum": "highest", "max": "highest",
-                  "lowest": "lowest", "minimum": "lowest", "min": "lowest"}
-
-# Tried in order; the first full match wins.
-_TEMPLATES = (
-    ("extreme_of_series", re.compile(
-        _PREFIX + r"(?P<which>highest|lowest|maximum|minimum|max|min) value of (?P<series>.+)"
-    )),
-    ("value_of", re.compile(_PREFIX + r"value of (?P<rest>.+)")),
-    ("arg_extreme", re.compile(r"which (?P<subject>\w+) has the (?P<which>highest|lowest) value")),
-    ("cell_sum", re.compile(_PREFIX + r"sum of (?P<rest>.+)")),
-    ("cell_diff", re.compile(_PREFIX + r"difference (?:of|between) (?P<rest>.+)")),
-)
-
-
-def normalize_question(text: str) -> str:
-    """Lowercases and strips punctuation, collapsing runs of whitespace."""
-    lowered = text.casefold()
-    cleaned = re.sub(r"[^a-z0-9]+", " ", lowered)
-    return cleaned.strip()
+__all__ = ["OracleAgent", "oracle_answer"]
 
 
 def _unanswerable(message: str) -> AgentError:
     return AgentError(message, ErrorKind.UNANSWERABLE)
-
-
-def match_template(question: str) -> TemplateMatch:
-    """Classifies a question against the closed template set.
-
-    Raises AgentError (UNANSWERABLE) when nothing fits.  Slot strings are
-    raw normalized text; they are resolved against a concrete table only at
-    answer time.
-    """
-    text = normalize_question(question)
-    for kind, pattern in _TEMPLATES:
-        match = pattern.fullmatch(text)
-        if match:
-            slots = match.groupdict()
-            if kind == "extreme_of_series":
-                slots["which"] = _EXTREME_WORDS[slots["which"]]
-            return TemplateMatch(kind, slots)
-    raise _unanswerable(f"no template matches {question!r}")
 
 
 def _resolve_name(part: str, names: list[str]) -> str | None:
@@ -90,10 +45,8 @@ def _resolve_cell(table: ChartTable, text: str) -> tuple[str, str] | None:
     pieces = text.split(" in ")
     if len(pieces) > 1:
         for split in range(len(pieces) - 1, 0, -1):
-            series_part = " in ".join(pieces[:split])
-            category_part = " in ".join(pieces[split:])
-            series = _resolve_name(series_part, table.series_names())
-            category = _resolve_name(category_part, table.categories())
+            series = _resolve_name(" in ".join(pieces[:split]), table.series_names())
+            category = _resolve_name(" in ".join(pieces[split:]), table.categories())
             if series is not None and category is not None:
                 return series, category
     if len(table.series) == 1:
@@ -103,71 +56,85 @@ def _resolve_cell(table: ChartTable, text: str) -> tuple[str, str] | None:
     return None
 
 
-def _cell_value(table: ChartTable, text: str) -> float:
+def _read_cell(table: ChartTable, text: str) -> tuple[bool, float | None]:
+    """Resolves slot text to a cell, then looks it up: (resolved, value or None)."""
     cell = _resolve_cell(table, text)
-    if cell is None:
-        raise _unanswerable(f"cannot resolve {text!r} against the table")
-    value = table.lookup(*cell)
+    return cell is not None, None if cell is None else table.lookup(*cell)
+
+
+def _value_of(table: ChartTable, rest: str) -> str:
+    resolved, value = _read_cell(table, rest)
     if value is None:
-        raise _unanswerable(f"no point for {text!r}")
-    return value
+        raise _unanswerable(f"no point for {rest!r}" if resolved else f"cannot resolve {rest!r} against the table")
+    return stringify(value)
 
 
-def _split_two_cells(table: ChartTable, rest: str) -> tuple[float, float]:
+def _extreme_of_series(table: ChartTable, which: str, series: str) -> str:
+    name = _resolve_name(series, table.series_names())
+    entry = table.find_series(name) if name is not None else None
+    if entry is None or not entry.points:
+        raise _unanswerable(f"cannot resolve series {series!r}")
+    pick = max if which in ("highest", "maximum", "max") else min
+    return stringify(pick(value for _, value in entry.points))
+
+
+def _arg_extreme(table: ChartTable, subject: str, which: str) -> str:
+    """Names the series or category of the overall highest/lowest point, table order on ties.
+
+    A later series wins only with a strictly better value: exact, as cells are finite.
+    """
+    pick, beats = (max, operator.gt) if which == "highest" else (min, operator.lt)
+    best: tuple[str, str, float] | None = None
+    for entry in table.series:
+        if entry.points:
+            category, value = pick(entry.points, key=operator.itemgetter(1))
+            if best is None or beats(value, best[2]):
+                best = (entry.name, category, value)
+    if best is None:
+        raise _unanswerable("table has no points")
+    return best[0] if subject == "series" else best[1]
+
+
+def _two_cells(combine: Callable[[float, float], float], table: ChartTable, rest: str) -> str:
+    """Combines the first split of the slot text into two cells that both have a point."""
     pieces = rest.split(" and ")
     if len(pieces) < 2:
         raise _unanswerable(f"expected two cells in {rest!r}")
     for split in range(1, len(pieces)):
-        first = " and ".join(pieces[:split])
-        second = " and ".join(pieces[split:])
-        first_cell = _resolve_cell(table, first)
-        second_cell = _resolve_cell(table, second)
-        if first_cell is not None and second_cell is not None:
-            first_value = table.lookup(*first_cell)
-            second_value = table.lookup(*second_cell)
-            if first_value is not None and second_value is not None:
-                return first_value, second_value
+        _, first = _read_cell(table, " and ".join(pieces[:split]))
+        if first is None:
+            continue
+        _, second = _read_cell(table, " and ".join(pieces[split:]))
+        if second is not None:
+            return stringify(combine(first, second))
     raise _unanswerable(f"cannot resolve two cells in {rest!r}")
 
 
-def _overall_extreme(table: ChartTable, which: str) -> tuple[str, str, float]:
-    """Finds the point with the overall highest/lowest value, table order on ties."""
-    best: tuple[str, str, float] | None = None
-    for entry in table.series:
-        for category, value in entry.points:
-            if best is None:
-                best = (entry.name, category, value)
-            elif which == "highest" and value > best[2]:
-                best = (entry.name, category, value)
-            elif which == "lowest" and value < best[2]:
-                best = (entry.name, category, value)
-    if best is None:
-        raise _unanswerable("table has no points")
-    return best
+_PREFIX = r"(?:what is |whats |what s |what was )?(?:the )?"
+
+# One (pattern, handler) row per template, tried in order; the first full match calls its handler.
+_TEMPLATES = (
+    (re.compile(_PREFIX + r"(?P<which>highest|lowest|maximum|minimum|max|min) value of (?P<series>.+)"),
+     _extreme_of_series),
+    (re.compile(_PREFIX + r"value of (?P<rest>.+)"), _value_of),
+    (re.compile(r"which (?P<subject>\w+) has the (?P<which>highest|lowest) value"), _arg_extreme),
+    (re.compile(_PREFIX + r"sum of (?P<rest>.+)"), partial(_two_cells, operator.add)),
+    (re.compile(_PREFIX + r"difference (?:of|between) (?P<rest>.+)"), partial(_two_cells, operator.sub)),
+)
 
 
 def oracle_answer(table: ChartTable, question: str) -> str:
-    """Answers a template question from the table, numbers via stringify."""
-    match = match_template(question)
-    if match.kind == "value_of":
-        return stringify(_cell_value(table, match.slots["rest"]))
-    if match.kind == "extreme_of_series":
-        name = _resolve_name(match.slots["series"], table.series_names())
-        series = table.find_series(name) if name is not None else None
-        if series is None or not series.points:
-            raise _unanswerable(f"cannot resolve series {match.slots['series']!r}")
-        values = [value for _, value in series.points]
-        extreme = max(values) if match.slots["which"] == "highest" else min(values)
-        return stringify(extreme)
-    if match.kind == "arg_extreme":
-        series_name, category, _ = _overall_extreme(table, match.slots["which"])
-        if match.slots["subject"] == "series":
-            return series_name
-        return category
-    first, second = _split_two_cells(table, match.slots["rest"])
-    if match.kind == "cell_sum":
-        return stringify(first + second)
-    return stringify(first - second)
+    """Answers a template question from the table, numbers via stringify.
+
+    Raises AgentError (UNANSWERABLE) when no template fits or a slot does not
+    resolve against the table.
+    """
+    text = normalize_question(question)
+    for pattern, handler in _TEMPLATES:
+        match = pattern.fullmatch(text)
+        if match:
+            return handler(table, **match.groupdict())
+    raise _unanswerable(f"no template matches {question!r}")
 
 
 class OracleAgent:

@@ -76,7 +76,10 @@ class Cassette:
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("cassette has no backing path")
-        target.write_text(json.dumps(self.entries, indent=2) + "\n", encoding="utf-8")
+        try:
+            target.write_text(json.dumps(self.entries, indent=2) + "\n", encoding="utf-8")
+        except OSError as err:
+            raise SolveChartError(f"cannot write {target}: {err.strerror or err}") from err
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -7,17 +7,38 @@ A ChartTable is the underlying data of one chart: named series of
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from ..errors import SolveChartError
 
-__all__ = ["ChartTable", "Series", "TableFormatError", "load_table", "read_json"]
+__all__ = ["ChartTable", "Series", "TableFormatError", "load_table", "normalize_question", "read_json"]
 
 
 class TableFormatError(SolveChartError):
-    """The table document is malformed or violates uniqueness rules."""
+    """The table document is malformed, or holds a value or name the oracle could not reach."""
+
+
+_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
+
+
+def normalize_question(text: str) -> str:
+    """Lowercases and strips punctuation, collapsing runs of whitespace; the oracle's one name rule."""
+    return _NOT_ALNUM.sub(" ", text.casefold()).strip()
+
+
+def _distinct_forms(names: Iterable[str], what: str) -> dict[str, str]:
+    """Maps each normalized form to its name; two names with one form raise."""
+    forms: dict[str, str] = {}
+    for name in names:
+        form = normalize_question(name)
+        if form in forms:
+            raise TableFormatError(f"{what} {forms[form]!r} and {name!r} normalize to the same name")
+        forms[form] = name
+    return forms
 
 
 @dataclass(frozen=True)
@@ -34,15 +55,17 @@ class ChartTable:
     series: tuple[Series, ...]
 
     def __post_init__(self) -> None:
-        seen_names = set()
+        """Admits only cells the oracle can reach: finite values, names distinct once normalized."""
+        if "" in (forms := _distinct_forms(self.series_names(), "series")):
+            raise TableFormatError(f"series name {forms['']!r} has no letters or digits")
         for entry in self.series:
-            folded = entry.name.casefold()
-            if folded in seen_names:
-                raise TableFormatError(f"duplicate series name {entry.name!r}")
-            seen_names.add(folded)
-            categories = [category for category, _ in entry.points]
-            if len(categories) != len(set(categories)):
+            if len({category for category, _ in entry.points}) != len(entry.points):
                 raise TableFormatError(f"duplicate category in series {entry.name!r}")
+            for category, value in entry.points:
+                if not math.isfinite(value):
+                    raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
+        # Each distinct label once: a 50x200 table has 200 labels, not 10,000.
+        _distinct_forms(dict.fromkeys(category for entry in self.series for category, _ in entry.points), "categories")
 
     def series_names(self) -> list[str]:
         return [entry.name for entry in self.series]
@@ -91,7 +114,7 @@ def _parse_table(payload: dict) -> ChartTable:
             y_label=str(payload["y_label"]),
             series=series,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise TableFormatError(f"malformed chart table: {err}") from err
 
 

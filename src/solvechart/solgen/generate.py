@@ -37,7 +37,7 @@ def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
     return program, None
 
 
-def _repair_bundle(bundle: PromptBundle, reply: str, fault: str) -> PromptBundle:
+def _repair_bundle(bundle: PromptBundle, fault: str) -> PromptBundle:
     note = (
         f"{bundle.user}\n\nYour previous reply could not be used: {fault}.\n"
         "Reply again with one corrected program in a single fenced code block."
@@ -66,6 +66,7 @@ def generate_solution(
 
     Raises:
         GenerationError: CASSETTE_MISS for unrecorded questions,
+            UNANSWERABLE for a blank question to a live model,
             INVALID_PROGRAM when no usable program emerges after the single
             repair retry.
         LlmError: from the live model, unchanged: TIMEOUT, TRANSPORT or
@@ -82,6 +83,8 @@ def generate_solution(
             raise GenerationError(f"recorded reply unusable: {fault}", ErrorKind.INVALID_PROGRAM)
         return program
 
+    if not question.strip():
+        raise GenerationError("question must be non-empty", ErrorKind.UNANSWERABLE)
     bundle = build_prompt(question, chart_hints)
     fault = ""
     for attempt in range(2):
@@ -92,5 +95,5 @@ def generate_solution(
                 record_to.append(chart_id, question, reply)
             return program
         if attempt == 0:
-            bundle = _repair_bundle(bundle, reply, fault)
+            bundle = _repair_bundle(bundle, fault)
     raise GenerationError(f"no usable program after retry: {fault}", ErrorKind.INVALID_PROGRAM)

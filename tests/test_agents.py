@@ -16,15 +16,10 @@ from conftest import json_server
 from solvechart.agents import http as agents_http
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
-from solvechart.agents.oracle import (
-    OracleAgent,
-    match_template,
-    normalize_question,
-    oracle_answer,
-)
+from solvechart.agents.oracle import OracleAgent, oracle_answer
 from solvechart.agents.replay import Cassette, CassetteFormatError, ReplayAgent
-from solvechart.agents.table import ChartTable, Series, TableFormatError, load_table
-from solvechart.errors import ErrorKind
+from solvechart.agents.table import ChartTable, Series, TableFormatError, load_table, normalize_question
+from solvechart.errors import ErrorKind, SolveChartError
 from solvechart.solgen.client import LlmConfig, LlmError, chat_completion
 from solvechart.solgen.prompt import build_prompt
 
@@ -97,6 +92,59 @@ def test_load_table_wrong_shape(tmp_path):
         load_table(bad)
 
 
+def write_table(path: Path, series: list[tuple[str, list[tuple[str, str]]]]) -> Path:
+    """Writes a table document whose values are raw JSON text, so NaN and Infinity survive."""
+    body = ", ".join(
+        '{"name": %s, "points": [%s]}' % (
+            json.dumps(name),
+            ", ".join('{"category": %s, "value": %s}' % (json.dumps(cat), raw) for cat, raw in points),
+        )
+        for name, points in series
+    )
+    path.write_text('{"title": "t", "x_label": "x", "y_label": "y", "series": [%s]}' % body, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "infinity", "minus-infinity", "int-past-float-range"])
+def test_load_table_rejects_non_finite_cell(tmp_path, raw):
+    path = write_table(tmp_path / "t.json", [("Sales", [("Jan", "1"), ("Feb", raw)])])
+    with pytest.raises(TableFormatError) as err:
+        load_table(path)
+    if not raw.isdigit():
+        assert "'Sales'" in str(err.value) and "'Feb'" in str(err.value)
+
+
+def test_direct_table_rejects_non_finite_cell():
+    with pytest.raises(TableFormatError) as err:
+        make_table(("A", [("x", 1.0)]), ("B", [("y", float("nan"))]))
+    assert "'B'" in str(err.value) and "'y'" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        [("A-B", [("x", "1")]), ("A B", [("x", "2")])],
+        [("A", [("Jan", "1"), ("jan", "2")])],
+        [("A", [("Jan.", "1")]), ("B", [("Jan", "2")])],
+        [("?!", [("x", "1")])],
+    ],
+    ids=["series-forms", "category-case", "category-punctuation", "empty-series-form"],
+)
+def test_load_table_rejects_names_the_oracle_cannot_tell_apart(tmp_path, series):
+    with pytest.raises(TableFormatError):
+        load_table(write_table(tmp_path / "t.json", series))
+
+
+def test_table_name_rule_allows_shared_categories_and_nested_names():
+    table = make_table(
+        ("Total", [("Jan", 1.0), ("Feb", 2.0)]),
+        ("Total Sales", [("Jan", 3.0)]),
+        ("Salt and Pepper", [("Made in USA", 4.0)]),
+    )
+    assert table.categories() == ["Jan", "Feb", "Made in USA"]
+
+
 # -- templates --------------------------------------------------------------
 
 def test_normalize_question():
@@ -105,29 +153,27 @@ def test_normalize_question():
     )
 
 
-def test_match_value_of():
-    match = match_template("What is the value of Democrat in 2012?")
-    assert match.kind == "value_of"
-    assert match.slots["rest"] == "democrat in 2012"
+def test_match_value_of(election_table):
+    # The value-of template with slot text "democrat in 2012": that one cell.
+    assert oracle_answer(election_table, "What is the value of Democrat in 2012?") == "43"
 
 
-def test_match_arg_extreme():
-    match = match_template("which year has the lowest value")
-    assert match.kind == "arg_extreme"
-    assert match.slots["subject"] == "year"
-    assert match.slots["which"] == "lowest"
+def test_match_arg_extreme(election_table):
+    # Subject "year" names the category, not the series, of the lowest point.
+    assert oracle_answer(election_table, "which year has the lowest value") == "2012"
 
 
-def test_match_extreme_of_series():
-    match = match_template("What is the maximum value of Apples?")
-    assert match.kind == "extreme_of_series"
-    assert match.slots["which"] == "highest"
+def test_match_extreme_of_series(fruit_table):
+    # "maximum" reads as "highest": Apples run 120, 150, 90.
+    assert oracle_answer(fruit_table, "What is the maximum value of Apples?") == "150"
+    assert oracle_answer(fruit_table, "What is the min value of Apples?") == "90"
 
 
-def test_no_match():
+def test_no_match(election_table):
     with pytest.raises(AgentError) as err:
-        match_template("compare the trends")
+        oracle_answer(election_table, "compare the trends")
     assert err.value.kind is ErrorKind.UNANSWERABLE
+    assert err.value.reason == "no template matches 'compare the trends'"
 
 
 # -- oracle answers ---------------------------------------------------------
@@ -192,6 +238,14 @@ def test_operator_metadata_not_interpreted(election_agent):
 
 
 # -- cassettes --------------------------------------------------------------
+
+def test_cassette_save_under_missing_directory_names_target(tmp_path):
+    target = tmp_path / "no-such-dir" / "c.json"
+    cassette = Cassette.empty(target)
+    with pytest.raises(SolveChartError) as err:
+        cassette.append("c", "q", "a")
+    assert str(err.value).startswith(f"cannot write {target}: ")
+
 
 def test_cassette_roundtrip(tmp_path, election_agent):
     path = tmp_path / "cassette.json"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import solvechart
-from conftest import ELECTION_PROGRAM
+from conftest import ELECTION_PROGRAM, json_server
 from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
 
@@ -576,6 +576,26 @@ def test_eval_item_with_missing_table_fails_per_item(tmp_path, fixtures_dir, cap
     assert second["correct"] is True
 
 
+def test_eval_item_with_non_finite_table_fails_per_item(tmp_path, fixtures_dir, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text('{"title": "t", "x_label": "x", "y_label": "y", "series": '
+                   '[{"name": "Democrat", "points": [{"category": "2012", "value": NaN}]}]}', encoding="utf-8")
+    dataset = tmp_path / "d.jsonl"
+    records = [
+        {"id": "x1", "question": "What is the value of Democrat in 2012?", "gold": "43",
+         "chart_id": "bad", "table_path": str(bad)},
+        {"id": "x2", "question": "What is the value of Democrat in 2012?", "gold": "43",
+         "chart_id": "election", "table_path": str(fixtures_dir / "tables" / "election.json")},
+    ]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = cli("eval", "--dataset", str(dataset), "--mode", "agent-only")
+    assert code == 0
+    first, second = json.loads(capsys.readouterr().out)["items"]
+    assert first["correct"] is False
+    assert "non-finite" in first["reason"]
+    assert second["correct"] is True
+
+
 # -- errors through main() --------------------------------------------------
 
 def run_main(monkeypatch, capsys, *argv: str) -> tuple[int, str, str]:
@@ -643,6 +663,39 @@ def test_solve_blank_question_agent_only_exits_1(monkeypatch, capsys, election_j
     assert code == 1
     assert out == ""
     assert err.startswith("solvechart: error: unanswerable: ")
+
+
+def test_solve_blank_question_with_live_model_exits_1(monkeypatch, capsys, election_json):
+    # Nothing listens on port 9, and a blank question is refused before any request.
+    code, out, err = run_main(
+        monkeypatch, capsys, "solve", "--question", " ", "--table", election_json, "--llm", "http://127.0.0.1:9"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "solvechart: error: unanswerable: question must be non-empty\n"
+
+
+def test_record_cassette_under_missing_directory_exits_1(monkeypatch, capsys, tmp_path, program_file, election_json):
+    target = str(tmp_path / "no-such-dir" / "c.json")
+    code, out, err = run_main(
+        monkeypatch, capsys, "run", "--program", program_file, "--table", election_json, "--record", target
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"solvechart: error: cannot write {target}: ")
+
+
+def test_llm_record_under_missing_directory_exits_1(monkeypatch, capsys, tmp_path, election_json):
+    reply = f"```\n{ELECTION_PROGRAM}```\n"
+    target = str(tmp_path / "no-such-dir" / "c.json")
+    with json_server(lambda path, body: {"choices": [{"message": {"content": reply}}]}) as (_, url):
+        code, out, err = run_main(
+            monkeypatch, capsys, "solve", "--question", "Who won 2012?", "--table", election_json,
+            "--llm", url, "--llm-record", target,
+        )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"solvechart: error: cannot write {target}: ")
 
 
 @pytest.mark.parametrize(

@@ -398,6 +398,19 @@ def test_refused_model_is_reported_once_as_transport(temps_path):
     assert result.reason.count("transport:") == 1
 
 
+def test_blank_question_to_live_model_fails_only_its_item(temps_path):
+    # Nothing listens on port 9, and a blank question is refused before any request.
+    config = EvalConfig(
+        mode="programmatic",
+        agent_factory=oracle_factory,
+        llm_client=LlmConfig(endpoint="http://127.0.0.1:9", timeout_s=2.0),
+    )
+    items = [EvalItem(id="blank", question=" \t", gold="1", chart_id="temps", table_path=str(temps_path))]
+    result = run_eval(items, config).items[0]
+    assert result.correct is False
+    assert result.reason == "unanswerable: question must be non-empty"
+
+
 def test_trace_dir_writes_per_item_traces(temps_path, tmp_path):
     items = temps_items(temps_path)
     config = EvalConfig(

@@ -1,0 +1,131 @@
+"""The template oracle against its reference (tests/oracle_reference.py).
+
+On every valid table and every question both must agree on the answer, or
+on the error class, kind and message.  Tables are drawn from a small name
+vocabulary so that ties, nested names ("Total" beside "Total Sales"), names
+holding " in " or " and ", and empty series come up often.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_reference
+from solvechart.agents.oracle import oracle_answer
+from solvechart.agents.table import ChartTable, Series
+
+SERIES_NAMES = ["Total", "Total Sales", "Sales", "Salt and Pepper", "Made in USA", "A", "In", "And", "Apples"]
+CATEGORIES = ["Jan", "Feb", "2012", "Jan 2012", "Made in USA", "North and South", "Total", "Q1", "and"]
+VALUES = [0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 150.0]
+PREFIXES = ["", "What is the ", "what's the ", "What was ", "the ", "whats "]
+EXTREME_WORDS = ["highest", "lowest", "maximum", "minimum", "max", "min"]
+
+
+def outcome(answer, table: ChartTable, question: str) -> tuple:
+    try:
+        return ("answer", answer(table, question))
+    except Exception as err:  # noqa: BLE001  (the error itself is what is compared)
+        return ("error", type(err), getattr(err, "kind", None), str(err))
+
+
+def assert_agrees(table: ChartTable, question: str) -> None:
+    assert outcome(oracle_answer, table, question) == outcome(oracle_reference.oracle_answer, table, question)
+
+
+def table_of(*series: tuple[str, list[tuple[str, float]]]) -> ChartTable:
+    return ChartTable("t", "x", "y", tuple(Series(name, tuple(points)) for name, points in series))
+
+
+@st.composite
+def tables(draw) -> ChartTable:
+    names = draw(st.lists(st.sampled_from(SERIES_NAMES), max_size=4, unique=True))
+    series = []
+    for name in names:
+        categories = draw(st.lists(st.sampled_from(CATEGORIES), max_size=5, unique=True))
+        values = st.one_of(st.sampled_from(VALUES), st.floats(-1e6, 1e6, allow_nan=False))
+        series.append((name, [(category, draw(values)) for category in categories]))
+    return table_of(*series)
+
+
+def styled(draw, text: str) -> str:
+    """The text as a user might type it: any case, with trailing punctuation."""
+    case = draw(st.sampled_from([str, str.upper, str.lower, str.title]))
+    return case(text) + draw(st.sampled_from(["", "?", "!?", " ."]))
+
+
+def name(draw, in_table: list[str], vocabulary: list[str]) -> str:
+    """Mostly a name the table holds, sometimes one it may not."""
+    return draw(st.sampled_from(in_table or vocabulary) if draw(st.integers(0, 3)) else st.sampled_from(vocabulary))
+
+
+def cell_text(draw, table: ChartTable) -> str:
+    series = name(draw, table.series_names(), SERIES_NAMES + ["Oranges"])
+    category = name(draw, table.categories(), CATEGORIES + ["Mar"])
+    return draw(st.sampled_from([f"{series} in {category}", category, series]))
+
+
+@st.composite
+def questions(draw, table: ChartTable) -> str:
+    prefix = draw(st.sampled_from(PREFIXES))
+    template = draw(st.sampled_from(["value", "extreme", "arg", "sum", "diff", "junk"]))
+    if template == "value":
+        text = f"{prefix}value of {cell_text(draw, table)}"
+    elif template == "extreme":
+        word = draw(st.sampled_from(EXTREME_WORDS))
+        text = f"{prefix}{word} value of {name(draw, table.series_names(), SERIES_NAMES + ['Oranges'])}"
+    elif template == "arg":
+        subject = draw(st.sampled_from(["series", "year", "category", "month"]))
+        text = f"Which {subject} has the {draw(st.sampled_from(['highest', 'lowest']))} value"
+    elif template in ("sum", "diff"):
+        operation = "sum of" if template == "sum" else draw(st.sampled_from(["difference of", "difference between"]))
+        text = f"{prefix}{operation} {cell_text(draw, table)} and {cell_text(draw, table)}"
+    else:
+        text = draw(st.text(alphabet="abcin ?", max_size=20))
+    return styled(draw, text)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.data())
+def test_oracle_matches_reference(data):
+    table = data.draw(tables())
+    for question in data.draw(st.lists(questions(table), min_size=1, max_size=8)):
+        assert_agrees(table, question)
+
+
+TIES = table_of(("A", [("Jan", 2.0), ("Feb", 1.0), ("Mar", 2.0)]), ("Sales", [("Jan", 2.0), ("Feb", 1.0)]))
+NESTED = table_of(
+    ("Total", [("Jan", 5.0)]),
+    ("Total Sales", [("Jan", 9.0), ("Made in USA", 3.0)]),
+    ("Salt and Pepper", [("North and South", 4.0), ("Jan", -2.5)]),
+    ("Empty", []),
+)
+
+
+@pytest.mark.parametrize(
+    "table, question",
+    [
+        (TIES, "Which series has the highest value?"),
+        (TIES, "which month has the highest value"),
+        (TIES, "Which series has the lowest value?"),
+        (TIES, "which month has the lowest value"),
+        (TIES, "What is the maximum value of A?"),
+        (TIES, "What is the min value of Sales?"),
+        (NESTED, "What is the value of Total Sales in Jan?"),
+        (NESTED, "What is the value of Total in Jan?"),
+        (NESTED, "value of Total Sales in Made in USA"),
+        (NESTED, "What is the sum of Salt and Pepper in North and South and Total in Jan?"),
+        (NESTED, "What is the difference between Total Sales in Jan and Salt and Pepper in Jan?"),
+        (NESTED, "What is the difference of Total in Made in USA and Total Sales in Jan?"),
+        (NESTED, "What is the sum of Total in Jan?"),
+        (NESTED, "What is the highest value of Empty?"),
+        (NESTED, "What is the value of Empty in Jan?"),
+        (NESTED, "Which category has the lowest value?"),
+        (table_of(("Empty", [])), "Which series has the highest value?"),
+        (table_of(), "What is the value of Jan?"),
+        (NESTED, "compare the trends"),
+    ],
+)
+def test_oracle_matches_reference_on_named_cases(table, question):
+    assert_agrees(table, question)
