@@ -136,15 +136,6 @@ def test_load_table_rejects_names_the_oracle_cannot_tell_apart(tmp_path, series)
         load_table(write_table(tmp_path / "t.json", series))
 
 
-def test_table_name_rule_allows_shared_categories_and_nested_names():
-    table = make_table(
-        ("Total", [("Jan", 1.0), ("Feb", 2.0)]),
-        ("Total Sales", [("Jan", 3.0)]),
-        ("Salt and Pepper", [("Made in USA", 4.0)]),
-    )
-    assert table.categories() == ["Jan", "Feb", "Made in USA"]
-
-
 # -- templates --------------------------------------------------------------
 
 def test_normalize_question():
