@@ -9,6 +9,7 @@ which is what makes compositional questions interesting for programs.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from functools import partial
@@ -106,7 +107,10 @@ def _two_cells(combine: Callable[[float, float], float], table: ChartTable, rest
             continue
         _, second = _read_cell(table, " and ".join(pieces[split:]))
         if second is not None:
-            return stringify(combine(first, second))
+            value = combine(first, second)
+            if not math.isfinite(value):
+                raise _unanswerable(f"{rest!r} combines to {value}, which is not finite")
+            return stringify(value)
     raise _unanswerable(f"cannot resolve two cells in {rest!r}")
 
 

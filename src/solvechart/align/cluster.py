@@ -75,6 +75,8 @@ def cluster_patches(
     """
     if k_max < 1:
         raise DegenerateInput("k_max must be positive")
+    if np.isnan(linkage_threshold):
+        raise DegenerateInput("linkage_threshold must be a number")
     n = grid.count
     # linkage[i, j] is the average pairwise distance between clusters i and j;
     # retired clusters are marked inf so no row's minimum ever lands on them.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .reason import layer_norm_rows
 from .types import AlignmentBundle, PatchGrid
 
 __all__ = ["check_bundle"]
@@ -20,33 +21,9 @@ LN_VAR_ATOL = 1e-4
 
 
 def _shapes_consistent(grid: PatchGrid, bundle: AlignmentBundle) -> bool:
-    n, d = grid.count, grid.dim
-    k = bundle.clusters.k
-    return (
-        bundle.clusters.labels.shape == (n,)
-        and bundle.principles.crosshair.shape == (n, n)
-        and bundle.principles.proximity.shape == (n, n)
-        and bundle.principles.similarity.shape == (n, n)
-        and bundle.principle_weights.shape == (3,)
-        and bundle.cluster_weights.shape == (k, k)
-        and bundle.alignment.shape == (n, n)
-        and bundle.annotated.shape == (n, n)
-        and bundle.refined.shape == (n, d)
-        and bundle.fused.shape == (n, d)
-        and bool(np.all(np.isfinite(bundle.alignment)))
-        and bool(np.all(np.isfinite(bundle.annotated)))
-        and bool(np.all(np.isfinite(bundle.refined)))
-        and bool(np.all(np.isfinite(bundle.fused)))
-    )
-
-
-def _partition_ok(bundle: AlignmentBundle) -> bool:
-    labels = bundle.clusters.labels
-    present = np.unique(labels)
-    return bool(
-        labels.min(initial=0) >= 0
-        and present.size == bundle.clusters.k
-        and present[-1] == bundle.clusters.k - 1
+    # A bundle's shapes agree with each other by construction; refined pins its n and d.
+    return bundle.refined.shape == (grid.count, grid.dim) and all(
+        np.all(np.isfinite(array)) for array in (bundle.alignment, bundle.annotated, bundle.refined, bundle.fused)
     )
 
 
@@ -67,12 +44,9 @@ def _nullity_ok(bundle: AlignmentBundle) -> bool:
     return bool(np.all(bundle.alignment[same_cluster] == 0.0))
 
 
-def _ln_rows_ok(bundle: AlignmentBundle, epsilon: float) -> bool:
+def _ln_rows_ok(bundle: AlignmentBundle) -> bool:
     # Recomputes the pre-affine normalized rows from the bundle's own parts.
-    combined = bundle.refined + bundle.annotated @ bundle.refined
-    mean = combined.mean(axis=1, keepdims=True)
-    var = combined.var(axis=1, keepdims=True)
-    normalized = (combined - mean) / np.sqrt(var + epsilon)
+    normalized = layer_norm_rows(bundle.refined + bundle.annotated @ bundle.refined)
     row_means = normalized.mean(axis=1)
     row_vars = normalized.var(axis=1)
     return bool(
@@ -80,17 +54,21 @@ def _ln_rows_ok(bundle: AlignmentBundle, epsilon: float) -> bool:
     )
 
 
-def check_bundle(grid: PatchGrid, bundle: AlignmentBundle, epsilon: float = 1e-6) -> dict[str, bool]:
-    """Evaluates every structural invariant; ablations show up as False."""
+def check_bundle(grid: PatchGrid, bundle: AlignmentBundle) -> dict[str, bool]:
+    """Evaluates every structural invariant; ablations show up as False.
+
+    The bundle has already checked its own shapes and ClusterSet its
+    partition, so "partition" asks only whether the labels cover this grid.
+    """
     report = {
         "shapes": _shapes_consistent(grid, bundle),
-        "partition": _partition_ok(bundle),
+        "partition": bundle.clusters.labels.shape == (grid.count,),
         "principle_weights_simplex": _simplex_ok(bundle.principle_weights),
         "cluster_weights_rows": _row_stochastic_ok(bundle.cluster_weights),
         "same_cluster_nullity": _nullity_ok(bundle),
         "alignment_nonnegative": bool(np.all(bundle.alignment >= 0.0)),
         "annotated_nonnegative": bool(np.all(bundle.annotated >= 0.0)),
         "annotated_dominates": bool(np.all(bundle.annotated >= bundle.alignment - 1e-12)),
-        "layer_norm_rows": _ln_rows_ok(bundle, epsilon),
+        "layer_norm_rows": _ln_rows_ok(bundle),
     }
     return report

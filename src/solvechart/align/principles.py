@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cluster import _cosine_similarity
-from .types import DegenerateInput, MlpParams, PatchGrid, PrincipleMatrices, ShapeMismatch
+from .types import DegenerateInput, MlpParams, PatchGrid, PrincipleMatrices, _check_shapes
 
 __all__ = ["build_principle_matrices", "principle_weights", "row_softmax"]
 
@@ -34,7 +34,7 @@ def build_principle_matrices(grid: PatchGrid, radius: float = DEFAULT_PROXIMITY_
     entries (a single-patch grid has no off-diagonal mass and gets a zero
     row instead).
     """
-    if radius <= 0:
+    if not radius > 0:  # also true for nan
         raise DegenerateInput("radius must be positive")
     n = grid.count
     rows, cols = grid.positions[:, 0], grid.positions[:, 1]
@@ -59,10 +59,7 @@ def build_principle_matrices(grid: PatchGrid, radius: float = DEFAULT_PROXIMITY_
 
 def principle_weights(grid: PatchGrid, mlp: MlpParams) -> np.ndarray:
     """Softmax weights over the three principles from the pooled embedding."""
-    if mlp.w1.shape[1] != grid.dim:
-        raise ShapeMismatch(
-            f"mlp expects embeddings of width {mlp.w1.shape[1]}, grid has {grid.dim}"
-        )
+    _check_shapes({"d": grid.dim}, w1=(mlp.w1, ("h", "d")))
     pooled = grid.embeddings.mean(axis=0)
     hidden = np.maximum(mlp.w1 @ pooled + mlp.b1, 0.0)
     logits = mlp.w2 @ hidden + mlp.b2

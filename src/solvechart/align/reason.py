@@ -22,6 +22,7 @@ from .types import (
     PrincipleMatrices,
     QueryEmbedding,
     ShapeMismatch,
+    _check_shapes,
 )
 
 __all__ = [
@@ -30,15 +31,22 @@ __all__ = [
     "cross_cluster_annotate",
     "fuse",
     "intra_cluster_reason",
+    "layer_norm_rows",
 ]
 
-_LAYER_NORM_EPS = 1e-6
+LAYER_NORM_EPS = 1e-6
+
+
+def layer_norm_rows(array: np.ndarray) -> np.ndarray:
+    """Normalizes each row to zero mean and unit variance (up to LAYER_NORM_EPS)."""
+    mean = array.mean(axis=1, keepdims=True)
+    var = array.var(axis=1, keepdims=True)
+    return (array - mean) / np.sqrt(var + LAYER_NORM_EPS)
 
 
 def cluster_interaction(grid: PatchGrid, clusters: ClusterSet) -> np.ndarray:
     """Row-stochastic cluster affinity from centroid inner products."""
-    if clusters.labels.shape[0] != grid.count:
-        raise ShapeMismatch("cluster labels do not cover the grid")
+    _check_shapes({"n": grid.count}, labels=(clusters.labels, ("n",)))
     centroids = np.stack(
         [grid.embeddings[clusters.members(c)].mean(axis=0) for c in range(clusters.k)]
     )
@@ -59,14 +67,12 @@ def compose_alignment(
     factors are non-negative, so the result is non-negative.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (3,):
-        raise ShapeMismatch("expected exactly three principle weights")
     labels = clusters.labels
-    n = labels.shape[0]
-    if principles.crosshair.shape != (n, n):
-        raise ShapeMismatch("principle matrices do not match the grid size")
-    if cluster_weights.shape != (clusters.k, clusters.k):
-        raise ShapeMismatch("cluster weights must be (k, k)")
+    _check_shapes(
+        {"n": labels.shape[0], "k": clusters.k},
+        weights=(weights, (3,)), principles=(principles.crosshair, ("n", "n")),
+        cluster_weights=(cluster_weights, ("k", "k")),
+    )
     blended = (
         weights[0] * principles.crosshair
         + weights[1] * principles.proximity
@@ -76,12 +82,6 @@ def compose_alignment(
     alignment = blended * lifted
     alignment[labels[:, None] == labels[None, :]] = 0.0
     return alignment
-
-
-def _layer_norm_rows(array: np.ndarray) -> np.ndarray:
-    mean = array.mean(axis=1, keepdims=True)
-    var = array.var(axis=1, keepdims=True)
-    return (array - mean) / np.sqrt(var + _LAYER_NORM_EPS)
 
 
 def intra_cluster_reason(
@@ -98,11 +98,12 @@ def intra_cluster_reason(
     """
     if not layers:
         raise DegenerateInput("at least one attention layer is required")
+    _check_shapes(
+        {"n": grid.count, "d": grid.dim}, labels=(clusters.labels, ("n",)),
+        **{f"layers[{i}].w_q": (layer.w_q, ("d", layer.d_k)) for i, layer in enumerate(layers)},
+    )
     x = grid.embeddings.copy()
-    d = grid.dim
     for layer in layers:
-        if layer.w_q.shape[0] != d:
-            raise ShapeMismatch(f"attention layer expects width {layer.w_q.shape[0]}, grid has {d}")
         queries = x @ layer.w_q
         keys = x @ layer.w_k
         values = x @ layer.w_v
@@ -112,9 +113,9 @@ def intra_cluster_reason(
             idx = clusters.members(cluster_id)
             scores = (queries[idx] @ keys[idx].T) * scale
             attended[idx] = row_softmax(scores) @ values[idx]
-        x = _layer_norm_rows(x + attended)
+        x = layer_norm_rows(x + attended)
         hidden = np.maximum(x @ layer.ff_w1 + layer.ff_b1, 0.0)
-        x = _layer_norm_rows(x + hidden @ layer.ff_w2 + layer.ff_b2)
+        x = layer_norm_rows(x + hidden @ layer.ff_w2 + layer.ff_b2)
     return x
 
 
@@ -134,11 +135,10 @@ def cross_cluster_annotate(
     entrywise.
     """
     refined = np.asarray(refined, dtype=np.float64)
+    _check_shapes(
+        {}, refined=(refined, ("n", "d")), alignment=(alignment, ("n", "n")), q_global=(query.q_global, ("d",))
+    )
     n = refined.shape[0]
-    if alignment.shape != (n, n):
-        raise ShapeMismatch("alignment must be (n, n)")
-    if query.q_global.shape[0] != refined.shape[1]:
-        raise ShapeMismatch("query width does not match refined embeddings")
     if params.top_k > n:
         raise ShapeMismatch(f"top_k={params.top_k} exceeds patch count {n}")
     scores = row_softmax(refined @ query.q_global)
@@ -163,14 +163,5 @@ def fuse(refined: np.ndarray, annotated: np.ndarray, params: FuseParams) -> np.n
     and unit variance before the affine (gamma, beta) is applied.
     """
     refined = np.asarray(refined, dtype=np.float64)
-    n, d = refined.shape
-    if annotated.shape != (n, n):
-        raise ShapeMismatch("annotated alignment must be (n, n)")
-    if params.gamma.shape != (d,):
-        raise ShapeMismatch("gamma/beta width does not match embeddings")
-    context = annotated @ refined
-    combined = refined + context
-    mean = combined.mean(axis=1, keepdims=True)
-    var = combined.var(axis=1, keepdims=True)
-    normalized = (combined - mean) / np.sqrt(var + params.epsilon)
-    return params.gamma * normalized + params.beta
+    _check_shapes({}, refined=(refined, ("n", "d")), annotated=(annotated, ("n", "n")), gamma=(params.gamma, ("d",)))
+    return params.gamma * layer_norm_rows(refined + annotated @ refined) + params.beta

@@ -35,16 +35,14 @@ def make_params(
     dim: int,
     seed: int,
     layers: int = 2,
-    hidden: int | None = None,
-    d_k: int | None = None,
     top_k: int = 5,
     annotation_boost: float = 1.0,
     prop_threshold: float = 0.5,
 ) -> AlignParams:
     """Draws a full parameter set from a seed, scaled for stability."""
     rng = np.random.default_rng(seed + 202)
-    hidden = hidden or max(4, dim)
-    d_k = d_k or max(2, dim // 2)
+    hidden = max(4, dim)
+    d_k = max(2, dim // 2)
     scale = 1.0 / np.sqrt(dim)
     mlp = MlpParams(
         w1=rng.normal(scale=scale, size=(hidden, dim)),
@@ -65,7 +63,7 @@ def make_params(
         )
         for _ in range(layers)
     )
-    fuse = FuseParams(gamma=np.ones(dim), beta=np.zeros(dim), epsilon=1e-6)
+    fuse = FuseParams(gamma=np.ones(dim), beta=np.zeros(dim))
     return AlignParams(
         mlp=mlp,
         attention=attention,

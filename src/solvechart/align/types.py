@@ -48,6 +48,32 @@ def _require_finite(array: np.ndarray, name: str) -> None:
         raise DegenerateInput(f"{name} contains non-finite entries")
 
 
+def _check_shapes(dims: dict[str, int], **arrays: tuple[np.ndarray, tuple[int | str, ...]]) -> None:
+    """Checks each named array against a shape of ints and size names.
+
+    A size name takes its value from dims or, failing that, from its first
+    use; the first array that disagrees raises ShapeMismatch.
+    """
+    sizes = dict(dims)
+    for name, (array, shape) in arrays.items():
+        got = np.shape(array)
+        if len(got) == len(shape):
+            for size, actual in zip(shape, got):
+                if isinstance(size, str):
+                    sizes.setdefault(size, actual)
+        wanted = tuple(sizes.get(size, size) for size in shape)
+        if got != wanted:
+            spec = ", ".join(str(s) if s == w else f"{s}={w}" for s, w in zip(shape, wanted))
+            raise ShapeMismatch(f"{name} must have shape ({spec}), got {got}")
+
+
+def _freeze_checked(obj: object, dims: dict[str, int], **shapes: tuple[int | str, ...]) -> None:
+    """Stores each named field of a frozen dataclass read-only, then checks all their shapes."""
+    for name in shapes:
+        object.__setattr__(obj, name, _freeze(getattr(obj, name)))
+    _check_shapes(dims, **{name: (getattr(obj, name), shape) for name, shape in shapes.items()})
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     """n = rows * cols patch embeddings in row-major order, with coordinates."""
@@ -60,24 +86,13 @@ class PatchGrid:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise DegenerateInput("grid must have at least one row and column")
-        embeddings = _freeze(self.embeddings)
-        if embeddings.ndim != 2:
-            raise ShapeMismatch("embeddings must be a 2-d array")
         n = self.rows * self.cols
-        if embeddings.shape[0] != n:
-            raise ShapeMismatch(f"expected {n} embeddings, got {embeddings.shape[0]}")
-        _require_finite(embeddings, "embeddings")
-        object.__setattr__(self, "embeddings", embeddings)
         if self.positions is None:
-            grid_positions = np.stack(
-                [np.arange(n) // self.cols, np.arange(n) % self.cols], axis=1
-            ).astype(np.float64)
-        else:
-            grid_positions = np.asarray(self.positions, dtype=np.float64)
-            if grid_positions.shape != (n, 2):
-                raise ShapeMismatch("positions must be an (n, 2) array")
-            _require_finite(grid_positions, "positions")
-        object.__setattr__(self, "positions", _freeze(grid_positions))
+            index = np.arange(n)
+            object.__setattr__(self, "positions", np.stack([index // self.cols, index % self.cols], axis=1))
+        _freeze_checked(self, {"n": n}, embeddings=("n", "d"), positions=("n", 2))
+        _require_finite(self.embeddings, "embeddings")
+        _require_finite(self.positions, "positions")
 
     @property
     def count(self) -> int:
@@ -98,11 +113,8 @@ class QueryEmbedding:
     q_global: np.ndarray  # (d,)
 
     def __post_init__(self) -> None:
-        q_global = _freeze(self.q_global)
-        if q_global.ndim != 1:
-            raise ShapeMismatch("q_global must be a 1-d array")
-        _require_finite(q_global, "q_global")
-        object.__setattr__(self, "q_global", q_global)
+        _freeze_checked(self, {}, q_global=("d",))
+        _require_finite(self.q_global, "q_global")
 
 
 @dataclass(frozen=True)
@@ -142,12 +154,7 @@ class PrincipleMatrices:
     similarity: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = np.asarray(self.crosshair).shape
-        for name in ("crosshair", "proximity", "similarity"):
-            array = _freeze(getattr(self, name))
-            if array.ndim != 2 or array.shape[0] != array.shape[1] or array.shape != shape:
-                raise ShapeMismatch(f"{name} must be square and consistently sized")
-            object.__setattr__(self, name, array)
+        _freeze_checked(self, {}, crosshair=("n", "n"), proximity=("n", "n"), similarity=("n", "n"))
 
 
 @dataclass(frozen=True)
@@ -160,13 +167,7 @@ class MlpParams:
     b2: np.ndarray  # (3,)
 
     def __post_init__(self) -> None:
-        w1, b1, w2, b2 = (_freeze(a) for a in (self.w1, self.b1, self.w2, self.b2))
-        if w1.ndim != 2 or b1.shape != (w1.shape[0],):
-            raise ShapeMismatch("w1/b1 shapes disagree")
-        if w2.shape != (3, w1.shape[0]) or b2.shape != (3,):
-            raise ShapeMismatch("w2/b2 must map hidden width to exactly 3 outputs")
-        for name, array in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            object.__setattr__(self, name, array)
+        _freeze_checked(self, {}, w1=("h", "d"), b1=("h",), w2=(3, "h"), b2=(3,))
 
 
 @dataclass(frozen=True)
@@ -183,29 +184,12 @@ class AttentionLayerParams:
     d_k: int
 
     def __post_init__(self) -> None:
-        arrays = {
-            "w_q": _freeze(self.w_q),
-            "w_k": _freeze(self.w_k),
-            "w_v": _freeze(self.w_v),
-            "ff_w1": _freeze(self.ff_w1),
-            "ff_b1": _freeze(self.ff_b1),
-            "ff_w2": _freeze(self.ff_w2),
-            "ff_b2": _freeze(self.ff_b2),
-        }
-        d = arrays["w_q"].shape[0]
         if self.d_k < 1:
             raise DegenerateInput("d_k must be positive")
-        if arrays["w_q"].shape != (d, self.d_k) or arrays["w_k"].shape != (d, self.d_k):
-            raise ShapeMismatch("w_q/w_k must be (d, d_k)")
-        if arrays["w_v"].shape != (d, d):
-            raise ShapeMismatch("w_v must be (d, d)")
-        hidden = arrays["ff_w1"].shape[1]
-        if arrays["ff_w1"].shape != (d, hidden) or arrays["ff_b1"].shape != (hidden,):
-            raise ShapeMismatch("ff_w1/ff_b1 shapes disagree")
-        if arrays["ff_w2"].shape != (hidden, d) or arrays["ff_b2"].shape != (d,):
-            raise ShapeMismatch("ff_w2/ff_b2 shapes disagree")
-        for name, array in arrays.items():
-            object.__setattr__(self, name, array)
+        _freeze_checked(
+            self, {"d_k": self.d_k}, w_q=("d", "d_k"), w_k=("d", "d_k"), w_v=("d", "d"),
+            ff_w1=("d", "h"), ff_b1=("h",), ff_w2=("h", "d"), ff_b2=("d",),
+        )
 
 
 @dataclass(frozen=True)
@@ -214,16 +198,9 @@ class FuseParams:
 
     gamma: np.ndarray  # (d,)
     beta: np.ndarray  # (d,)
-    epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
-        gamma, beta = _freeze(self.gamma), _freeze(self.beta)
-        if gamma.ndim != 1 or beta.shape != gamma.shape:
-            raise ShapeMismatch("gamma/beta must be matching 1-d arrays")
-        if self.epsilon <= 0:
-            raise DegenerateInput("epsilon must be positive")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
+        _freeze_checked(self, {}, gamma=("d",), beta=("d",))
 
 
 @dataclass(frozen=True)
@@ -274,8 +251,12 @@ class AlignmentBundle:
     fused: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        dims = {"n": self.clusters.labels.shape[0], "k": self.clusters.k}
+        _check_shapes(dims, principles=(self.principles.crosshair, ("n", "n")))
+        _freeze_checked(
+            self, dims, principle_weights=(3,), cluster_weights=("k", "k"), alignment=("n", "n"),
+            annotated=("n", "n"), refined=("n", "d"), fused=("n", "d"),
+        )
 
     def to_json_dict(self) -> dict:
         return {

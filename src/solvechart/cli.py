@@ -67,8 +67,8 @@ def _load_config(path: str) -> dict:
         raise CliError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+        raise CliError(f"config file is not valid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(data, dict):
         raise CliError("config file must contain a JSON object")
     return data
@@ -90,12 +90,12 @@ def _config_value(action: argparse.Action, value: Any) -> Any:
         raise CliError(f"config {key!r} must be a string or a number, got {value!r}")
     try:
         converted = convert(value)
-        if not isinstance(value, str) and converted != value:
-            raise ValueError("lossy conversion")
     except argparse.ArgumentTypeError as exc:
         raise CliError(f"config {key!r}: {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise CliError(f"config {key!r}: invalid {convert.__name__} value {value!r}") from exc
+    if not isinstance(value, str) and converted != value:
+        raise CliError(f"config {key!r}: invalid {type(converted).__name__} value {value!r}")
     if action.choices is not None and converted not in action.choices:
         choices = ", ".join(map(repr, action.choices))
         raise CliError(f"config {key!r}: invalid choice {converted!r} (choose from {choices})")
@@ -178,7 +178,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     p_align = _subcommand(sub, "align-demo", "run the alignment pipeline on synthetic patches", _cmd_align_demo)
     p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
-    p_align.add_argument("--dim", type=int, default=16, help="embedding dimension")
+    p_align.add_argument("--dim", type=positive_int, default=16, help="embedding dimension")
     p_align.add_argument("--seed", type=int, default=0, help="seed for patches, query and parameters")
     p_align.add_argument("--layers", type=int, default=2, help="intra-cluster attention layers")
     p_align.add_argument("--top-k", type=int, default=5, help="patches marked by cross-cluster annotation")

@@ -73,8 +73,8 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"invalid JSON ({exc.msg})", lineno) from exc
+            except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+                raise DatasetFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from exc
             if not isinstance(record, dict):
                 raise DatasetFormatError("expected a JSON object", lineno)
             for key in _REQUIRED:

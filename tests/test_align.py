@@ -25,11 +25,14 @@ from solvechart.align.reason import (
 from solvechart.align.synthetic import make_grid, make_params, make_query
 from solvechart.align.types import (
     AlignParams,
+    AlignmentBundle,
+    AttentionLayerParams,
     ClusterSet,
     DegenerateInput,
     FuseParams,
     MlpParams,
     PatchGrid,
+    PrincipleMatrices,
     QueryEmbedding,
     ShapeMismatch,
 )
@@ -118,6 +121,11 @@ def test_cosine_distances_range():
     assert np.allclose(np.diag(distances), 0.0)
     assert np.all(distances >= 0.0)
     assert np.all(distances <= 2.0 + 1e-12)
+
+
+def test_nan_threshold_rejected():
+    with pytest.raises(DegenerateInput, match="linkage_threshold"):
+        cluster_patches(make_grid(2, 2, 4, seed=0), float("nan"), 4)
 
 
 # -- clustering against the greedy reference --------------------------------
@@ -284,6 +292,12 @@ def test_single_patch_similarity_zero():
     assert principles.similarity.tolist() == [[0.0]]
 
 
+@pytest.mark.parametrize("radius", [float("nan"), 0.0, -1.0])
+def test_radius_must_be_positive(radius):
+    with pytest.raises(DegenerateInput, match="radius"):
+        build_principle_matrices(make_grid(2, 2, 4, seed=0), radius)
+
+
 # -- principle weights ------------------------------------------------------
 
 def test_weights_uniform_when_head_is_zero():
@@ -330,6 +344,12 @@ def test_interaction_identical_centroids_uniform():
     clusters = ClusterSet(np.array([0, 1, 2], dtype=np.int64), 3)
     weights = cluster_interaction(grid, clusters)
     assert np.allclose(weights, 1 / 3)
+
+
+def test_interaction_rejects_labels_shorter_than_grid():
+    grid = grid_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ShapeMismatch, match=r"labels must have shape \(n=3\), got \(2,\)"):
+        cluster_interaction(grid, ClusterSet(np.array([0, 1], dtype=np.int64), 2))
 
 
 # -- composition ------------------------------------------------------------
@@ -495,12 +515,18 @@ def test_annotation_top_k_exceeding_n_rejected():
         cross_cluster_annotate(refined, query, np.zeros((2, 2)), params)
 
 
+def test_annotation_rejects_query_of_wrong_width():
+    params = _annotate_params(3)
+    with pytest.raises(ShapeMismatch, match="q_global"):
+        cross_cluster_annotate(np.ones((2, 3)), QueryEmbedding(np.ones(4)), np.zeros((2, 2)), params)
+
+
 # -- fusion -----------------------------------------------------------------
 
 def test_fuse_zero_context_normalizes_rows():
     rng = np.random.default_rng(0)
     refined = rng.normal(size=(5, 8))
-    out = fuse(refined, np.zeros((5, 5)), FuseParams(np.ones(8), np.zeros(8), 1e-6))
+    out = fuse(refined, np.zeros((5, 5)), FuseParams(np.ones(8), np.zeros(8)))
     assert np.allclose(out.mean(axis=1), 0.0, atol=1e-6)
     assert np.allclose(out.var(axis=1), 1.0, atol=1e-4)
 
@@ -508,7 +534,7 @@ def test_fuse_zero_context_normalizes_rows():
 def test_fuse_gamma_zero_gives_beta():
     refined = np.random.default_rng(1).normal(size=(4, 6))
     beta = np.arange(6, dtype=np.float64)
-    out = fuse(refined, np.zeros((4, 4)), FuseParams(np.zeros(6), beta, 1e-6))
+    out = fuse(refined, np.zeros((4, 4)), FuseParams(np.zeros(6), beta))
     assert np.allclose(out, np.tile(beta, (4, 1)))
 
 
@@ -519,7 +545,7 @@ def test_fuse_matches_step_by_step_reference():
     gamma = rng.normal(size=6)
     beta = rng.normal(size=6)
     eps = 1e-6
-    out = fuse(refined, annotated, FuseParams(gamma, beta, eps))
+    out = fuse(refined, annotated, FuseParams(gamma, beta))
 
     expected = np.empty_like(refined)
     for i in range(4):
@@ -532,7 +558,7 @@ def test_fuse_matches_step_by_step_reference():
 
 def test_fuse_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        fuse(np.ones((3, 4)), np.ones((2, 2)), FuseParams(np.ones(4), np.zeros(4), 1e-6))
+        fuse(np.ones((3, 4)), np.ones((2, 2)), FuseParams(np.ones(4), np.zeros(4)))
 
 
 # -- pipeline ---------------------------------------------------------------
@@ -618,3 +644,93 @@ def test_check_bundle_detects_tampering():
     broken = dataclasses.replace(bundle, alignment=tampered)
     report = check_bundle(grid, broken)
     assert report["same_cluster_nullity"] is False
+
+
+def test_check_bundle_flags_a_bundle_from_another_grid():
+    grid = make_grid(3, 3, 8, seed=21)
+    bundle = run_alignment_pipeline(grid, make_query(8, seed=21), make_params(8, seed=21), PipelineConfig())
+    report = check_bundle(make_grid(2, 2, 8, seed=21), bundle)
+    assert report["shapes"] is False
+    assert report["partition"] is False
+
+
+# -- the shape rule ---------------------------------------------------------
+
+# Valid fields for each array type at n=4 (a 2x2 grid), d=3, h=5, d_k=2, k=2.
+def _valid_fields() -> dict:
+    ones = np.ones
+    return {
+        PatchGrid: dict(rows=2, cols=2, embeddings=ones((4, 3)), positions=np.zeros((4, 2))),
+        QueryEmbedding: dict(q_global=ones(3)),
+        PrincipleMatrices: dict(crosshair=ones((4, 4)), proximity=ones((4, 4)), similarity=ones((4, 4))),
+        MlpParams: dict(w1=ones((5, 3)), b1=ones(5), w2=ones((3, 5)), b2=ones(3)),
+        AttentionLayerParams: dict(
+            w_q=ones((3, 2)), w_k=ones((3, 2)), w_v=ones((3, 3)), ff_w1=ones((3, 5)),
+            ff_b1=ones(5), ff_w2=ones((5, 3)), ff_b2=ones(3), d_k=2,
+        ),
+        FuseParams: dict(gamma=ones(3), beta=ones(3)),
+        AlignmentBundle: dict(
+            clusters=ClusterSet(np.array([0, 0, 1, 1]), 2),
+            principles=PrincipleMatrices(ones((4, 4)), ones((4, 4)), ones((4, 4))),
+            principle_weights=ones(3), cluster_weights=ones((2, 2)), alignment=ones((4, 4)),
+            annotated=ones((4, 4)), refined=ones((4, 3)), fused=ones((4, 3)),
+        ),
+    }
+
+
+@pytest.mark.parametrize("cls", list(_valid_fields()), ids=lambda cls: cls.__name__)
+def test_type_accepts_its_valid_fields(cls):
+    cls(**_valid_fields()[cls])
+
+
+@pytest.mark.parametrize(
+    "cls, field, shape",
+    [
+        (PatchGrid, "embeddings", (3, 3)),
+        (PatchGrid, "embeddings", (4,)),
+        (PatchGrid, "positions", (4, 3)),
+        (PatchGrid, "positions", (5, 2)),
+        (QueryEmbedding, "q_global", (3, 1)),
+        (PrincipleMatrices, "crosshair", (4, 3)),
+        (PrincipleMatrices, "proximity", (3, 3)),
+        (PrincipleMatrices, "similarity", (5, 5)),
+        (MlpParams, "w1", (6, 3)),
+        (MlpParams, "w1", (15,)),
+        (MlpParams, "b1", (6,)),
+        (MlpParams, "w2", (3, 6)),
+        (MlpParams, "w2", (4, 5)),
+        (MlpParams, "b2", (4,)),
+        (AttentionLayerParams, "w_q", (3, 3)),
+        (AttentionLayerParams, "w_k", (4, 2)),
+        (AttentionLayerParams, "w_v", (3, 4)),
+        (AttentionLayerParams, "ff_w1", (4, 5)),
+        (AttentionLayerParams, "ff_b1", (6,)),
+        (AttentionLayerParams, "ff_w2", (5, 4)),
+        (AttentionLayerParams, "ff_b2", (4,)),
+        (FuseParams, "gamma", (3, 1)),
+        (FuseParams, "beta", (4,)),
+        (AlignmentBundle, "principles", (5, 5)),
+        (AlignmentBundle, "principle_weights", (4,)),
+        (AlignmentBundle, "cluster_weights", (2, 3)),
+        (AlignmentBundle, "alignment", (4, 5)),
+        (AlignmentBundle, "annotated", (5, 5)),
+        (AlignmentBundle, "refined", (4,)),
+        (AlignmentBundle, "fused", (4, 4)),  # (n, d + 1)
+    ],
+)
+def test_type_rejects_a_wrongly_sized_field(cls, field, shape):
+    fields = _valid_fields()[cls]
+    if field == "principles":
+        fields[field] = PrincipleMatrices(*(np.ones(shape),) * 3)
+    else:
+        fields[field] = np.ones(shape)
+    # The first array to use a size name sets it, so a later array may be the one named.
+    with pytest.raises(ShapeMismatch, match=r"^\w+ must have shape \(.*\), got \(.*\)$"):
+        cls(**fields)
+
+
+def test_shape_mismatch_names_the_array_the_wanted_shape_and_the_shape_it_got():
+    fields = dict(w1=np.ones((5, 3)), b1=np.ones(5), w2=np.ones((3, 6)), b2=np.ones(3))
+    with pytest.raises(ShapeMismatch) as excinfo:
+        MlpParams(**fields)
+    assert str(excinfo.value) == "w2 must have shape (3, h=5), got (3, 6)"

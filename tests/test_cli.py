@@ -104,6 +104,14 @@ def test_parse_args_workers_below_one_exits_2(capsys):
     assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["-1", "0"])
+def test_parse_args_align_demo_dim_below_one_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(["align-demo", "--dim", text])
+    assert excinfo.value.code == 2
+    assert f"--dim: must be at least 1, got {text}" in capsys.readouterr().err
+
+
 def test_parse_args_bad_choice_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         parse_args(["eval", "--dataset", "d", "--mode", "telepathy"])
@@ -187,6 +195,8 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
          "'tolerance': must be a finite number of at least 0, got -1"),
         (["eval", "--dataset", "d"], {"tolerance": "nan"},
          "'tolerance': must be a finite number of at least 0, got nan"),
+        (["align-demo"], {"dim": 0}, "'dim': must be at least 1, got 0"),
+        (["align-demo"], '{"dim": ' + "9" * 5000 + "}", "config file is not valid JSON"),
     ],
 )
 def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):
@@ -461,6 +471,15 @@ def test_align_demo_bad_grid(capsys):
     assert "--grid must look like RxC" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--linkage-threshold", "--proximity-radius"])
+def test_align_demo_nan_threshold_exits_1(capsys, flag):
+    assert cli("align-demo", "--grid", "3x3", flag, "nan") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solvechart: error: ")
+    assert "must be" in captured.err
+
+
 def test_align_demo_output_is_deterministic(capsys):
     cli("align-demo", "--grid", "2x2", "--dim", "8", "--seed", "3")
     first = capsys.readouterr().out
@@ -717,6 +736,29 @@ def test_non_utf8_input_exits_1_naming_it(monkeypatch, capsys, tmp_path, program
     assert out == ""
     assert err.startswith("solvechart: error: ")
     assert str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--program", "{program}", "--table", "{bad}"],
+        ["run", "--program", "{program}", "--agent", "replay:{bad}"],
+        ["eval", "--dataset", "{bad}", "--mode", "agent-only"],
+        ["eval", "--dataset", "{dataset}", "--llm-replay", "{bad}"],
+    ],
+    ids=["table", "cassette", "dataset", "llm-replay"],
+)
+def test_integer_past_the_digit_limit_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir, program_file, argv):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an integer over 4,300 digits.
+    bad = tmp_path / "big.json"
+    bad.write_text('{"id": ' + "9" * 5000 + "}\n", encoding="utf-8")
+    paths = {"bad": bad, "program": program_file, "dataset": fixtures_dir / "dataset.jsonl"}
+    code, out, err = run_main(monkeypatch, capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solvechart: error: ")
+    assert "invalid JSON" in err
     assert "Traceback" not in err
 
 

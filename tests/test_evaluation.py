@@ -411,6 +411,25 @@ def test_blank_question_to_live_model_fails_only_its_item(temps_path):
     assert result.reason == "unanswerable: question must be non-empty"
 
 
+def test_oracle_sum_past_the_float_range_fails_only_its_item(tmp_path):
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps({"title": "t", "x_label": "x", "y_label": "y", "series": [
+        {"name": "A", "points": [{"category": "x", "value": 1e308}, {"category": "y", "value": 1e308},
+                                 {"category": "z", "value": -1e308}]}]}), encoding="utf-8")
+    items = [
+        EvalItem(id=i, question=q, gold=g, chart_id="huge", table_path=str(table))
+        for i, q, g in (
+            ("sum", "What is the sum of A in x and A in y?", "0"),
+            ("diff", "What is the difference of A in x and A in z?", "0"),
+            ("next", "What is the difference of A in x and A in y?", "0"),
+        )
+    ]
+    report = run_eval(items, EvalConfig(mode="agent_only", agent_factory=oracle_factory))
+    assert [r.correct for r in report.items] == [False, False, True]
+    assert all(r.reason.startswith("unanswerable: ") for r in report.items[:2])
+    assert all("not finite" in r.reason for r in report.items[:2])
+
+
 def test_trace_dir_writes_per_item_traces(temps_path, tmp_path):
     items = temps_items(temps_path)
     config = EvalConfig(
