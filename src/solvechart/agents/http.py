@@ -2,27 +2,64 @@
 
 The agent speaks a one-endpoint protocol: POST {endpoint}/answer with the
 query as JSON, expecting {"answer": "..."} back.  The model client posts
-through post_json too, so both reuse connections from one pooled session.
+through post_json too, so both reuse keep-alive connections from one pool.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from typing import Any
+from urllib.parse import urlsplit
 
 from ..errors import ErrorKind, SolveChartError
 from .base import AgentAnswer, AgentError, AgentQuery
 
-__all__ = ["HttpAgent", "post_json"]
+__all__ = ["HttpAgent", "MAX_BODY_BYTES", "post_json"]
 
 DEFAULT_TIMEOUT_S = 30.0
+MAX_BODY_BYTES = 8 * 1024 * 1024  # a longer reply body is BAD_RESPONSE
 
-# One requests.Session shared by all threads (urllib3's connection pool is
-# thread-safe).  post_json builds it on the first post, so that a process which
-# never posts never imports requests.
-_session = None
-_session_lock = threading.Lock()
+# Idle keep-alive connections per (scheme, host, port), shared by all threads:
+# a connection is taken for one request and put back once its reply body was
+# read in full.  http.client is imported on the first post, so a process that
+# never posts never imports it.
+_idle: dict[tuple[str, str, int], list] = {}
+_idle_lock = threading.Lock()
+
+
+def _is_open(conn) -> bool:
+    """True when an idle connection's peer has not closed it (and sent nothing unasked)."""
+    import socket
+
+    try:
+        conn.sock.settimeout(0.0)
+        # socket.socket.recv peeks at the raw stream, also beneath TLS (an SSLSocket refuses flags).
+        socket.socket.recv(conn.sock, 1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        pass
+    return False
+
+
+def _connection(key: tuple[str, str, int], timeout_s: float):
+    """An idle pooled connection to key that is still open, or a new one."""
+    while True:
+        with _idle_lock:
+            stack = _idle.get(key)
+            conn = stack.pop() if stack else None
+        if conn is None:
+            import http.client
+
+            scheme, host, port = key
+            kind = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+            return kind(host, port, timeout=timeout_s)
+        if _is_open(conn):
+            conn.sock.settimeout(timeout_s)
+            return conn
+        conn.close()
 
 
 def post_json(
@@ -33,28 +70,43 @@ def post_json(
 
     Raises:
         error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
-            connection failures or non-200 statuses, BAD_RESPONSE when the
-            body is not JSON.
+            bad URLs, connection failures or non-200 statuses, BAD_RESPONSE
+            when the body is not JSON or is over MAX_BODY_BYTES.
     """
-    global _session
-    import requests
+    import http.client
 
-    with _session_lock:
-        if _session is None:
-            _session = requests.Session()
-        session = _session
     url = endpoint.rstrip("/") + path
+    conn = None
     try:
-        response = session.post(url, json=payload, headers=headers, timeout=timeout_s)
-    except requests.Timeout as err:
-        raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
-    except requests.RequestException as err:
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError("not an http(s) URL")
+        key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        conn = _connection(key, timeout_s)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        conn.request("POST", target, body, {"Content-Type": "application/json", **(headers or {})})
+        response = conn.getresponse()
+        data = response.read(MAX_BODY_BYTES + 1)
+    # ValueError: a bad port, a NaN in the payload, or a header http.client refuses.
+    except (OSError, http.client.HTTPException, ValueError) as err:
+        if conn is not None:
+            conn.close()
+        if isinstance(err, TimeoutError):
+            raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
         raise error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT) from err
-    if response.status_code != 200:
-        raise error(f"{url} returned HTTP {response.status_code}", ErrorKind.TRANSPORT)
+    if response.status == 200 and response.isclosed() and not response.will_close:
+        with _idle_lock:
+            _idle.setdefault(key, []).append(conn)
+    else:
+        conn.close()
+    if response.status != 200:
+        raise error(f"{url} returned HTTP {response.status}", ErrorKind.TRANSPORT)
+    if len(data) > MAX_BODY_BYTES:
+        raise error(f"{url} sent a body over {MAX_BODY_BYTES} bytes", ErrorKind.BAD_RESPONSE)
     try:
-        return response.json()
-    except ValueError as err:
+        return json.loads(data)
+    except (ValueError, RecursionError) as err:  # RecursionError: nesting too deep to decode
         raise error(f"{url} sent a non-JSON body", ErrorKind.BAD_RESPONSE) from err
 
 

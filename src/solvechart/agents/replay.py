@@ -9,9 +9,11 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
 
+from ..atomic import write_text_atomic
 from ..errors import ErrorKind, SolveChartError
 from .base import AgentAnswer, AgentError, AgentHandle, AgentQuery
 from .table import read_json
@@ -28,10 +30,13 @@ def normalize_key(question: str) -> str:
 
 
 class Cassette:
-    """In-memory cassette with optional write-through to its backing file.
+    """In-memory cassette; a record cassette also writes each append to its file.
 
     Appends are serialized with a lock; on duplicate keys the latest entry
-    wins, so re-recording a question overrides the earlier answer.
+    wins, so re-recording a question overrides the earlier answer.  After
+    every append the file reads exactly as save() writes it: the first append
+    saves the whole cassette atomically, each later one rewrites only the
+    closing bracket with the new entry and a new bracket.
     """
 
     def __init__(self, entries: list[dict] | None = None, path: str | Path | None = None) -> None:
@@ -39,6 +44,7 @@ class Cassette:
         self.entries: list[dict] = []
         self._index: dict[tuple[str, str], str] = {}
         self._lock = threading.Lock()
+        self._file_current = False  # path holds save()'s text for self.entries
         for entry in entries or []:
             self._admit(entry)
 
@@ -54,13 +60,22 @@ class Cassette:
 
     @classmethod
     def load(cls, path: str | Path) -> "Cassette":
+        """A read-only cassette of path's entries: appends never touch the file."""
         payload = read_json(path, "cassette", CassetteFormatError)
         if not isinstance(payload, list):
             raise CassetteFormatError(f"expected a JSON array in {path}")
-        return cls(payload, path=path)
+        return cls(payload)
+
+    @classmethod
+    def record(cls, path: str | Path) -> "Cassette":
+        """A cassette that appends to path, starting from path's entries if the file exists."""
+        cassette = cls.load(path) if Path(path).exists() else cls()
+        cassette.path = Path(path)
+        return cassette
 
     @classmethod
     def empty(cls, path: str | Path | None = None) -> "Cassette":
+        """A cassette with no entries; with a path, appends replace that file."""
         return cls([], path=path)
 
     def lookup(self, chart_id: str, question: str) -> str | None:
@@ -69,15 +84,29 @@ class Cassette:
     def append(self, chart_id: str, question: str, answer: str) -> None:
         with self._lock:
             self._admit({"chart_id": chart_id, "question": question, "answer": answer})
-            if self.path is not None:
-                self.save(self.path)
+            if self.path is None:
+                return
+            if not self._file_current:
+                self.save()
+                self._file_current = True
+                return
+            # The file ends "\n]\n"; put the entry, indented as save() indents it, in its place.
+            entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
+            self._file_current = False  # until the tail is written in full
+            try:
+                with open(self.path, "r+b") as handle:
+                    handle.seek(-3, os.SEEK_END)
+                    handle.write(f",\n  {entry}\n]\n".encode("utf-8"))
+            except OSError as err:
+                raise SolveChartError(f"cannot write {self.path}: {err.strerror or err}") from err
+            self._file_current = True
 
     def save(self, path: str | Path | None = None) -> None:
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ValueError("cassette has no backing path")
         try:
-            target.write_text(json.dumps(self.entries, indent=2) + "\n", encoding="utf-8")
+            write_text_atomic(target, json.dumps(self.entries, indent=2) + "\n")
         except OSError as err:
             raise SolveChartError(f"cannot write {target}: {err.strerror or err}") from err
 

@@ -126,7 +126,7 @@ def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
         raise error(f"cannot read {what} {path}: {err.strerror or err}") from err
     except UnicodeDecodeError as err:
         raise error(f"cannot read {what} {path}: {err}") from err
-    except ValueError as err:  # a JSONDecodeError, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as err:  # bad JSON, an over-long integer, or too-deep nesting
         raise error(f"invalid JSON in {path}: {err}") from err
 
 

@@ -67,7 +67,7 @@ def _load_config(path: str) -> dict:
         raise CliError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, or too-deep nesting
         raise CliError(f"config file is not valid JSON: {getattr(exc, 'msg', exc)}") from exc
     if not isinstance(data, dict):
         raise CliError("config file must contain a JSON object")
@@ -243,10 +243,6 @@ def _write_output(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _record_cassette(path: str) -> Cassette:
-    return Cassette.load(path) if Path(path).exists() else Cassette.empty(path)
-
-
 def _build_agent(spec: str, table: str | None, record: str | None) -> AgentHandle:
     if spec == "oracle":
         if table is None:
@@ -261,7 +257,7 @@ def _build_agent(spec: str, table: str | None, record: str | None) -> AgentHandl
     else:
         raise CliError(f"unknown agent {spec!r}; use oracle, http(s)://URL, or replay:PATH")
     if record is not None:
-        return ReplayAgent(_record_cassette(record), live=base)
+        return ReplayAgent(Cassette.record(record), live=base)
     return base
 
 
@@ -306,7 +302,7 @@ def _cmd_solve(cmd: argparse.Namespace) -> int:
     if cmd.llm_record is not None:
         if cmd.llm is None:
             raise CliError("--llm-record requires --llm")
-        record_to = _record_cassette(cmd.llm_record)
+        record_to = Cassette.record(cmd.llm_record)
     hints = None if cmd.table is None else chart_hints(load_table(cmd.table))
     program = generate_solution(cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to)
     if cmd.show_program:

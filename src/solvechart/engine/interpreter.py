@@ -39,9 +39,12 @@ __all__ = [
     "EngineConfig",
     "ExecutionResult",
     "ExecutionTrace",
+    "MAX_TEXT_CHARS",
     "TraceStep",
     "execute",
 ]
+
+MAX_TEXT_CHARS = 100_000  # the longest text "+" may build
 
 
 @dataclass(frozen=True)
@@ -189,13 +192,17 @@ class _Evaluator:
             return _require_finite(left + right, "+")
         # Text concatenation coerces a numeric side to text so computed
         # values can be embedded in follow-up questions.
-        if isinstance(left, str) and isinstance(right, str):
-            return left + right
-        if isinstance(left, str) and is_number(right):
-            return left + stringify(right)
-        if is_number(left) and isinstance(right, str):
-            return stringify(left) + right
-        raise _mismatch("+", left, right)
+        if not all(isinstance(side, str) or is_number(side) for side in (left, right)):
+            raise _mismatch("+", left, right)
+        left, right = (side if isinstance(side, str) else stringify(side) for side in (left, right))
+        # With no loops, text "+" is the only way a value outgrows the program's
+        # source, so this one check bounds the memory a program can use.
+        if len(left) + len(right) > MAX_TEXT_CHARS:
+            raise EngineError(
+                f"'+' would make text of {len(left) + len(right)} characters, over {MAX_TEXT_CHARS}",
+                ErrorKind.TEXT_TOO_LONG,
+            )
+        return left + right
 
     def _call(self, expr: Call, env: dict[str, Value]) -> Value:
         if expr.callee in AGENT_CALLEES:

@@ -27,6 +27,7 @@ class ErrorKind(Enum):
     ANSWER_UNASSIGNED = "answer-unassigned"
     AGENT_FAILURE = "agent-failure"
     NON_FINITE = "non-finite"
+    TEXT_TOO_LONG = "text-too-long"
 
 
 class SolveChartError(Exception):

@@ -73,7 +73,7 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError as exc:  # a JSONDecodeError, or an integer literal past Python's digit limit
+            except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, or too-deep nesting
                 raise DatasetFormatError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno) from exc
             if not isinstance(record, dict):
                 raise DatasetFormatError("expected a JSON object", lineno)

@@ -2,17 +2,22 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solvechart
-from conftest import json_server
+from conftest import FIXTURES, json_server
 from solvechart.agents import http as agents_http
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
@@ -333,6 +338,60 @@ def test_cassette_load_rejects_non_array(tmp_path):
         Cassette.load(path)
 
 
+def test_loaded_cassette_never_writes(tmp_path):
+    path = tmp_path / "llm_cassette.json"
+    shutil.copyfile(FIXTURES / "llm_cassette.json", path)
+    before = path.read_bytes()
+    cassette = Cassette.load(path)
+    cassette.append("c", "a new question", "a new answer")
+    assert cassette.lookup("c", "a new question") == "a new answer"
+    assert path.read_bytes() == before
+
+
+def test_record_cassette_keeps_existing_entries(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('[{"chart_id": "c", "question": "old", "answer": "1"}]', encoding="utf-8")
+    cassette = Cassette.record(path)
+    assert cassette.lookup("c", "old") == "1"
+    cassette.append("c", "new", "2")
+    assert [entry["question"] for entry in json.loads(path.read_text(encoding="utf-8"))] == ["old", "new"]
+
+
+_AWKWARD = st.text(alphabet=st.sampled_from('a Z"\\\n\t]},é€😀'), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    appends=st.lists(st.tuples(_AWKWARD | st.text(max_size=8), _AWKWARD, _AWKWARD), min_size=1, max_size=6),
+    compact_start=st.booleans(),
+)
+def test_record_cassette_file_is_a_full_save_after_every_append(appends, compact_start):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "c.json"
+        expected = []
+        if compact_start:  # a hand-written file, laid out unlike save()
+            expected.append({"chart_id": "c0", "question": 'say "hi"\n', "answer": "é"})
+            path.write_text(json.dumps(expected, separators=(",", ":"), ensure_ascii=False), encoding="utf-8")
+        cassette = Cassette.record(path)
+        for chart_id, question, answer in appends:
+            cassette.append(chart_id, question, answer)
+            expected.append({"chart_id": chart_id, "question": question, "answer": answer})
+            assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+def test_record_cassette_recovers_from_a_failed_append(tmp_path):
+    path = tmp_path / "c.json"
+    cassette = Cassette.record(path)
+    cassette.append("c", "q1", "1")
+    path.unlink()
+    with pytest.raises(SolveChartError) as err:
+        cassette.append("c", "q2", "2")
+    assert str(err.value).startswith(f"cannot write {path}: ")
+    cassette.append("c", "q3", "3")  # saves the whole cassette again
+    assert path.read_text(encoding="utf-8") == json.dumps(cassette.entries, indent=2) + "\n"
+    assert len(cassette.entries) == 3
+
+
 # -- http backend -----------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
@@ -353,6 +412,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
         elif mode == "notjson":
             payload = b"plain text"
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        elif mode == "deep":
+            payload = b"[" * 100_000
             self.send_response(200)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -418,6 +483,17 @@ def test_http_non_json_is_bad_response(http_server):
     assert err.value.kind is ErrorKind.BAD_RESPONSE
 
 
+def test_http_deeply_nested_body_is_bad_response(http_server):
+    server, url = http_server
+    server.mode = "deep"
+    with pytest.raises(AgentError) as agent_err:
+        HttpAgent(url).answer(AgentQuery("q", "c", "ASK"))
+    with pytest.raises(LlmError) as model_err:
+        chat_completion(LlmConfig(endpoint=url), build_prompt("q"))
+    assert agent_err.value.kind is ErrorKind.BAD_RESPONSE
+    assert model_err.value.kind is ErrorKind.BAD_RESPONSE
+
+
 def test_http_missing_answer_key_is_bad_response(http_server):
     server, url = http_server
     server.mode = "missing-key"
@@ -446,28 +522,36 @@ def test_http_backends_reuse_one_connection_per_endpoint():
 
 
 
-def test_requests_is_imported_only_when_a_backend_posts():
+def _run_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
     src = str(Path(solvechart.__file__).parents[1])
-    probe = "import sys, solvechart.agents, solvechart.evaluation, solvechart.solgen; print('requests' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_http_client_is_imported_only_when_a_backend_posts():
+    probe = "import sys, solvechart.agents, solvechart.evaluation, solvechart.solgen; print('http.client' in sys.modules)"
+    result = _run_with_src(probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
 
 
-def test_concurrent_first_posts_build_one_session(monkeypatch):
-    import requests
+def test_recording_through_http_imports_neither_requests_nor_urllib3(tmp_path):
+    probe = (
+        "import sys\n"
+        "from solvechart.agents import AgentQuery, Cassette, HttpAgent, ReplayAgent\n"
+        "recorder = ReplayAgent(Cassette.record(sys.argv[2]), live=HttpAgent(sys.argv[1]))\n"
+        "print(recorder.answer(AgentQuery('q', 'c', 'SUBSTEP')).answer)\n"
+        "print(sorted(name for name in ('requests', 'urllib3') if name in sys.modules))\n"
+    )
+    recorded = tmp_path / "recorded.json"
+    with json_server(lambda path, body: {"answer": "50"}) as (_, url):
+        result = _run_with_src(probe, url, str(recorded))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["50", "[]"]
+    assert json.loads(recorded.read_text(encoding="utf-8")) == [{"chart_id": "c", "question": "q", "answer": "50"}]
 
-    built = []
 
-    class CountingSession(requests.Session):
-        def __init__(self):
-            super().__init__()
-            time.sleep(0.01)  # widens the window in which another first post could build a second session
-            built.append(self)
-
-    monkeypatch.setattr(agents_http, "_session", None)
-    monkeypatch.setattr(requests, "Session", CountingSession)
+def test_concurrent_first_posts_share_the_pool():
     workers = 8
     start = threading.Barrier(workers)
     answers = []
@@ -479,17 +563,42 @@ def test_concurrent_first_posts_build_one_session(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with json_server(lambda path, body: {"answer": "50"}) as (_, url):
+        with json_server(lambda path, body: {"answer": "50"}) as (server, url):
             threads = [threading.Thread(target=ask, args=(url,)) for _ in range(workers)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
+            opened = len(server.connections)
+            assert HttpAgent(url).answer(AgentQuery("q", "c", "ASK")).answer == "50"
+            reopened = len(server.connections)
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert answers == ["50"] * workers
-    assert len(built) == 1
+    assert 1 <= opened <= workers
+    assert reopened == opened  # the sequential post took an idle connection
+
+
+def test_idle_connection_closed_by_the_server_is_replaced():
+    with json_server(lambda path, body: {"answer": "50"}) as (server, url):
+        agent = HttpAgent(url)
+        assert agent.answer(AgentQuery("q", "c", "ASK")).answer == "50"
+        server.connections[0].shutdown(socket.SHUT_RDWR)
+        time.sleep(0.05)  # lets the close reach the client's idle socket
+        assert agent.answer(AgentQuery("q", "c", "ASK")).answer == "50"
+        assert len(server.connections) == 2
+
+
+def test_body_over_the_cap_is_bad_response_and_drops_its_connection(monkeypatch):
+    monkeypatch.setattr(agents_http, "MAX_BODY_BYTES", 100)
+    with json_server(lambda path, body: {"answer": "x" * (200 if body["question"] == "big" else 1)}) as (server, url):
+        agent = HttpAgent(url)
+        with pytest.raises(AgentError) as err:
+            agent.answer(AgentQuery("big", "c", "ASK"))
+        assert err.value.kind is ErrorKind.BAD_RESPONSE
+        assert agent.answer(AgentQuery("small", "c", "ASK")).answer == "x"
+        assert len(server.connections) == 2
 
 
 def test_http_timeouts_map_to_each_backends_kind():

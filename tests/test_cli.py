@@ -762,6 +762,30 @@ def test_integer_past_the_digit_limit_exits_1(monkeypatch, capsys, tmp_path, fix
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--program", "{program}", "--table", "{bad}"],
+        ["run", "--program", "{program}", "--agent", "replay:{bad}"],
+        ["eval", "--dataset", "{bad}", "--mode", "agent-only"],
+        ["eval", "--dataset", "{dataset}", "--llm-replay", "{bad}"],
+        ["parse", "{program}", "--config", "{bad}"],
+    ],
+    ids=["table", "cassette", "dataset", "llm-replay", "config"],
+)
+def test_deeply_nested_json_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir, program_file, argv):
+    # json.loads raises RecursionError, not a ValueError, when the nesting is too deep.
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    paths = {"bad": bad, "program": program_file, "dataset": fixtures_dir / "dataset.jsonl"}
+    code, out, err = run_main(monkeypatch, capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("solvechart: error: ")
+    assert "JSON" in err
+    assert "Traceback" not in err
+
+
 # -- dispatch ---------------------------------------------------------------
 
 def test_run_command_reports_domain_errors(capsys):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from solvechart.agents.base import AgentAnswer, AgentError
 from solvechart.dsl.nodes import Assignment, Binary, NumberLit, SolutionProgram
 from solvechart.dsl.parser import parse_program
-from solvechart.engine.interpreter import EngineConfig, execute
+from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
 from solvechart.engine.values import (
     EngineError,
     coerce_numeric,
@@ -154,6 +156,39 @@ def test_overflow_is_non_finite_error():
     with pytest.raises(EngineError) as err:
         execute(SolutionProgram((Assignment("answer", Binary("*", big, big)),)), NO_AGENT)
     assert err.value.kind is ErrorKind.NON_FINITE
+
+
+DOUBLING_PROGRAM = 's = "ab"\n' + "s = s + s\n" * 22 + "answer = s\n"  # would end at 2**23 = 8,388,608 characters
+
+
+def test_text_doubling_stops_at_the_bound():
+    tracemalloc.start()
+    try:
+        with pytest.raises(EngineError) as err:
+            run(DOUBLING_PROGRAM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.kind is ErrorKind.TEXT_TOO_LONG
+    assert peak < 1_000_000  # the 8.4M-character text was never built
+
+
+def test_text_bound_falls_back_to_ask():
+    agent = MapAgent({"How long?": "7"})
+    result = run(DOUBLING_PROGRAM, agent, fallback_to_ask=True, question="How long?")
+    assert result.answer == 7.0
+    assert result.fallback_used is True
+    (fallback,) = [step for step in result.trace.steps if step.kind == "fallback"]
+    assert "text-too-long" in fallback.detail
+    assert max(len(step.value) for step in result.trace.steps if isinstance(step.value, str)) <= MAX_TEXT_CHARS
+
+
+def test_text_bound_is_inclusive():
+    half = "a" * (MAX_TEXT_CHARS // 2)
+    assert len(run(f's = "{half}"\nanswer = s + s').answer) == MAX_TEXT_CHARS
+    with pytest.raises(EngineError) as err:
+        run(f's = "{half}"\nanswer = s + s + 1')
+    assert err.value.kind is ErrorKind.TEXT_TOO_LONG
 
 
 def test_unbound_variable():
