@@ -53,9 +53,13 @@ _EXACT_ARITY = {"ASK": 1, "SUBSTEP": 1, "abs": 1, "round": 1}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
+    """Parses `tokens` from index `start`.  On a ParseError, `head` is the
+    index of the first token of the top-level statement that failed."""
+
+    def __init__(self, tokens: list[Token], start: int = 0) -> None:
         self.tokens = tokens
-        self.pos = 0
+        self.pos = start
+        self.head = start
         self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
@@ -106,6 +110,7 @@ class _Parser:
     def parse(self) -> tuple[Statement, ...]:
         statements: list[Statement] = []
         while not self._check(TokenKind.END):
+            self.head = self.pos
             statements.append(self._statement())
         return tuple(statements)
 

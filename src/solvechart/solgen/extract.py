@@ -3,19 +3,28 @@
 Preference order: the first fenced code block; failing that, the longest
 suffix of the text that parses as a non-empty program.  Models often prefix
 an apology or explanation, and the suffix rule cuts it away without guessing
-at formats.
+at formats.  A fence may open with a CRLF line break, and its body loses its
+leading and trailing line breaks, CR or LF.
+
+The suffix search is one scan, linear in the reply: each line is lexed once,
+into one token stream.  Only a suffix whose first line of code has width 0
+can parse, since any other opens with an INDENT; from such a line on, that
+stream is the suffix's own token stream.  A parse from one such line that
+fails resumes after the line on which its failing statement begins.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..dsl import ParseError, parse_program
+from ..dsl import ParseError, SolutionProgram
+from ..dsl.lexer import LineLexer
+from ..dsl.parser import _Parser, make_program
 from ..errors import SolveChartError
 
 __all__ = ["ExtractionError", "extract_program"]
 
-_FENCE_RE = re.compile(r"```[A-Za-z0-9_+-]*[ \t]*\n(.*?)```", re.DOTALL)
+_FENCE_RE = re.compile(r"```[A-Za-z0-9_+-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
 
 
 class ExtractionError(SolveChartError):
@@ -30,18 +39,47 @@ def extract_program(reply: str) -> str:
     at least one statement.  Raises ExtractionError when neither applies.
     The returned text is not guaranteed to parse if it came from a fence.
     """
+    return scan_reply(reply)[0]
+
+
+def scan_reply(reply: str) -> tuple[str, SolutionProgram | None]:
+    """extract_program's text, with the program its suffix parsed to; the
+    program is None for fenced text, which has not been parsed."""
     match = _FENCE_RE.search(reply)
     if match:
-        return match.group(1).strip("\n")
+        return match.group(1).strip("\r\n"), None
     lines = reply.split("\n")
-    for start in range(len(lines)):
-        candidate = "\n".join(lines[start:])
-        if not candidate.strip():
-            break
+    lexer = LineLexer()
+    # (line index, stream index of its first token, first line of its suffix)
+    # for every line of width 0 that a suffix may start on.
+    starts: list[tuple[int, int, int]] = []
+    text_start = 0
+    for index, raw_line in enumerate(lines):
         try:
-            program = parse_program(candidate)
+            head = lexer.line(raw_line, index + 1)
         except ParseError:
+            # Every suffix through this line fails to tokenize.
+            lexer, starts, text_start = LineLexer(), [], index + 1
             continue
-        if program.statements:
-            return candidate
+        if head is None:
+            continue
+        if not raw_line.startswith(" "):
+            starts.append((index, head, text_start))
+        text_start = index + 1
+    tokens = lexer.end(len(lines) + 1)
+    position = 0
+    while position < len(starts):
+        index, head, text_start = starts[position]
+        parser = _Parser(tokens, head)
+        try:
+            program = make_program(parser.parse())
+        except ParseError:
+            # The parser holds no state between top-level statements, so a
+            # start on a later line of width 0, up to the line on which the
+            # failing statement begins, parses into the same failure.
+            failed_line = tokens[parser.head].line
+            while position < len(starts) and starts[position][0] < failed_line:
+                position += 1
+            continue
+        return "\n".join(lines[text_start:]), program
     raise ExtractionError("reply contains no code fence and no parseable suffix")

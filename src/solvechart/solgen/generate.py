@@ -15,7 +15,7 @@ from ..dsl import ParseError, SolutionProgram, parse_program
 from ..dsl.parser import UNASSIGNED_WARNING
 from ..errors import ErrorKind, SolveChartError
 from .client import LlmConfig, chat_completion
-from .extract import ExtractionError, extract_program
+from .extract import ExtractionError, scan_reply
 from .prompt import PromptBundle, build_prompt
 
 __all__ = ["GenerationError", "generate_solution"]
@@ -28,8 +28,9 @@ class GenerationError(SolveChartError):
 def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
     """Extracts, parses, and validates one reply; returns (program, fault)."""
     try:
-        source = extract_program(reply)
-        program = parse_program(source)
+        source, program = scan_reply(reply)
+        if program is None:
+            program = parse_program(source)
     except (ExtractionError, ParseError) as err:
         return None, str(err)
     if UNASSIGNED_WARNING in program.warnings:

@@ -16,7 +16,7 @@ from solvechart.solgen.client import (
     chat_completion,
 )
 from solvechart.solgen.extract import ExtractionError, extract_program
-from solvechart.solgen.generate import GenerationError, generate_solution
+from solvechart.solgen.generate import GenerationError, _try_accept, generate_solution
 from solvechart.solgen.prompt import build_prompt, chart_hints, system_prompt
 
 GOOD_SOURCE = 'first = SUBSTEP("what is the value of Apples in Jan")\nanswer = first'
@@ -104,6 +104,15 @@ def test_extract_suffix_after_prose():
 def test_extract_suffix_takes_longest_parse():
     reply = "x = 1\nanswer = x + 1"
     assert extract_program(reply) == reply
+
+
+@pytest.mark.parametrize("opener", ["```", "```python"])
+def test_extract_crlf_fence(opener):
+    reply = f"{opener}\r\nanswer = 1\r\n```"
+    assert extract_program(reply) == "answer = 1"
+    program, fault = _try_accept(reply)
+    assert fault is None
+    assert program == parse_program("answer = 1")
 
 
 def test_extract_fence_content_returned_even_if_unparseable():
