@@ -60,8 +60,8 @@ _TOKEN_PATTERN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, patter
     ("ERROR", r"."),
 )))
 _ESCAPE_PATTERN = re.compile(r"\\(.)")
-# Pattern group name to token kind: a dict lookup is several times cheaper
-# than TokenKind[name].
+# Token kind by pattern group name (and "KEYWORD"): a dict lookup is several
+# times cheaper than TokenKind[name].
 _KINDS = {kind.name: kind for kind in TokenKind}
 
 
@@ -119,6 +119,8 @@ class LineLexer:
             if width != indents[-1]:
                 raise ParseError("unindent does not match any outer level", line_number, column)
         head = len(tokens)
+        # tuple.__new__ is all that Token(...) calls, without its Python frame.
+        new = tuple.__new__
         for match in _TOKEN_PATTERN.finditer(line, width):
             group = match.lastgroup
             if group == "SPACE" or group == "COMMENT":
@@ -126,13 +128,12 @@ class LineLexer:
             if group == "ERROR" or group == "STRING" and match.group("CLOSE") is None:
                 raise _lex_error(line, match, line_number)
             lexeme = match.group()
-            kind = _KINDS[group]
-            if kind is TokenKind.IDENTIFIER:
+            if group == "IDENTIFIER":
                 if not (lexeme[0].isalpha() or lexeme[0] == "_"):
                     raise _lex_error(line, match, line_number)
                 if lexeme in KEYWORDS:
-                    kind = TokenKind.KEYWORD
-            tokens.append(Token(kind, lexeme, line_number, match.start() + 1))
+                    group = "KEYWORD"
+            tokens.append(new(Token, (_KINDS[group], lexeme, line_number, match.start() + 1)))
         tokens.append(Token(TokenKind.NEWLINE, "\n", line_number, len(line) + 1))
         return head
 
