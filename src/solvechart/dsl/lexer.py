@@ -60,8 +60,8 @@ _TOKEN_PATTERN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, patter
     ("ERROR", r"."),
 )))
 _ESCAPE_PATTERN = re.compile(r"\\(.)")
-# Token kind by pattern group name (and "KEYWORD"): a dict lookup is several
-# times cheaper than TokenKind[name].
+# Token kind by name, looked up by pattern group name or "KEYWORD": a dict
+# lookup is several times cheaper than TokenKind[name].
 _KINDS = {kind.name: kind for kind in TokenKind}
 
 
@@ -79,10 +79,11 @@ def _lex_error(line: str, match: re.Match[str], line_number: int) -> LexError:
 class LineLexer:
     """Lexes text one line at a time into one token stream.
 
-    A line is lexed once, whatever its neighbours: only the INDENT and DEDENT
-    tokens before it depend on the lines above.  After a line of width 0 the
-    indent stack is back to its bottom, so the tokens from that line on are
-    the tokens of the text that starts there.
+    A line's own tokens do not depend on the lines above it; only the INDENT
+    or DEDENTs before them do.  After a line of width 0 the indent stack is
+    back at its bottom, so from that line's first own token on, the stream
+    holds what tokenize gives for the text from that line on, line numbers
+    apart.
     """
 
     def __init__(self) -> None:

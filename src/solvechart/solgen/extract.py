@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from ..dsl import ParseError, SolutionProgram
-from ..dsl.lexer import LineLexer
+from ..dsl.lexer import LineLexer, TokenKind
 from ..dsl.parser import _Parser, make_program
 from ..errors import SolveChartError
 
@@ -50,26 +50,21 @@ def scan_reply(reply: str) -> tuple[str, SolutionProgram | None]:
         return match.group(1).strip("\r\n"), None
     lines = reply.split("\n")
     lexer = LineLexer()
-    # (line index, stream index of its first token, first line of its suffix)
-    # for every line of width 0 that a suffix may start on.
-    starts: list[tuple[int, int, int]] = []
-    text_start = 0
+    floor = 0  # the line after the last one that failed to tokenize
+    heads: list[int] = []  # the stream index of the first token of each line of width 0
     for index, raw_line in enumerate(lines):
         try:
             head = lexer.line(raw_line, index + 1)
         except ParseError:
             # Every suffix through this line fails to tokenize.
-            lexer, starts, text_start = LineLexer(), [], index + 1
+            lexer, floor, heads = LineLexer(), index + 1, []
             continue
-        if head is None:
-            continue
-        if not raw_line.startswith(" "):
-            starts.append((index, head, text_start))
-        text_start = index + 1
+        if head is not None and not raw_line.startswith(" "):
+            heads.append(head)
     tokens = lexer.end(len(lines) + 1)
     position = 0
-    while position < len(starts):
-        index, head, text_start = starts[position]
+    while position < len(heads):
+        head = heads[position]
         parser = _Parser(tokens, head)
         try:
             program = make_program(parser.parse())
@@ -78,8 +73,16 @@ def scan_reply(reply: str) -> tuple[str, SolutionProgram | None]:
             # start on a later line of width 0, up to the line on which the
             # failing statement begins, parses into the same failure.
             failed_line = tokens[parser.head].line
-            while position < len(starts) and starts[position][0] < failed_line:
+            while position < len(heads) and tokens[heads[position]].line <= failed_line:
                 position += 1
             continue
+        # The longest suffix whose code starts here keeps the blank and
+        # comment lines above: it starts at `floor` or right after the
+        # previous line of code, whose NEWLINE precedes this line's DEDENTs
+        # and whose 1-based number is the index of the line after it.
+        previous = head - 1
+        while previous >= 0 and tokens[previous].kind is TokenKind.DEDENT:
+            previous -= 1
+        text_start = tokens[previous].line if previous >= 0 else floor
         return "\n".join(lines[text_start:]), program
     raise ExtractionError("reply contains no code fence and no parseable suffix")

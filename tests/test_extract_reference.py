@@ -85,7 +85,6 @@ def test_extract_matches_reference(reply):
         "x = $\n\n# note\nanswer = 1",
         "if x:\n    answer = 1\nelif y\nanswer = 2",
         "answer = 1\r\nanswer = 2\r\n",
-        "```\r\nanswer = 1\r\n```",
         "```python\r\n\r\nanswer = 1\r\n\r\n```",
         "```\nanswer = 1",
         "",
