@@ -3,13 +3,22 @@
 The agent speaks a one-endpoint protocol: POST {endpoint}/answer with the
 query as JSON, expecting {"answer": "..."} back.  The model client posts
 through post_json too, so both reuse keep-alive connections from one pool.
+
+post_json speaks HTTP/1.1 on the socket itself: the request goes out in one
+write, and the reply is read through one buffer, skipping 1xx replies, with
+http.client's head limits.  Its body ends by Content-Length, by chunked
+encoding or where the server closes the connection.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import select
+import socket
 import threading
 import time
+from functools import cache
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -20,46 +29,203 @@ __all__ = ["HttpAgent", "MAX_BODY_BYTES", "post_json"]
 
 DEFAULT_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 8 * 1024 * 1024  # a longer reply body is BAD_RESPONSE
+_MAX_LINE = 65536  # bytes in one reply head line, line end included (http.client's limit)
+_MAX_HEADERS = 100  # header (or trailer) lines of one head, its closing blank line included (http.client's limit)
+_RECV_BYTES = 65536
 
-# Idle keep-alive connections per (scheme, host, port), shared by all threads:
-# a connection is taken for one request and put back once its reply body was
-# read in full.  http.client is imported on the first post, so a process that
-# never posts never imports it.
-_idle: dict[tuple[str, str, int], list] = {}
+_HEADER_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # an RFC 9110 token
+_TARGET = re.compile(r"[\x21-\x7e]+")  # printable ASCII without spaces
+_STATUS_LINE = re.compile(rb"\s*(HTTP/1\.\S*)\s+([1-9]\d\d)(?:\s.*)?", re.DOTALL)  # version, code 100-999
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+# Idle keep-alive sockets per (scheme, host, port), shared by all threads: a
+# socket is taken for one request and put back once its reply was read in
+# full.  ssl is imported on the first https post only.
+_idle: dict[tuple[str, str, int], list[socket.socket]] = {}
 _idle_lock = threading.Lock()
 
 
-def _is_open(conn) -> bool:
-    """True when an idle connection's peer has not closed it (and sent nothing unasked)."""
-    import socket
+@cache
+def _tls_context():
+    import ssl
 
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    return context
+
+
+def _is_open(sock: socket.socket) -> bool:
+    """True when an idle socket's peer has neither closed it nor sent anything unasked."""
     try:
-        conn.sock.settimeout(0.0)
-        # socket.socket.recv peeks at the raw stream, also beneath TLS (an SSLSocket refuses flags).
-        socket.socket.recv(conn.sock, 1, socket.MSG_PEEK)
-    except BlockingIOError:
-        return True
-    except OSError:
-        pass
-    return False
+        return not select.select([sock], [], [], 0)[0]
+    except (OSError, ValueError):  # ValueError: a descriptor past select's FD_SETSIZE
+        return False
 
 
-def _connection(key: tuple[str, str, int], timeout_s: float):
-    """An idle pooled connection to key that is still open, or a new one."""
+def _connection(key: tuple[str, str, int], timeout_s: float) -> socket.socket:
+    """An idle pooled socket to key that is still open, or a new one."""
     while True:
         with _idle_lock:
             stack = _idle.get(key)
-            conn = stack.pop() if stack else None
-        if conn is None:
-            import http.client
+            sock = stack.pop() if stack else None
+        if sock is None:
+            break
+        if _is_open(sock):
+            sock.settimeout(timeout_s)
+            return sock
+        sock.close()
+    scheme, host, port = key
+    sock = socket.create_connection((host, port), timeout_s)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if scheme == "https":
+            sock = _tls_context().wrap_socket(sock, server_hostname=host)
+    except BaseException:
+        sock.close()
+        raise
+    return sock
 
-            scheme, host, port = key
-            kind = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-            return kind(host, port, timeout=timeout_s)
-        if _is_open(conn):
-            conn.sock.settimeout(timeout_s)
-            return conn
-        conn.close()
+
+def _request(key: tuple[str, str, int], target: str, body: bytes, headers: dict | None) -> bytes:
+    """The whole POST request, head and body, as the bytes to send in one write.
+
+    Raises:
+        ValueError: a target or header that cannot go on the wire as given.
+    """
+    scheme, host, port = key
+    if not _TARGET.fullmatch(target):
+        raise ValueError(f"URL path can't contain control characters or spaces: {target!r}")
+    authority = host if host.isascii() else host.encode("idna").decode("ascii")
+    if ":" in authority:
+        authority = f"[{authority}]"
+    if port != (443 if scheme == "https" else 80):
+        authority = f"{authority}:{port}"
+    fields = {"Host": authority, "Accept-Encoding": "identity", "Content-Type": "application/json",
+              **(headers or {}), "Content-Length": str(len(body))}
+    lines = [f"POST {target} HTTP/1.1"]
+    for name, value in fields.items():
+        if not _HEADER_NAME.fullmatch(name) or "\r" in value or "\n" in value:
+            raise ValueError(f"invalid header {name!r}: {value!r}")
+        lines.append(f"{name}: {value}")
+    lines.append("\r\n")
+    return "\r\n".join(lines).encode("latin-1") + body
+
+
+class _Reader:
+    """Reads one reply from a socket through a single receive buffer.
+
+    A stream that ends early is ConnectionError; a reply that breaks the
+    protocol or the head limits is ValueError.
+    """
+
+    __slots__ = ("sock", "buf", "pos")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock, self.buf, self.pos = sock, b"", 0
+
+    def line(self) -> bytes:
+        """The next line, without its LF or CRLF ending."""
+        while (end := self.buf.find(b"\n", self.pos)) < 0:
+            if len(self.buf) - self.pos >= _MAX_LINE:
+                raise ValueError("reply line too long")
+            data = self.sock.recv(_RECV_BYTES)
+            if not data:
+                raise ConnectionError("remote end closed the connection without a full reply")
+            self.buf, self.pos = self.buf[self.pos:] + data, 0
+        if end - self.pos >= _MAX_LINE:
+            raise ValueError("reply line too long")
+        line, self.pos = self.buf[self.pos:end], end + 1
+        return line[:-1] if line.endswith(b"\r") else line
+
+    def take(self, n: int) -> bytes:
+        """The next n bytes, or fewer when the stream ends first."""
+        first = self.buf[self.pos:self.pos + n]
+        self.pos += len(first)
+        parts, got = [first], len(first)
+        while got < n and (data := self.sock.recv(min(n - got, _RECV_BYTES))):
+            parts.append(data)
+            got += len(data)
+        return b"".join(parts)
+
+    def exactly(self, n: int) -> bytes:
+        """The next n bytes; ConnectionError when the stream ends first."""
+        data = self.take(n)
+        if len(data) < n:
+            raise ConnectionError("remote end closed the connection inside the reply body")
+        return data
+
+    def fields(self) -> dict[bytes, bytes]:
+        """Header (or trailer) lines up to the blank line: lowercased name -> first value."""
+        found: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADERS):
+            line = self.line()
+            if not line:
+                return found
+            name, colon, value = line.partition(b":")
+            if not colon:
+                raise ValueError(f"malformed header line {line[:80]!r}")
+            found.setdefault(name.strip().lower(), value.strip())
+        raise ValueError(f"got more than {_MAX_HEADERS} headers")
+
+    def status(self) -> tuple[bytes, int]:
+        """The next status line's version and code."""
+        line = self.line()
+        if not (match := _STATUS_LINE.fullmatch(line)):
+            raise ValueError(f"malformed status line {line[:80]!r}")
+        return match[1], int(match[2])
+
+    def chunked(self) -> tuple[bytes, bool]:
+        """A chunked body capped at MAX_BODY_BYTES + 1 bytes, and whether it was read to its end."""
+        parts, size = [], 0
+        while True:
+            text = self.line().split(b";", 1)[0].strip()
+            if not _CHUNK_SIZE.fullmatch(text):
+                raise ValueError(f"malformed chunk size {text[:80]!r}")
+            n = int(text, 16)
+            if n == 0:
+                self.fields()  # the trailer
+                return b"".join(parts), True
+            if size + n > MAX_BODY_BYTES:
+                parts.append(self.exactly(MAX_BODY_BYTES + 1 - size))
+                return b"".join(parts), False
+            parts.append(self.exactly(n))
+            size += n
+            if self.line():
+                raise ValueError("chunk data not followed by a line end")
+
+
+def _exchange(sock: socket.socket, request: bytes) -> tuple[int, bytes, bool]:
+    """Sends request and reads its reply: (status, body, whether sock may be reused).
+
+    The body is capped at MAX_BODY_BYTES + 1 bytes, and a longer one leaves
+    sock unfit for reuse.  1xx replies before the final one are skipped.
+    """
+    sock.sendall(request)
+    reader = _Reader(sock)
+    version, status = reader.status()
+    while status < 200:
+        reader.fields()
+        version, status = reader.status()
+    headers = reader.fields()
+    delimited = True
+    if status in (204, 304):
+        body = b""
+    elif headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        body, delimited = reader.chunked()
+    elif (length := headers.get(b"content-length")) is not None:
+        if not length.isdigit():
+            raise ValueError(f"malformed Content-Length {length[:80]!r}")
+        size = int(length)
+        delimited = size <= MAX_BODY_BYTES
+        body = reader.exactly(min(size, MAX_BODY_BYTES + 1))
+    else:  # the body ends where the server closes the connection
+        body = reader.take(MAX_BODY_BYTES + 1)
+        delimited = False
+    reusable = (
+        delimited and version == b"HTTP/1.1" and b"close" not in headers.get(b"connection", b"").lower()
+        and reader.pos == len(reader.buf)
+    )
+    return status, body, reusable
 
 
 def post_json(
@@ -70,38 +236,35 @@ def post_json(
 
     Raises:
         error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
-            bad URLs, connection failures or non-200 statuses, BAD_RESPONSE
-            when the body is not JSON or is over MAX_BODY_BYTES.
+            bad URLs, connection failures, malformed replies or non-200
+            statuses, BAD_RESPONSE when the body is not JSON or is over
+            MAX_BODY_BYTES.
     """
-    import http.client
-
     url = endpoint.rstrip("/") + path
-    conn = None
+    sock = None
     try:
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError("not an http(s) URL")
         key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        conn = _connection(key, timeout_s)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        conn.request("POST", target, body, {"Content-Type": "application/json", **(headers or {})})
-        response = conn.getresponse()
-        data = response.read(MAX_BODY_BYTES + 1)
-    # ValueError: a bad port, a NaN in the payload, or a header http.client refuses.
-    except (OSError, http.client.HTTPException, ValueError) as err:
-        if conn is not None:
-            conn.close()
+        request = _request(key, target, json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
+        sock = _connection(key, timeout_s)
+        status, data, reusable = _exchange(sock, request)
+    # ValueError: a bad port, a NaN in the payload, a refused header or a malformed reply.
+    except (OSError, ValueError) as err:
+        if sock is not None:
+            sock.close()
         if isinstance(err, TimeoutError):
             raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
         raise error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT) from err
-    if response.status == 200 and response.isclosed() and not response.will_close:
+    if reusable:
         with _idle_lock:
-            _idle.setdefault(key, []).append(conn)
+            _idle.setdefault(key, []).append(sock)
     else:
-        conn.close()
-    if response.status != 200:
-        raise error(f"{url} returned HTTP {response.status}", ErrorKind.TRANSPORT)
+        sock.close()
+    if status != 200:
+        raise error(f"{url} returned HTTP {status}", ErrorKind.TRANSPORT)
     if len(data) > MAX_BODY_BYTES:
         raise error(f"{url} sent a body over {MAX_BODY_BYTES} bytes", ErrorKind.BAD_RESPONSE)
     try:

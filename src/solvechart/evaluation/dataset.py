@@ -60,6 +60,7 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
     base_dir = dataset_path.parent
     items: list[EvalItem] = []
     seen: set[str] = set()
+    resolved_paths: dict[str, str] = {}  # raw table_path -> resolved; datasets repeat a few tables
     data = dataset_path.read_bytes()
     try:
         text = data.decode("utf-8")
@@ -90,10 +91,10 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
             if table_path is not None:
                 if not isinstance(table_path, str):
                     raise DatasetFormatError("key 'table_path' must be a string", lineno)
-                resolved = Path(table_path)
-                if not resolved.is_absolute():
-                    resolved = base_dir / resolved
-                table_path = str(resolved)
+                if (resolved := resolved_paths.get(table_path)) is None:
+                    # joining an absolute path to base_dir yields that path unchanged
+                    resolved = resolved_paths[table_path] = str(base_dir / table_path)
+                table_path = resolved
             try:
                 items.append(
                     EvalItem(

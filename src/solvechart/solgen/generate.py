@@ -18,7 +18,9 @@ from .client import LlmConfig, chat_completion
 from .extract import ExtractionError, scan_reply
 from .prompt import PromptBundle, build_prompt
 
-__all__ = ["GenerationError", "generate_solution"]
+__all__ = ["GenerationError", "MAX_REPLY_CHARS", "generate_solution"]
+
+MAX_REPLY_CHARS = 100_000  # a longer reply is refused before it is lexed
 
 
 class GenerationError(SolveChartError):
@@ -27,6 +29,8 @@ class GenerationError(SolveChartError):
 
 def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
     """Extracts, parses, and validates one reply; returns (program, fault)."""
+    if len(reply) > MAX_REPLY_CHARS:
+        return None, f"reply is {len(reply)} characters, over {MAX_REPLY_CHARS}"
     try:
         source, program = scan_reply(reply)
         if program is None:

@@ -529,10 +529,17 @@ def _run_with_src(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_http_client_is_imported_only_when_a_backend_posts():
-    probe = "import sys, solvechart.agents, solvechart.evaluation, solvechart.solgen; print('http.client' in sys.modules)"
-    result = _run_with_src(probe)
+    # post_json speaks HTTP/1.1 itself, so neither module is imported, not even by an http post.
+    probe = (
+        "import sys, solvechart.agents, solvechart.evaluation, solvechart.solgen\n"
+        "print(sorted(name for name in ('http.client', 'ssl') if name in sys.modules))\n"
+        "print(solvechart.agents.HttpAgent(sys.argv[1]).answer(solvechart.agents.AgentQuery('q', 'c', 'ASK')).answer)\n"
+        "print(sorted(name for name in ('http.client', 'ssl') if name in sys.modules))\n"
+    )
+    with json_server(lambda path, body: {"answer": "50"}) as (_, url):
+        result = _run_with_src(probe, url)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split("\n")[:3] == ["[]", "50", "[]"]
 
 
 def test_recording_through_http_imports_neither_requests_nor_urllib3(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -16,7 +17,7 @@ from solvechart.solgen.client import (
     chat_completion,
 )
 from solvechart.solgen.extract import ExtractionError, extract_program
-from solvechart.solgen.generate import GenerationError, _try_accept, generate_solution
+from solvechart.solgen.generate import MAX_REPLY_CHARS, GenerationError, _try_accept, generate_solution
 from solvechart.solgen.prompt import build_prompt, chart_hints, system_prompt
 
 GOOD_SOURCE = 'first = SUBSTEP("what is the value of Apples in Jan")\nanswer = first'
@@ -306,6 +307,26 @@ def test_generate_cassette_accepts_program_with_unreachable_statement():
     program = generate_solution("q", cassette, chart_id="c1")
     assert program.warnings == ("unreachable statements after an unconditional 'answer' assignment",)
     assert format_program(program) == "answer = 1\nx = 2\n"
+
+
+def test_million_statement_reply_is_refused_before_lexing():
+    reply = "Here is the program:\n" + "x = 1\n" * 1_000_000 + "answer = x\n"
+    cassette = Cassette.empty()
+    cassette.append("c1", "q", reply)
+    started = time.perf_counter()
+    with pytest.raises(GenerationError) as excinfo:
+        generate_solution("q", cassette, chart_id="c1")
+    assert time.perf_counter() - started < 0.5
+    assert excinfo.value.kind is ErrorKind.INVALID_PROGRAM
+    assert f"over {MAX_REPLY_CHARS}" in str(excinfo.value)
+
+
+def test_reply_bound_is_inclusive():
+    program_text = "answer = 1\n"
+    padded = program_text + "#" * (MAX_REPLY_CHARS - len(program_text))
+    program, fault = _try_accept(padded)
+    assert fault is None and format_program(program) == program_text
+    assert _try_accept(padded + "\n") == (None, f"reply is {MAX_REPLY_CHARS + 1} characters, over {MAX_REPLY_CHARS}")
 
 
 # -- live generation --------------------------------------------------------
