@@ -6,8 +6,9 @@ through post_json too, so both reuse keep-alive connections from one pool.
 
 post_json speaks HTTP/1.1 on the socket itself: the request goes out in one
 write, and the reply is read through one buffer, skipping 1xx replies, with
-http.client's head limits.  Its body ends by Content-Length, by chunked
-encoding or where the server closes the connection.
+the head limits of the standard library's HTTP client.  Its body ends by
+Content-Length, by chunked encoding or where the server closes the
+connection.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ __all__ = ["HttpAgent", "MAX_BODY_BYTES", "post_json"]
 
 DEFAULT_TIMEOUT_S = 30.0
 MAX_BODY_BYTES = 8 * 1024 * 1024  # a longer reply body is BAD_RESPONSE
-_MAX_LINE = 65536  # bytes in one reply head line, line end included (http.client's limit)
-_MAX_HEADERS = 100  # header (or trailer) lines of one head, its closing blank line included (http.client's limit)
+_MAX_LINE = 65536  # bytes in one reply head line, line end included (the stdlib client's limit)
+_MAX_HEADERS = 100  # header (or trailer) lines of one head, its closing blank line included (the stdlib client's limit)
 _RECV_BYTES = 65536
 
 _HEADER_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # an RFC 9110 token
