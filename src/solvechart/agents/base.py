@@ -9,11 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol
 
+from ..dsl.nodes import AGENT_CALLEES
 from ..errors import ErrorKind, SolveChartError
 
 __all__ = ["AgentAnswer", "AgentError", "AgentHandle", "AgentQuery"]
-
-OPERATORS = frozenset({"ASK", "SUBSTEP"})
 
 
 class AgentError(SolveChartError):
@@ -30,7 +29,7 @@ class AgentQuery:
         # The operator is set by code, so a bad one is a programming error.
         # The question comes from a model or a dataset, so a blank one is an
         # agent failure that the engine's fallback and the harness handle.
-        if self.operator not in OPERATORS:
+        if self.operator not in AGENT_CALLEES:
             raise ValueError(f"unknown operator {self.operator!r}")
         if not self.question.strip():
             raise AgentError("question must be non-empty", ErrorKind.UNANSWERABLE)

@@ -39,10 +39,13 @@ _TARGET = re.compile(r"[\x21-\x7e]+")  # printable ASCII without spaces
 _STATUS_LINE = re.compile(rb"\s*(HTTP/1\.\S*)\s+([1-9]\d\d)(?:\s.*)?", re.DOTALL)  # version, code 100-999
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 
-# Idle keep-alive sockets per (scheme, host, port), shared by all threads: a
-# socket is taken for one request and put back once its reply was read in
-# full.  ssl is imported on the first https post only.
-_idle: dict[tuple[str, str, int], list[socket.socket]] = {}
+# Idle keep-alive sockets with their (scheme, host, port), oldest first,
+# shared by all threads: a socket is taken for one request and put back once
+# its reply was read in full.  One put back past _MAX_IDLE closes the oldest,
+# so no dead endpoint's socket is held for good.  ssl is imported on the
+# first https post only.
+_MAX_IDLE = 16
+_idle: list[tuple[tuple[str, str, int], socket.socket]] = []
 _idle_lock = threading.Lock()
 
 
@@ -64,11 +67,11 @@ def _is_open(sock: socket.socket) -> bool:
 
 
 def _connection(key: tuple[str, str, int], timeout_s: float) -> socket.socket:
-    """An idle pooled socket to key that is still open, or a new one."""
+    """The newest idle pooled socket to key that is still open, or a new one."""
     while True:
         with _idle_lock:
-            stack = _idle.get(key)
-            sock = stack.pop() if stack else None
+            keyed = [index for index, (idle_key, _) in enumerate(_idle) if idle_key == key]
+            sock = _idle.pop(keyed[-1])[1] if keyed else None
         if sock is None:
             break
         if _is_open(sock):
@@ -261,8 +264,10 @@ def post_json(
         raise error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT) from err
     if reusable:
         with _idle_lock:
-            _idle.setdefault(key, []).append(sock)
-    else:
+            _idle.append((key, sock))
+            # Past the limit, the oldest idle socket is closed in this one's place.
+            sock = _idle.pop(0)[1] if len(_idle) > _MAX_IDLE else None
+    if sock is not None:
         sock.close()
     if status != 200:
         raise error(f"{url} returned HTTP {status}", ErrorKind.TRANSPORT)

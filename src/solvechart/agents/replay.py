@@ -34,9 +34,9 @@ class Cassette:
 
     Appends are serialized with a lock; on duplicate keys the latest entry
     wins, so re-recording a question overrides the earlier answer.  After
-    every append the file reads exactly as save() writes it: the first append
-    saves the whole cassette atomically, each later one rewrites only the
-    closing bracket with the new entry and a new bracket.
+    every append the file holds the whole cassette as an indented JSON array:
+    the first append writes the whole file atomically, each later one
+    rewrites only the closing bracket with the new entry and a new bracket.
     """
 
     def __init__(self, entries: list[dict] | None = None, path: str | Path | None = None) -> None:
@@ -44,7 +44,7 @@ class Cassette:
         self.entries: list[dict] = []
         self._index: dict[tuple[str, str], str] = {}
         self._lock = threading.Lock()
-        self._file_current = False  # path holds save()'s text for self.entries
+        self._file_current = False  # path holds self.entries as append writes them
         for entry in entries or []:
             self._admit(entry)
 
@@ -86,29 +86,19 @@ class Cassette:
             self._admit({"chart_id": chart_id, "question": question, "answer": answer})
             if self.path is None:
                 return
-            if not self._file_current:
-                self.save()
-                self._file_current = True
-                return
-            # The file ends "\n]\n"; put the entry, indented as save() indents it, in its place.
-            entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
-            self._file_current = False  # until the tail is written in full
             try:
-                with open(self.path, "r+b") as handle:
-                    handle.seek(-3, os.SEEK_END)
-                    handle.write(f",\n  {entry}\n]\n".encode("utf-8"))
+                if not self._file_current:
+                    write_text_atomic(self.path, json.dumps(self.entries, indent=2) + "\n")
+                else:
+                    # The file ends "\n]\n"; put the entry, indented as the whole file is, in its place.
+                    entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
+                    self._file_current = False  # until the tail is written in full
+                    with open(self.path, "r+b") as handle:
+                        handle.seek(-3, os.SEEK_END)
+                        handle.write(f",\n  {entry}\n]\n".encode("utf-8"))
             except OSError as err:
                 raise SolveChartError(f"cannot write {self.path}: {err.strerror or err}") from err
             self._file_current = True
-
-    def save(self, path: str | Path | None = None) -> None:
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ValueError("cassette has no backing path")
-        try:
-            write_text_atomic(target, json.dumps(self.entries, indent=2) + "\n")
-        except OSError as err:
-            raise SolveChartError(f"cannot write {target}: {err.strerror or err}") from err
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import AlignParams, AttentionLayerParams, FuseParams, MlpParams, PatchGrid, QueryEmbedding
+from .types import DEFAULT_TOP_K, AlignParams, AttentionLayerParams, FuseParams, MlpParams, PatchGrid, QueryEmbedding
 
 __all__ = ["make_grid", "make_params", "make_query"]
+
+DEFAULT_LAYERS = 2  # intra-cluster attention layers
 
 
 def make_grid(rows: int, cols: int, dim: int, seed: int, centers: int = 4, noise: float = 0.08) -> PatchGrid:
@@ -34,8 +36,8 @@ def make_query(dim: int, seed: int) -> QueryEmbedding:
 def make_params(
     dim: int,
     seed: int,
-    layers: int = 2,
-    top_k: int = 5,
+    layers: int = DEFAULT_LAYERS,
+    top_k: int = DEFAULT_TOP_K,
     annotation_boost: float = 1.0,
     prop_threshold: float = 0.5,
 ) -> AlignParams:

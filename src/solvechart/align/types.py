@@ -28,6 +28,8 @@ __all__ = [
     "ShapeMismatch",
 ]
 
+DEFAULT_TOP_K = 5  # patches marked by cross-cluster annotation
+
 
 class ShapeMismatch(SolveChartError):
     """Array dimensions disagree with the declared grid or parameters."""
@@ -214,7 +216,7 @@ class AlignParams:
     mlp: MlpParams
     attention: tuple[AttentionLayerParams, ...]
     fuse: FuseParams
-    top_k: int = 5
+    top_k: int = DEFAULT_TOP_K
     annotation_boost: float = 1.0
     prop_threshold: float = 0.5
 

@@ -39,7 +39,8 @@ from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
 from .align.invariants import check_bundle
 from .align.pipeline import PipelineConfig, run_alignment_pipeline
 from .align.principles import DEFAULT_PROXIMITY_RADIUS
-from .align.synthetic import make_grid, make_params, make_query
+from .align.synthetic import DEFAULT_LAYERS, make_grid, make_params, make_query
+from .align.types import DEFAULT_TOP_K
 from .atomic import write_text_atomic
 from .dsl.formatter import format_program
 from .dsl.nodes import SolutionProgram
@@ -180,8 +181,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
     p_align.add_argument("--dim", type=positive_int, default=16, help="embedding dimension")
     p_align.add_argument("--seed", type=int, default=0, help="seed for patches, query and parameters")
-    p_align.add_argument("--layers", type=int, default=2, help="intra-cluster attention layers")
-    p_align.add_argument("--top-k", type=int, default=5, help="patches marked by cross-cluster annotation")
+    p_align.add_argument("--layers", type=int, default=DEFAULT_LAYERS, help="intra-cluster attention layers")
+    p_align.add_argument("--top-k", type=int, default=DEFAULT_TOP_K, help="patches marked by cross-cluster annotation")
     p_align.add_argument("--linkage-threshold", type=float, default=DEFAULT_LINKAGE_THRESHOLD,
                          help="stop merging clusters farther apart than this")
     p_align.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="maximum cluster count")

@@ -31,10 +31,11 @@ __all__ = [
     "Unary",
 ]
 
-# The callable surface is closed: two agent operators plus five builtins.
-AGENT_CALLEES = frozenset({"ASK", "SUBSTEP"})
-BUILTIN_CALLEES = frozenset({"abs", "min", "max", "sum", "round"})
-CALLEES = AGENT_CALLEES | BUILTIN_CALLEES
+# The closed callable surface: each callee's argument count, None for a variadic
+# one (at least one argument).  Agent operators are spelled in capitals.
+CALLEES = {"ASK": 1, "SUBSTEP": 1, "abs": 1, "round": 1, "min": None, "max": None, "sum": None}
+AGENT_CALLEES = frozenset(filter(str.isupper, CALLEES))
+BUILTIN_CALLEES = frozenset(CALLEES) - AGENT_CALLEES
 
 ANSWER_VARIABLE = "answer"
 

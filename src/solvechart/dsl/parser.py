@@ -12,6 +12,11 @@ Grammar sketch (layout tokens come from the lexer):
 
 Calls are restricted to a closed callee set; anything else is a parse error,
 not a runtime one.
+
+A token with a fixed spelling (an operator, a keyword or NEWLINE) is tested
+by its lexeme alone: no other token has one of theirs, as a string's lexeme
+keeps its quotes and an identifier is never a keyword.  Kinds are tested only
+for identifiers, literals and the lexeme-less INDENT, DEDENT and END.
 """
 
 from __future__ import annotations
@@ -48,9 +53,6 @@ __all__ = ["MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "make_program"]
 # recurse on the tree, so this keeps them well inside Python's recursion limit.
 MAX_DEPTH = 100
 
-# Builtins with a fixed argument count; the variadic ones need at least one.
-_EXACT_ARITY = {"ASK": 1, "SUBSTEP": 1, "abs": 1, "round": 1}
-
 
 class _Parser:
     """Parses `tokens` from index `start`.  On a ParseError, `head` is the
@@ -64,37 +66,28 @@ class _Parser:
 
     # -- token plumbing -----------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def _advance(self) -> Token:
+    def _take(self, lexeme: str) -> Token | None:
+        """Consumes and returns the current token if it is spelled `lexeme`."""
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.END:
-            self.pos += 1
+        if token.lexeme != lexeme:
+            return None
+        self.pos += 1
         return token
 
-    def _check(self, kind: TokenKind, lexeme: str | None = None) -> bool:
-        token = self._peek()
-        if token.kind is not kind:
-            return False
-        return lexeme is None or token.lexeme == lexeme
-
-    def _match(self, kind: TokenKind, lexeme: str | None = None) -> Token | None:
-        if self._check(kind, lexeme):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: TokenKind, lexeme: str | None = None, what: str | None = None) -> Token:
-        token = self._peek()
-        if self._check(kind, lexeme):
-            return self._advance()
-        wanted = what or (lexeme if lexeme is not None else kind.value)
-        found = token.lexeme or token.kind.value
-        raise ParseError(f"expected {wanted}, found {found!r}", token.line, token.column)
+    def _expect(self, lexeme: str, what: str | None = None) -> Token:
+        """Consumes and returns the current token, which must be spelled `lexeme`."""
+        token = self._take(lexeme)
+        if token is None:
+            raise self._unexpected(what or lexeme)
+        return token
 
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
+        token = self.tokens[self.pos]
         return ParseError(message, token.line, token.column)
+
+    def _unexpected(self, what: str) -> ParseError:
+        token = self.tokens[self.pos]
+        return self._error(f"expected {what}, found {token.lexeme or token.kind.value!r}")
 
     def _check_depth(self, token: Token, levels: int) -> None:
         if levels > MAX_DEPTH:
@@ -109,47 +102,49 @@ class _Parser:
 
     def parse(self) -> tuple[Statement, ...]:
         statements: list[Statement] = []
-        while not self._check(TokenKind.END):
+        while self.tokens[self.pos].kind is not TokenKind.END:
             self.head = self.pos
             statements.append(self._statement())
         return tuple(statements)
 
     def _statement(self) -> Statement:
-        if self._check(TokenKind.KEYWORD, "if"):
+        token = self.tokens[self.pos]
+        if token.lexeme == "if":
             return self._if_statement()
-        if self._check(TokenKind.IDENTIFIER):
-            name = self._advance()
-            self._expect(TokenKind.OPERATOR, "=")
-            expr, _ = self._expression()
-            self._expect(TokenKind.NEWLINE, what="end of line")
-            return Assignment(name.lexeme, expr)
-        raise self._error("expected a statement")
+        if token.kind is not TokenKind.IDENTIFIER:
+            raise self._error("expected a statement")
+        self.pos += 1
+        self._expect("=")
+        expr, _ = self._expression()
+        self._expect("\n", "end of line")
+        return Assignment(token.lexeme, expr)
 
     def _if_statement(self) -> If:
-        self._enter(self._expect(TokenKind.KEYWORD, "if"))
+        self._enter(self._expect("if"))
         branches = [(self._expression_then_colon(), self._block())]
-        while self._check(TokenKind.KEYWORD, "elif"):
-            self._advance()
+        while self._take("elif"):
             branches.append((self._expression_then_colon(), self._block()))
         else_body = None
-        if self._match(TokenKind.KEYWORD, "else"):
-            self._expect(TokenKind.OPERATOR, ":")
+        if self._take("else"):
+            self._expect(":")
             else_body = self._block()
         self.depth -= 1
         return If(tuple(branches), else_body)
 
     def _expression_then_colon(self) -> Expression:
         condition, _ = self._expression()
-        self._expect(TokenKind.OPERATOR, ":")
+        self._expect(":")
         return condition
 
     def _block(self) -> tuple[Statement, ...]:
-        self._expect(TokenKind.NEWLINE, what="end of line")
-        self._expect(TokenKind.INDENT, what="an indented block")
+        self._expect("\n", "end of line")
+        if self.tokens[self.pos].kind is not TokenKind.INDENT:
+            raise self._unexpected("an indented block")
+        self.pos += 1
         statements = [self._statement()]
-        while not self._check(TokenKind.DEDENT):
+        while self.tokens[self.pos].kind is not TokenKind.DEDENT:
             statements.append(self._statement())
-        self._advance()
+        self.pos += 1
         return tuple(statements)
 
     # -- expressions --------------------------------------------------------
@@ -161,16 +156,13 @@ class _Parser:
     # operand is built, so its level is checked from the height it builds.
 
     def _expression(self, minimum: int = 0) -> tuple[Expression, int]:
-        """Precedence climbing: one expression whose operators bind at least `minimum`.
-
-        Operators are looked up by lexeme alone: no other token has one of
-        theirs, as a string's lexeme keeps its quotes and a keyword is never
-        an identifier.
-        """
-        token = self._peek()
+        """Precedence climbing: one expression whose operators bind at least `minimum`."""
+        tokens = self.tokens
+        token = tokens[self.pos]
         prefix = UNARY_PRECEDENCE.get(token.lexeme)
         if prefix is not None and prefix >= minimum:
-            self._enter(self._advance())
+            self.pos += 1
+            self._enter(token)
             operand, height = self._expression(prefix)
             self.depth -= 1
             left: Expression = Unary(token.lexeme, operand)
@@ -178,10 +170,11 @@ class _Parser:
         else:
             left, height = self._atom()
         while True:
-            precedence = BINARY_PRECEDENCE.get(self._peek().lexeme)
+            op = tokens[self.pos]
+            precedence = BINARY_PRECEDENCE.get(op.lexeme)
             if precedence is None or precedence < minimum:
                 break
-            op = self._advance()
+            self.pos += 1
             self._enter(op)
             right, right_height = self._expression(precedence + 1)
             self.depth -= 1
@@ -191,62 +184,66 @@ class _Parser:
         return left, height
 
     def _atom(self) -> tuple[Expression, int]:
-        token = self._peek()
-        if token.kind is TokenKind.NUMBER:
-            value = float(token.lexeme)
+        token = self.tokens[self.pos]
+        kind, lexeme = token.kind, token.lexeme
+        if kind is TokenKind.NUMBER:
+            value = float(lexeme)
             if not math.isfinite(value):
                 raise self._error("number literal is too large")
-            self._advance()
+            self.pos += 1
             return NumberLit(value), 0
-        if token.kind is TokenKind.STRING:
-            self._advance()
-            return StringLit(decode_string(token.lexeme)), 0
-        if token.kind is TokenKind.KEYWORD and token.lexeme in ("True", "False"):
-            self._advance()
-            return BoolLit(token.lexeme == "True"), 0
-        if token.kind is TokenKind.IDENTIFIER:
-            self._advance()
-            if self._check(TokenKind.OPERATOR, "("):
+        if kind is TokenKind.STRING:
+            self.pos += 1
+            return StringLit(decode_string(lexeme)), 0
+        if kind is TokenKind.IDENTIFIER:
+            self.pos += 1
+            if self.tokens[self.pos].lexeme == "(":
                 return self._call(token)
-            return Identifier(token.lexeme), 0
-        if self._check(TokenKind.OPERATOR, "("):
-            self._enter(self._advance())
+            return Identifier(lexeme), 0
+        if lexeme == "True" or lexeme == "False":
+            self.pos += 1
+            return BoolLit(lexeme == "True"), 0
+        if lexeme == "(":
+            self.pos += 1
+            self._enter(token)
             inner, height = self._expression()
-            self._expect(TokenKind.OPERATOR, ")")
+            self._expect(")")
             self.depth -= 1
             return inner, height + 1
-        if self._check(TokenKind.OPERATOR, "["):
-            items, height = self._sequence(self._advance(), "]")
+        if lexeme == "[":
+            self.pos += 1
+            items, height = self._sequence(token, "]")
             return ListLit(items), height
-        raise self._error(f"expected an expression, found {token.lexeme or token.kind.value!r}")
+        raise self._unexpected("an expression")
 
     def _call(self, name: Token) -> tuple[Expression, int]:
-        if name.lexeme not in CALLEES:
-            raise ParseError(f"unknown callee {name.lexeme!r}", name.line, name.column)
-        args, height = self._sequence(self._expect(TokenKind.OPERATOR, "("), ")")
-        exact = _EXACT_ARITY.get(name.lexeme)
-        if exact is not None and len(args) != exact:
+        callee = name.lexeme
+        if callee not in CALLEES:
+            raise ParseError(f"unknown callee {callee!r}", name.line, name.column)
+        args, height = self._sequence(self._expect("("), ")")
+        arity = CALLEES[callee]
+        if arity is None and not args:
+            raise ParseError(f"{callee} needs at least one argument", name.line, name.column)
+        if arity is not None and len(args) != arity:
             raise ParseError(
-                f"{name.lexeme} takes exactly {exact} argument{'s' if exact != 1 else ''}, got {len(args)}",
+                f"{callee} takes exactly {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
                 name.line, name.column,
             )
-        if exact is None and not args:
-            raise ParseError(f"{name.lexeme} needs at least one argument", name.line, name.column)
-        return Call(name.lexeme, args), height
+        return Call(callee, args), height
 
     def _sequence(self, opener: Token, closer: str) -> tuple[tuple[Expression, ...], int]:
         """The comma-separated expressions after `opener`, through `closer`."""
         self._enter(opener)
         items: list[Expression] = []
         height = 0
-        if not self._check(TokenKind.OPERATOR, closer):
+        if self.tokens[self.pos].lexeme != closer:
             while True:
                 item, item_height = self._expression()
                 items.append(item)
                 height = max(height, item_height)
-                if not self._match(TokenKind.OPERATOR, ","):
+                if not self._take(","):
                     break
-        self._expect(TokenKind.OPERATOR, closer)
+        self._expect(closer)
         self.depth -= 1
         return tuple(items), height + 1
 
@@ -254,39 +251,30 @@ class _Parser:
 # -- validation --------------------------------------------------------------
 
 UNASSIGNED_WARNING = f"program may finish without assigning '{ANSWER_VARIABLE}'"
+_UNREACHABLE_WARNING = f"unreachable statements after an unconditional '{ANSWER_VARIABLE}' assignment"
 
 
-def _always_assigns_answer(statements: tuple[Statement, ...]) -> bool:
-    for stmt in statements:
-        if isinstance(stmt, Assignment):
-            if stmt.target == ANSWER_VARIABLE:
-                return True
-        elif isinstance(stmt, If) and stmt.else_body is not None:
-            all_arms = all(_always_assigns_answer(body) for _, body in stmt.branches)
-            if all_arms and _always_assigns_answer(stmt.else_body):
-                return True
-    return False
-
-
-def _validate(statements: tuple[Statement, ...]) -> tuple[str, ...]:
-    warnings: list[str] = []
-    if not _always_assigns_answer(statements):
-        warnings.append(UNASSIGNED_WARNING)
-    settled = False
-    for stmt in statements:
-        if settled:
-            warnings.append(f"unreachable statements after an unconditional '{ANSWER_VARIABLE}' assignment")
-            break
-        if isinstance(stmt, Assignment):
-            settled = stmt.target == ANSWER_VARIABLE
-        else:
-            settled = _always_assigns_answer((stmt,))
-    return tuple(warnings)
+def _assigns_answer(stmt: Statement) -> bool:
+    """Whether every path through `stmt` assigns the answer variable."""
+    if isinstance(stmt, Assignment):
+        return stmt.target == ANSWER_VARIABLE
+    if stmt.else_body is None:
+        return False
+    bodies = [body for _, body in stmt.branches] + [stmt.else_body]
+    return all(any(map(_assigns_answer, body)) for body in bodies)
 
 
 def make_program(statements: tuple[Statement, ...]) -> SolutionProgram:
-    """Builds a program from statements, deriving its warnings."""
-    return SolutionProgram(statements, warnings=_validate(statements))
+    """Builds a program from statements, deriving its warnings.
+
+    The first top-level statement that always assigns the answer variable
+    settles both warnings: without one, the program may finish unassigned,
+    and any statement after it is unreachable.
+    """
+    for index, stmt in enumerate(statements, 1):
+        if _assigns_answer(stmt):
+            return SolutionProgram(statements, warnings=(_UNREACHABLE_WARNING,) if index < len(statements) else ())
+    return SolutionProgram(statements, warnings=(UNASSIGNED_WARNING,))
 
 
 def parse_program(source: str) -> SolutionProgram:

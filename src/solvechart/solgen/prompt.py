@@ -8,6 +8,7 @@ identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from ..agents.table import ChartTable
@@ -21,8 +22,9 @@ class PromptBundle:
     user: str
 
 
+@cache
 def system_prompt() -> str:
-    """Loads the packaged system prompt asset."""
+    """The packaged system prompt asset, read once per process."""
     return (resources.files("solvechart.solgen") / "assets" / "system_prompt.txt").read_text(
         encoding="utf-8"
     )

@@ -16,7 +16,7 @@ from solvechart.dsl.nodes import (
     StringLit,
     Unary,
 )
-from solvechart.dsl.parser import MAX_DEPTH, parse_program
+from solvechart.dsl.parser import MAX_DEPTH, UNASSIGNED_WARNING, parse_program
 from solvechart.engine.interpreter import execute
 
 
@@ -60,6 +60,9 @@ def test_agent_call_arity_enforced():
         parse_program("x = round()")
     with pytest.raises(ParseError):
         parse_program("x = min()")
+    for callee in ("ASK", "SUBSTEP", "abs", "round"):
+        with pytest.raises(ParseError, match=f"{callee} takes exactly 1 argument, got 2"):
+            parse_program(f'x = {callee}("a", "b")')
 
 
 def test_min_accepts_one_or_more_args():
@@ -142,6 +145,15 @@ def test_if_without_else_warns_about_answer():
     source = "a = 1\nif a > 0:\n    answer = 1\n"
     program = parse_program(source)
     assert any("answer" in warning for warning in program.warnings)
+
+
+@pytest.mark.parametrize("missing", range(3))
+def test_every_arm_must_assign_answer(missing):
+    bodies = ["answer = 1"] * 3
+    bodies[missing] = "x = 1"
+    source = f"a = 1\nif a > 0:\n    {bodies[0]}\nelif a < 0:\n    {bodies[1]}\nelse:\n    {bodies[2]}\n"
+    assert parse_program(source).warnings == (UNASSIGNED_WARNING,)
+    assert parse_program(source.replace("x = 1", "answer = 2")).warnings == ()
 
 
 def test_dead_code_after_answer_warns():

@@ -12,7 +12,7 @@ import io
 import json
 import socket
 import threading
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -77,8 +77,10 @@ def canned_server(replies: list[tuple[bytes, bool]], drip: bool = False):
     finally:
         listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept, which close alone does not
         listener.close()
+        key = ("http", "127.0.0.1", port)
         with agents_http._idle_lock:
-            idle = agents_http._idle.pop(("http", "127.0.0.1", port), [])
+            idle = [sock for pooled_key, sock in agents_http._idle if pooled_key == key]
+            agents_http._idle[:] = [entry for entry in agents_http._idle if entry[0] != key]
         for sock in idle:
             sock.close()
         thread.join(timeout=5)
@@ -235,6 +237,22 @@ def test_body_over_the_cap_is_bad_response_and_its_connection_is_dropped(monkeyp
         assert err.value.kind is ErrorKind.BAD_RESPONSE
         assert post_json(state["url"], "/answer", {}, timeout_s=5) == {}
         assert state["connections"] == 2
+
+
+def test_idle_pool_keeps_at_most_its_limit_and_closes_the_sockets_it_evicts():
+    limit = agents_http._MAX_IDLE
+    pooled = []
+    with ExitStack() as servers:
+        for _ in range(limit + 3):
+            state = servers.enter_context(canned_server([(CANNED["content-length"], True)]))
+            post_json(state["url"], "/answer", {}, timeout_s=5)
+            with agents_http._idle_lock:
+                assert len(agents_http._idle) <= limit
+                pooled.append(agents_http._idle[-1][1])
+        with agents_http._idle_lock:
+            kept = [sock for _, sock in agents_http._idle]
+    assert kept == pooled[3:]
+    assert [sock.fileno() for sock in pooled[:3]] == [-1, -1, -1]
 
 
 def test_https_url_uses_tls_with_sni(monkeypatch):

@@ -393,7 +393,6 @@ def test_generate_records_accepted_reply(chat_server, tmp_path):
     )
     assert len(target) == 1
     assert target.lookup("c1", "How much more?") == GOOD_REPLY
-    target.save()
     replayed = generate_solution("How much more?", Cassette.load(tmp_path / "gen.json"), chart_id="c1")
     assert format_program(replayed) == format_program(program)
 
