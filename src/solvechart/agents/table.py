@@ -64,19 +64,14 @@ class ChartTable:
             for category, value in entry.points:
                 if not math.isfinite(value):
                     raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
-        # Each distinct label once: a 50x200 table has 200 labels, not 10,000.
-        _distinct_forms(dict.fromkeys(category for entry in self.series for category, _ in entry.points), "categories")
+        _distinct_forms(self.categories(), "categories")
 
     def series_names(self) -> list[str]:
         return [entry.name for entry in self.series]
 
     def categories(self) -> list[str]:
-        out: list[str] = []
-        for entry in self.series:
-            for category, _ in entry.points:
-                if category not in out:
-                    out.append(category)
-        return out
+        """Each distinct category label once, in first-seen order: one pass over the points."""
+        return list(dict.fromkeys(category for entry in self.series for category, _ in entry.points))
 
     def find_series(self, name: str) -> Series | None:
         folded = name.casefold()
@@ -97,22 +92,20 @@ class ChartTable:
 
 
 def _parse_table(payload: dict) -> ChartTable:
+    labels: dict[str, str] = {}  # one string per distinct label: a 50x200 table holds 200, not 10,000
+    series: list[Series] = []
     try:
-        series = tuple(
-            Series(
-                name=str(entry["name"]),
-                points=tuple(
-                    (str(point["category"]), float(point["value"]))
-                    for point in entry["points"]
-                ),
-            )
-            for entry in payload["series"]
-        )
+        for entry in payload["series"]:
+            name, points = str(entry["name"]), []
+            for point in entry["points"]:
+                label = str(point["category"])
+                points.append((labels.setdefault(label, label), float(point["value"])))
+            series.append(Series(name, tuple(points)))
         return ChartTable(
             title=str(payload["title"]),
             x_label=str(payload["x_label"]),
             y_label=str(payload["y_label"]),
-            series=series,
+            series=tuple(series),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise TableFormatError(f"malformed chart table: {err}") from err

@@ -104,11 +104,6 @@ class PatchGrid:
     def dim(self) -> int:
         return int(self.embeddings.shape[1])
 
-    def permuted(self, order: np.ndarray) -> "PatchGrid":
-        """Reorders patches, keeping each patch's coordinates attached."""
-        order = np.asarray(order, dtype=np.int64)
-        return PatchGrid(self.rows, self.cols, self.embeddings[order], self.positions[order])
-
 
 @dataclass(frozen=True)
 class QueryEmbedding:

@@ -283,7 +283,7 @@ def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent:
     config = EngineConfig(fallback_to_ask=cmd.fallback, chart_id=cmd.chart_id, question=cmd.question)
     result = execute(program, agent, config)
     if cmd.trace is not None:
-        _write_output(cmd.trace, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _write_output(cmd.trace, result.trace.to_json_text())
     print(stringify(result.answer))
     return 0
 
@@ -348,10 +348,7 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 
 
 def _cmd_eval(cmd: argparse.Namespace) -> int:
-    try:
-        items = load_dataset(cmd.dataset)
-    except OSError as exc:
-        raise CliError(f"cannot read dataset: {exc}") from exc
+    items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
     tables: dict[str, OracleAgent] = {}
 

@@ -9,6 +9,7 @@ into a single direct ASK of the original question.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import asdict, dataclass, field
@@ -68,6 +69,9 @@ class ExecutionTrace:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+    def to_json_text(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)

@@ -54,14 +54,18 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
     """Load a JSONL dataset, preserving file order.
 
     Raises DatasetFormatError (with the offending line number) on malformed
-    lines and DuplicateIdError when an id repeats.
+    lines, DuplicateIdError when an id repeats, and SolveChartError naming
+    the path when the file cannot be read.
     """
     dataset_path = Path(path)
     base_dir = dataset_path.parent
     items: list[EvalItem] = []
     seen: set[str] = set()
     resolved_paths: dict[str, str] = {}  # raw table_path -> resolved; datasets repeat a few tables
-    data = dataset_path.read_bytes()
+    try:
+        data = dataset_path.read_bytes()
+    except OSError as exc:
+        raise SolveChartError(f"cannot read dataset {dataset_path}: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

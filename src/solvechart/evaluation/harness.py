@@ -147,9 +147,7 @@ def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
                 out = Path(config.trace_dir) / f"{item.id}.json"
                 try:
                     out.parent.mkdir(parents=True, exist_ok=True)
-                    write_text_atomic(
-                        out, json.dumps(result.trace.to_json_dict(), indent=2, sort_keys=True) + "\n"
-                    )
+                    write_text_atomic(out, result.trace.to_json_text())
                 except OSError as exc:
                     raise SolveChartError(f"cannot write trace {out}: {exc.strerror or exc}") from exc
                 trace_path = str(out)

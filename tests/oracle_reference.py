@@ -2,7 +2,9 @@
 
 Kept verbatim (only the imports are absolute) as the behaviour spec for
 `solvechart.agents.oracle`: on any valid table and any question, both must
-give the same answer, or the same error class, kind and message.
+give the same answer, or the same error class, kind and message.  The one
+addition is `categories`, the table's first-seen label walk as it stood then,
+so that the spec does not lean on `ChartTable.categories`, which it checks.
 
 Pure table-backed oracle over a closed set of question templates.
 
@@ -23,7 +25,7 @@ from solvechart.agents.table import ChartTable
 from solvechart.engine.values import stringify
 from solvechart.errors import ErrorKind
 
-__all__ = ["OracleAgent", "TemplateMatch", "match_template", "oracle_answer"]
+__all__ = ["OracleAgent", "TemplateMatch", "categories", "match_template", "oracle_answer"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,16 @@ def match_template(question: str) -> TemplateMatch:
     raise _unanswerable(f"no template matches {question!r}")
 
 
+def categories(table: ChartTable) -> list[str]:
+    """Each distinct category label once, in first-seen order."""
+    out: list[str] = []
+    for entry in table.series:
+        for category, _ in entry.points:
+            if category not in out:
+                out.append(category)
+    return out
+
+
 def _resolve_name(part: str, names: list[str]) -> str | None:
     """Finds the table name the slot text refers to, longest match first."""
     padded = f" {part} "
@@ -99,11 +111,11 @@ def _resolve_cell(table: ChartTable, text: str) -> tuple[str, str] | None:
             series_part = " in ".join(pieces[:split])
             category_part = " in ".join(pieces[split:])
             series = _resolve_name(series_part, table.series_names())
-            category = _resolve_name(category_part, table.categories())
+            category = _resolve_name(category_part, categories(table))
             if series is not None and category is not None:
                 return series, category
     if len(table.series) == 1:
-        category = _resolve_name(text, table.categories())
+        category = _resolve_name(text, categories(table))
         if category is not None:
             return table.series[0].name, category
     return None

@@ -30,6 +30,7 @@ from solvechart.evaluation.dataset import load_dataset
 from solvechart.evaluation.harness import EvalConfig, run_eval
 from solvechart.evaluation.metrics import relaxed_match
 
+from test_align import permuted_grid
 from test_engine_reference import AGENT, engine_outcome
 
 
@@ -133,7 +134,7 @@ def test_alignment_invariants_on_100_random_instances(verdict):
 
         order = np.random.default_rng(seed + 7).permutation(n)
         permuted = run_alignment_pipeline(
-            grid.permuted(order), query, params, PipelineConfig()
+            permuted_grid(grid, order), query, params, PipelineConfig()
         )
         equivariant = (
             np.allclose(permuted.alignment, bundle.alignment[order][:, order], atol=1e-8)

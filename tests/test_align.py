@@ -46,6 +46,12 @@ def grid_from(embeddings, rows=None, cols=None) -> PatchGrid:
     return PatchGrid(rows, cols, arr)
 
 
+def permuted_grid(grid: PatchGrid, order: np.ndarray) -> PatchGrid:
+    """Reorders patches, keeping each patch's coordinates attached."""
+    order = np.asarray(order, dtype=np.int64)
+    return PatchGrid(grid.rows, grid.cols, grid.embeddings[order], grid.positions[order])
+
+
 def zero_mlp(dim: int, b2=None) -> MlpParams:
     hidden = 4
     return MlpParams(
@@ -245,7 +251,7 @@ def proximity_from_offset_tensor(positions: np.ndarray, radius: float) -> np.nda
 def test_proximity_matches_offset_tensor():
     rng = np.random.default_rng(4)
     grid = make_grid(6, 6, 8, seed=4)
-    permuted = grid.permuted(rng.permutation(grid.count))
+    permuted = permuted_grid(grid, rng.permutation(grid.count))
     scattered = PatchGrid(6, 6, grid.embeddings, rng.normal(scale=4.0, size=(36, 2)))
     for case in (grid, permuted, scattered):
         for radius in (0.5, 1.0, 1.5, 3.0, 7.25):
@@ -605,7 +611,7 @@ def test_pipeline_permutation_equivariance():
 
     rng = np.random.default_rng(99)
     order = rng.permutation(grid.count)
-    permuted_bundle = run_alignment_pipeline(grid.permuted(order), query, params, PipelineConfig())
+    permuted_bundle = run_alignment_pipeline(permuted_grid(grid, order), query, params, PipelineConfig())
 
     assert np.allclose(permuted_bundle.alignment, bundle.alignment[order][:, order], atol=1e-8)
     assert np.allclose(permuted_bundle.annotated, bundle.annotated[order][:, order], atol=1e-8)

@@ -632,6 +632,7 @@ def run_main(monkeypatch, capsys, *argv: str) -> tuple[int, str, str]:
         ["run", "--program", "{program}", "--table", "{missing}"],
         ["eval", "--dataset", "{dataset}", "--llm-replay", "{missing}"],
         ["solve", "--question", "q", "--table", "{table}", "--llm-replay", "{missing}"],
+        ["eval", "--dataset", "{missing}", "--mode", "agent-only"],
     ],
 )
 def test_missing_input_file_exits_1_naming_it(monkeypatch, capsys, tmp_path, fixtures_dir, program_file, argv):

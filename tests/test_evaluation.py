@@ -12,7 +12,7 @@ from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
-from solvechart.errors import ErrorKind
+from solvechart.errors import ErrorKind, SolveChartError
 from solvechart.evaluation.dataset import (
     DatasetFormatError,
     DuplicateIdError,
@@ -121,6 +121,15 @@ def test_load_dataset_non_utf8_reports_line(tmp_path):
         load_dataset(path)
     assert excinfo.value.line == 3
     assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing-file", "directory"])
+def test_load_dataset_unreadable_path_is_a_solvechart_error_naming_it(tmp_path, name):
+    path = tmp_path / name
+    with pytest.raises(SolveChartError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value).startswith(f"cannot read dataset {path}: ")
+    assert isinstance(excinfo.value.__cause__, OSError)
 
 
 def test_eval_item_validation():

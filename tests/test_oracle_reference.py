@@ -94,6 +94,19 @@ def test_oracle_matches_reference(data):
         assert_agrees(table, question)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_categories_match_the_reference_walk(data):
+    """Series share labels in different orders; the table's labels keep first-seen order."""
+    pool = data.draw(st.lists(st.sampled_from(CATEGORIES), min_size=1, unique=True))
+    series = []
+    for name in data.draw(st.lists(st.sampled_from(SERIES_NAMES), max_size=5, unique=True)):
+        labels = data.draw(st.permutations(pool))[:data.draw(st.integers(0, len(pool)))]
+        series.append((name, [(label, float(index)) for index, label in enumerate(labels)]))
+    table = table_of(*series)
+    assert table.categories() == oracle_reference.categories(table)
+
+
 TIES = table_of(("A", [("Jan", 2.0), ("Feb", 1.0), ("Mar", 2.0)]), ("Sales", [("Jan", 2.0), ("Feb", 1.0)]))
 NESTED = table_of(
     ("Total", [("Jan", 5.0)]),
