@@ -9,14 +9,12 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 
-from ..atomic import write_text_atomic
 from ..errors import ErrorKind, SolveChartError
+from ..files import overwrite_tail, read_json, write_text_atomic
 from .base import AgentAnswer, AgentError, AgentHandle, AgentQuery
-from .table import read_json
 
 __all__ = ["Cassette", "CassetteFormatError", "ReplayAgent", "normalize_key"]
 
@@ -93,9 +91,7 @@ class Cassette:
                     # The file ends "\n]\n"; put the entry, indented as the whole file is, in its place.
                     entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
                     self._file_current = False  # until the tail is written in full
-                    with open(self.path, "r+b") as handle:
-                        handle.seek(-3, os.SEEK_END)
-                        handle.write(f",\n  {entry}\n]\n".encode("utf-8"))
+                    overwrite_tail(self.path, 3, f",\n  {entry}\n]\n".encode("utf-8"))
             except OSError as err:
                 raise SolveChartError(f"cannot write {self.path}: {err.strerror or err}") from err
             self._file_current = True

@@ -6,16 +6,16 @@ A ChartTable is the underlying data of one chart: named series of
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..errors import SolveChartError
+from ..files import read_json
 
-__all__ = ["ChartTable", "Series", "TableFormatError", "load_table", "normalize_question", "read_json"]
+__all__ = ["ChartTable", "Series", "TableFormatError", "load_table", "normalize_question"]
 
 
 class TableFormatError(SolveChartError):
@@ -109,18 +109,6 @@ def _parse_table(payload: dict) -> ChartTable:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise TableFormatError(f"malformed chart table: {err}") from err
-
-
-def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
-    """Decodes one UTF-8 JSON file; an unreadable or invalid file raises `error`."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as err:
-        raise error(f"cannot read {what} {path}: {err.strerror or err}") from err
-    except UnicodeDecodeError as err:
-        raise error(f"cannot read {what} {path}: {err}") from err
-    except (ValueError, RecursionError) as err:  # bad JSON, an over-long integer, or too-deep nesting
-        raise error(f"invalid JSON in {path}: {err}") from err
 
 
 def load_table(path: str | Path) -> ChartTable:

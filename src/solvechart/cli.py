@@ -41,7 +41,6 @@ from .align.pipeline import PipelineConfig, run_alignment_pipeline
 from .align.principles import DEFAULT_PROXIMITY_RADIUS
 from .align.synthetic import DEFAULT_LAYERS, make_grid, make_params, make_query
 from .align.types import DEFAULT_TOP_K
-from .atomic import write_text_atomic
 from .dsl.formatter import format_program
 from .dsl.nodes import SolutionProgram
 from .dsl.parser import parse_program
@@ -51,9 +50,15 @@ from .errors import SolveChartError
 from .evaluation.dataset import EvalItem, load_dataset
 from .evaluation.harness import EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
+from .files import read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
-from .solgen.generate import generate_solution
+from .solgen.generate import MAX_REPLY_CHARS, generate_solution
 from .solgen.prompt import chart_hints
+
+
+# UTF-8 spends at most 4 bytes a character, so any reply the model path
+# accepts also runs from a program file.
+MAX_PROGRAM_BYTES = 4 * MAX_REPLY_CHARS
 
 
 class CliError(SolveChartError):
@@ -61,15 +66,7 @@ class CliError(SolveChartError):
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, or too-deep nesting
-        raise CliError(f"config file is not valid JSON: {getattr(exc, 'msg', exc)}") from exc
+    data = read_json(path, "config file", CliError)
     if not isinstance(data, dict):
         raise CliError("config file must contain a JSON object")
     return data
@@ -227,14 +224,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read program: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read program {path}: {exc}") from exc
+    return read_text(path, "program", CliError, MAX_PROGRAM_BYTES)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -304,7 +294,9 @@ def _cmd_solve(cmd: argparse.Namespace) -> int:
         if cmd.llm is None:
             raise CliError("--llm-record requires --llm")
         record_to = Cassette.record(cmd.llm_record)
-    hints = None if cmd.table is None else chart_hints(load_table(cmd.table))
+    hints = None
+    if isinstance(llm, LlmConfig) and cmd.table is not None:  # only a live model is sent a prompt
+        hints = chart_hints(agent.table if isinstance(agent, OracleAgent) else load_table(cmd.table))
     program = generate_solution(cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to)
     if cmd.show_program:
         sys.stderr.write(format_program(program))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import SolveChartError
+from ..files import read_bytes
 
 
 class DatasetFormatError(SolveChartError):
@@ -55,17 +56,14 @@ def load_dataset(path: str | Path) -> list[EvalItem]:
 
     Raises DatasetFormatError (with the offending line number) on malformed
     lines, DuplicateIdError when an id repeats, and SolveChartError naming
-    the path when the file cannot be read.
+    the path when the file cannot be read or is over files.MAX_FILE_BYTES.
     """
     dataset_path = Path(path)
     base_dir = dataset_path.parent
     items: list[EvalItem] = []
     seen: set[str] = set()
     resolved_paths: dict[str, str] = {}  # raw table_path -> resolved; datasets repeat a few tables
-    try:
-        data = dataset_path.read_bytes()
-    except OSError as exc:
-        raise SolveChartError(f"cannot read dataset {dataset_path}: {exc.strerror or exc}") from exc
+    data = read_bytes(dataset_path, "dataset", SolveChartError)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

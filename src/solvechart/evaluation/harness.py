@@ -25,10 +25,10 @@ from typing import Callable, Union
 from ..agents.base import AgentHandle, AgentQuery
 from ..agents.replay import Cassette
 from ..agents.table import load_table
-from ..atomic import write_text_atomic
 from ..engine.interpreter import EngineConfig, execute
 from ..engine.values import stringify
 from ..errors import SolveChartError
+from ..files import write_text_atomic
 from ..solgen.client import LlmConfig
 from ..solgen.generate import generate_solution
 from ..solgen.prompt import chart_hints

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from solvechart.atomic import write_text_atomic
+from solvechart.files import write_text_atomic
 
 
 def test_write_text_atomic_replaces_target_and_leaves_no_temp(tmp_path):

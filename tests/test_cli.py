@@ -11,6 +11,7 @@ import pytest
 
 import solvechart
 from conftest import ELECTION_PROGRAM, json_server
+from solvechart.agents.table import load_table
 from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
 
@@ -188,7 +189,7 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
         (["align-demo"], {"seed": True}, "'seed' must be a string or a number"),
         (["eval", "--dataset", "d"], {"mode": "telepathy"}, "'mode': invalid choice 'telepathy'"),
         (["eval", "--dataset", "d"], None, "cannot read config file"),
-        (["eval", "--dataset", "d"], "{oops", "config file is not valid JSON"),
+        (["eval", "--dataset", "d"], "{oops", "invalid JSON in {path}: "),
         (["eval", "--dataset", "d"], "[1, 2]", "config file must contain a JSON object"),
         (["eval", "--dataset", "d"], {"workers": 0}, "'workers': must be at least 1, got 0"),
         (["eval", "--dataset", "d"], {"tolerance": -1},
@@ -196,7 +197,7 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
         (["eval", "--dataset", "d"], {"tolerance": "nan"},
          "'tolerance': must be a finite number of at least 0, got nan"),
         (["align-demo"], {"dim": 0}, "'dim': must be at least 1, got 0"),
-        (["align-demo"], '{"dim": ' + "9" * 5000 + "}", "config file is not valid JSON"),
+        (["align-demo"], '{"dim": ' + "9" * 5000 + "}", "invalid JSON in {path}: Exceeds the limit"),
     ],
 )
 def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):
@@ -210,7 +211,7 @@ def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("solvechart: error: ")
-    assert message in captured.err
+    assert message.format(path=path) in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -260,7 +261,7 @@ def test_parse_warns_on_missing_answer(tmp_path, capsys):
 
 
 def test_parse_reads_stdin(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("answer = 1\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"answer = 1\n")))
     assert cli("parse", "-") == 0
     assert capsys.readouterr().out == "answer = 1\n"
 
@@ -442,6 +443,27 @@ def test_solve_llm_record_requires_live_llm(election_json, fixtures_dir, tmp_pat
     )
     assert code == 1
     assert "--llm-record requires --llm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("llm", ["live", "replay"])
+def test_solve_loads_the_table_once(monkeypatch, capsys, election_json, fixtures_dir, llm):
+    loads, prompts = [], []
+    monkeypatch.setattr("solvechart.cli.load_table", lambda path: loads.append(path) or load_table(path))
+    argv = ["solve", "--agent", "oracle", "--table", election_json, "--chart-id", "election",
+            "--question", "By how much did Republican exceed Democrat in 2012?"]
+
+    def respond(path, body):
+        prompts.append(body["messages"][-1]["content"])
+        return {"choices": [{"message": {"content": f"```\n{ELECTION_PROGRAM}```\n"}}]}
+
+    if llm == "live":
+        with json_server(respond) as (_, url):
+            assert cli(*argv, "--llm", url) == 0
+        assert prompts and all("Chart: " in prompt for prompt in prompts)  # the oracle's table gave the hints
+    else:
+        assert cli(*argv, "--llm-replay", str(fixtures_dir / "llm_cassette.json")) == 0
+    assert loads == [election_json]
+    assert capsys.readouterr().out != ""
 
 
 # -- align-demo command -----------------------------------------------------

@@ -1,12 +1,15 @@
 """Arbitrary input at the untrusted boundary fails only as SolveChartError.
 
-Datasets, tables and cassettes are read from arbitrary bytes, and programs
-run against an agent that answers with arbitrary text.  Extraction and
-generation from arbitrary replies are covered in test_extract_reference.py.
+Datasets, tables, cassettes, config files and program files are read from
+arbitrary bytes, and programs run against an agent that answers with
+arbitrary text.  Extraction and generation from arbitrary replies are
+covered in test_extract_reference.py.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import random
 
@@ -18,7 +21,8 @@ from gen_programs import random_program
 from solvechart.agents.base import AgentAnswer
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
-from solvechart.dsl import parse_program
+from solvechart.cli import parse_args
+from solvechart.dsl import format_program, parse_program
 from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
 from solvechart.errors import SolveChartError
 from solvechart.evaluation.dataset import load_dataset
@@ -37,10 +41,14 @@ _JSON = st.recursive(
 )
 
 
-@st.composite
-def _spliced(draw, documents):
+def _spliced(documents):
     """JSON text of a drawn document, sometimes with a few arbitrary bytes spliced in."""
-    data = documents.map(lambda doc: json.dumps(doc).encode("utf-8"))
+    return _spliced_bytes(documents.map(lambda doc: json.dumps(doc).encode("utf-8")))
+
+
+@st.composite
+def _spliced_bytes(draw, data):
+    """Drawn bytes, sometimes with a few arbitrary bytes spliced in."""
     raw = draw(data)
     if draw(st.booleans()):
         at = draw(st.integers(0, len(raw)))
@@ -55,6 +63,14 @@ _TABLE = st.fixed_dictionaries({"title": _SCALARS, "x_label": _SCALARS, "y_label
 _ENTRY = st.fixed_dictionaries({"chart_id": _SCALARS, "question": _SCALARS, "answer": _SCALARS})
 _MOSTLY_TEXT = st.integers(0, 9).flatmap(lambda pick: _SCALARS if pick == 0 else st.text(max_size=8))
 _ITEM = st.fixed_dictionaries({key: _MOSTLY_TEXT for key in _KEYS[:4]}, optional={"table_path": _MOSTLY_TEXT})
+# Every optional `eval` flag, under its config key, plus one key it ignores.
+_CONFIG = st.dictionaries(
+    st.sampled_from(["mode", "agent", "llm", "llm_replay", "workers", "tolerance", "fallback", "output", "trace_dir",
+                     "dim"]),
+    _SCALARS | st.sampled_from(["agent-only", "programmatic", "2", "0.5", "-1", "inf"]),
+    max_size=5,
+)
+_PROGRAM = st.integers(0, 2**32 - 1).map(lambda seed: format_program(random_program(random.Random(seed))).encode())
 _DATASET = (st.lists(_ITEM, max_size=5) | st.lists(_ITEM | _JSON, max_size=3)).map(
     lambda docs: "\n".join(map(json.dumps, docs)).encode("utf-8"))
 
@@ -98,6 +114,30 @@ def test_cassette_load_fails_only_as_solvechart_error(scratch, raw):
         return
     for entry in cassette.entries:
         assert cassette.lookup(entry["chart_id"], entry["question"]) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=200) | _spliced(_CONFIG) | _spliced(_JSON))
+def test_config_file_fails_only_as_solvechart_error(scratch, raw):
+    scratch.write_bytes(raw)
+    try:
+        parse_args(["eval", "--dataset", "d.jsonl", "--config", str(scratch)])
+    except SolveChartError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=200) | _PROGRAM | _spliced_bytes(_PROGRAM))
+def test_program_file_fails_only_as_solvechart_error(scratch, raw):
+    scratch.write_bytes(raw)
+    cmd = parse_args(["parse", str(scratch)])
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        try:
+            cmd.handler(cmd)
+        except SolveChartError:
+            return
+    # What parses prints in canonical form, which parses to itself.
+    assert format_program(parse_program(out.getvalue())) == out.getvalue()
 
 
 class _TextAgent:
