@@ -47,13 +47,12 @@ from .dsl.parser import parse_program
 from .engine.interpreter import EngineConfig, execute
 from .engine.values import stringify
 from .errors import SolveChartError
-from .evaluation.dataset import EvalItem, load_dataset
-from .evaluation.harness import EvalConfig, run_eval
+from .evaluation.dataset import load_dataset
+from .evaluation.harness import EvalConfig, oracle_agents, prompt_hints, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
 from .files import read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
 from .solgen.generate import MAX_REPLY_CHARS, generate_solution
-from .solgen.prompt import chart_hints
 
 
 # UTF-8 spends at most 4 bytes a character, so any reply the model path
@@ -116,6 +115,13 @@ def tolerance_float(text: str) -> float:
     return value
 
 
+def output_path(text: str) -> str:
+    """argparse type for files written: any path but '-', which would name a file '-', not stdout."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' is not an output path; name a file")
+    return str(text)  # a number from --config is then refused, as argparse's str type refuses it
+
+
 def _config_defaults(parser: argparse.ArgumentParser, config: dict) -> dict:
     """The config entries that name one of the subcommand's optional flags, checked."""
     actions = {
@@ -154,8 +160,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_run.add_argument("--program", required=True, help="program file, or '-' for stdin")
     p_run.add_argument("--agent", default="oracle", help=agent_help)
     p_run.add_argument("--table", help=table_help)
-    p_run.add_argument("--record", metavar="PATH", help="record agent replies to a cassette")
-    p_run.add_argument("--trace", metavar="PATH", help=trace_help)
+    p_run.add_argument("--record", metavar="PATH", type=output_path, help="record agent replies to a cassette")
+    p_run.add_argument("--trace", metavar="PATH", type=output_path, help=trace_help)
     p_run.add_argument("--chart-id", default="", help="chart identifier passed to the agent")
     p_run.add_argument("--question", help="original question (used by the single-ASK fallback)")
     p_run.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=False, help=fallback_help)
@@ -166,13 +172,14 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_solve.add_argument("--table", help=table_help)
     p_solve.add_argument("--llm", metavar="URL", help="chat-completions endpoint")
     p_solve.add_argument("--llm-replay", metavar="PATH", help="cassette of recorded model replies")
-    p_solve.add_argument("--llm-record", metavar="PATH", help="record live model replies to a cassette")
+    p_solve.add_argument("--llm-record", metavar="PATH", type=output_path,
+                         help="record live model replies to a cassette")
     p_solve.add_argument("--mode", default="programmatic", choices=["programmatic", "agent-only"],
                          help="answer through a program, or ask the agent directly")
     p_solve.add_argument("--chart-id", default="", help="chart identifier passed to the agent")
     p_solve.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
     p_solve.add_argument("--show-program", action="store_true", help="print the canonical program to stderr")
-    p_solve.add_argument("--trace", metavar="PATH", help=trace_help)
+    p_solve.add_argument("--trace", metavar="PATH", type=output_path, help=trace_help)
 
     p_align = _subcommand(sub, "align-demo", "run the alignment pipeline on synthetic patches", _cmd_align_demo)
     p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
@@ -201,8 +208,8 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_eval.add_argument("--tolerance", type=tolerance_float, default=DEFAULT_TOLERANCE,
                         help="relative error allowed against a numeric gold")
     p_eval.add_argument("--fallback", action=argparse.BooleanOptionalAction, default=True, help=fallback_help)
-    p_eval.add_argument("--output", metavar="PATH", help="also write the report JSON here")
-    p_eval.add_argument("--trace-dir", metavar="DIR", help="write per-item traces here")
+    p_eval.add_argument("--output", metavar="PATH", type=output_path, help="also write the report JSON here")
+    p_eval.add_argument("--trace-dir", metavar="DIR", type=output_path, help="write per-item traces here")
 
     return parser, sub.choices
 
@@ -294,9 +301,7 @@ def _cmd_solve(cmd: argparse.Namespace) -> int:
         if cmd.llm is None:
             raise CliError("--llm-record requires --llm")
         record_to = Cassette.record(cmd.llm_record)
-    hints = None
-    if isinstance(llm, LlmConfig) and cmd.table is not None:  # only a live model is sent a prompt
-        hints = chart_hints(agent.table if isinstance(agent, OracleAgent) else load_table(cmd.table))
+    hints = prompt_hints(llm, agent, cmd.table)
     program = generate_solution(cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to)
     if cmd.show_program:
         sys.stderr.write(format_program(program))
@@ -342,21 +347,8 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 def _cmd_eval(cmd: argparse.Namespace) -> int:
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
-    tables: dict[str, OracleAgent] = {}
-
-    if cmd.agent == "oracle":
-        def factory(item: EvalItem) -> AgentHandle:
-            if item.table_path is None:
-                raise CliError(f"item {item.id!r} has no table_path for the oracle agent")
-            if item.table_path not in tables:
-                tables[item.table_path] = OracleAgent(load_table(item.table_path))
-            return tables[item.table_path]
-    else:
-        shared = _build_agent(cmd.agent, None, None)
-
-        def factory(item: EvalItem) -> AgentHandle:
-            return shared
-
+    shared = None if cmd.agent == "oracle" else _build_agent(cmd.agent, None, None)
+    factory = oracle_agents() if shared is None else lambda item: shared
     llm = _build_llm(cmd.llm, cmd.llm_replay) if mode == "programmatic" else None
     config = EvalConfig(
         mode=mode,

@@ -586,17 +586,22 @@ def test_eval_empty_dataset_warns(tmp_path, capsys):
     assert "warning: dataset is empty" in captured.err
 
 
-def test_eval_item_without_table_fails_per_item(tmp_path, capsys):
+def test_eval_item_without_table_fails_per_item(tmp_path, fixtures_dir, capsys):
     dataset = tmp_path / "d.jsonl"
-    dataset.write_text(
-        json.dumps({"id": "x1", "question": "q?", "gold": "1", "chart_id": "c"}) + "\n",
-        encoding="utf-8",
-    )
-    code = cli("eval", "--dataset", str(dataset), "--mode", "agent-only")
+    records = [
+        {"id": "x1", "question": "q?", "gold": "1", "chart_id": "c"},
+        {"id": "x2", "question": "What is the value of Democrat in 2012?", "gold": "43",
+         "chart_id": "election", "table_path": str(fixtures_dir / "tables" / "election.json")},
+    ]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = cli("eval", "--dataset", str(dataset), "--mode", "agent-only", "--agent", "oracle")
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["accuracy"] == 0.0
-    assert "table_path" in report["items"][0]["reason"]
+    first, second = report["items"]
+    assert first["correct"] is False
+    assert first["reason"] == "item 'x1' has no table_path for the oracle agent"
+    assert second["correct"] is True
+    assert report["accuracy"] == 0.5
 
 
 def test_eval_item_with_missing_table_fails_per_item(tmp_path, fixtures_dir, capsys):
@@ -635,6 +640,29 @@ def test_eval_item_with_non_finite_table_fails_per_item(tmp_path, fixtures_dir, 
     assert first["correct"] is False
     assert "non-finite" in first["reason"]
     assert second["correct"] is True
+
+
+def test_eval_with_live_model_parses_each_table_once(monkeypatch, fixtures_dir, capsys):
+    # The oracle's own table gives each prompt its Chart: line; 20 items over 3 tables.
+    parses, prompts = [], []
+    parse_table = solvechart.agents.table._parse_table
+    monkeypatch.setattr("solvechart.agents.table._parse_table",
+                        lambda payload: parses.append(1) or parse_table(payload))
+    replies = {entry["question"]: entry["answer"]
+               for entry in json.loads((fixtures_dir / "llm_cassette.json").read_text(encoding="utf-8"))}
+
+    def respond(path, body):
+        prompt = body["messages"][-1]["content"]
+        prompts.append(prompt)
+        return {"choices": [{"message": {"content": replies[prompt.split("\n")[0].removeprefix("Question: ")]}}]}
+
+    with json_server(respond) as (_, url):
+        code = cli("eval", "--dataset", str(fixtures_dir / "dataset.jsonl"), "--agent", "oracle", "--llm", url)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+    assert len(parses) == 3
+    assert len(prompts) == 20
+    assert all("\nChart: " in prompt for prompt in prompts)
 
 
 # -- errors through main() --------------------------------------------------
@@ -684,6 +712,38 @@ def test_output_under_missing_directory_exits_1_naming_target(
     assert out == ""
     assert err.startswith(f"solvechart: error: cannot write {target}: ")
     assert ".tmp" not in err
+
+
+OUTPUT_FLAGS = [
+    (["run", "--program", "{program}", "--table", "{table}"], "--record"),
+    (["run", "--program", "{program}", "--table", "{table}"], "--trace"),
+    (["solve", "--question", "q", "--table", "{table}", "--llm", "http://127.0.0.1:9"], "--llm-record"),
+    (["solve", "--question", "q", "--table", "{table}", "--mode", "agent-only"], "--trace"),
+    (["eval", "--dataset", "{dataset}", "--mode", "agent-only"], "--output"),
+    (["eval", "--dataset", "{dataset}", "--llm-replay", "{cassette}"], "--trace-dir"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUTPUT_FLAGS, ids=[argv[0] + flag for argv, flag in OUTPUT_FLAGS])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_dash_as_output_path_is_refused(monkeypatch, capsys, tmp_path, fixtures_dir, program_file, argv, flag, source):
+    # '-' would name a file in the working directory, and a cassette of that name would be read from stdin.
+    monkeypatch.chdir(tmp_path)
+    paths = {"program": program_file, "table": fixtures_dir / "tables" / "election.json",
+             "dataset": fixtures_dir / "dataset.jsonl", "cassette": fixtures_dir / "llm_cassette.json"}
+    argv = [arg.format(**paths) for arg in argv]
+    if source == "argv":
+        code, out, err = run_main(monkeypatch, capsys, *argv, flag, "-")
+        assert code == 2
+        assert f"argument {flag}: '-' is not an output path" in err
+    else:
+        key = flag[2:].replace("-", "_")
+        (tmp_path / "conf.json").write_text(json.dumps({key: "-"}), encoding="utf-8")
+        code, out, err = run_main(monkeypatch, capsys, *argv, "--config", "conf.json")
+        assert code == 1
+        assert err == f"solvechart: error: config {key!r}: '-' is not an output path; name a file\n"
+    assert out == ""
+    assert not (tmp_path / "-").exists()
 
 
 def test_eval_trace_dir_naming_a_file_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir):

@@ -19,7 +19,7 @@ from solvechart.evaluation.dataset import (
     EvalItem,
     load_dataset,
 )
-from solvechart.evaluation.harness import EvalConfig, run_eval
+from solvechart.evaluation.harness import EvalConfig, oracle_agents, run_eval
 from solvechart.evaluation.metrics import relaxed_match
 from solvechart.solgen.client import LlmConfig
 from solvechart.solgen.prompt import chart_hints
@@ -376,7 +376,17 @@ def test_cassette_model_reads_no_table(tmp_path):
     assert result.correct is True
 
 
-def test_live_model_gets_chart_hints(temps_path, monkeypatch):
+class ForwardingAgent:
+    """Not an OracleAgent, so the hints read the item's table themselves."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def answer(self, query):
+        return self.inner.answer(query)
+
+
+def test_live_model_gets_chart_hints(temps_path, tmp_path, monkeypatch):
     prompts = []
 
     def fake_chat_completion(config, bundle):
@@ -384,15 +394,23 @@ def test_live_model_gets_chart_hints(temps_path, monkeypatch):
         return '```\nanswer = ASK("What is the value of Mon?")\n```'
 
     monkeypatch.setattr("solvechart.solgen.generate.chat_completion", fake_chat_completion)
-    config = EvalConfig(
-        mode="programmatic",
-        agent_factory=oracle_factory,
-        llm_client=LlmConfig(endpoint="http://127.0.0.1:9"),
-    )
-    report = run_eval(temps_items(temps_path)[:1], config)
-    assert report.items[0].correct is True
     table = load_table(temps_path)
-    assert prompts == [f"Question: {TEMPS_QA[0][1]}\nChart: {chart_hints(table)}"]
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"title": "t"}', encoding="utf-8")
+    items = [EvalItem(id="bad", question="What is X?", gold="1", chart_id="bad", table_path=str(bad)),
+             *temps_items(temps_path)[:1]]
+    shared = ForwardingAgent(OracleAgent(table))
+    for factory in (oracle_agents(), lambda item: shared):
+        prompts.clear()
+        config = EvalConfig(
+            mode="programmatic",
+            agent_factory=factory,
+            llm_client=LlmConfig(endpoint="http://127.0.0.1:9"),
+        )
+        report = run_eval(items, config)
+        assert report.items[0].reason == "malformed chart table: 'series'"  # only its own item fails
+        assert report.items[1].correct is True
+        assert prompts == [f"Question: {TEMPS_QA[0][1]}\nChart: {chart_hints(table)}"]
 
 
 def test_refused_model_is_reported_once_as_transport(temps_path):
