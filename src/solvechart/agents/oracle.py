@@ -18,7 +18,7 @@ from typing import Callable
 from ..engine.values import stringify
 from ..errors import ErrorKind
 from .base import AgentAnswer, AgentError, AgentQuery
-from .table import ChartTable, normalize_question
+from .table import ChartTable, Series, normalize_question
 
 __all__ = ["OracleAgent", "oracle_answer"]
 
@@ -73,27 +73,30 @@ def _value_of(table: ChartTable, rest: str) -> str:
 def _extreme_of_series(table: ChartTable, which: str, series: str) -> str:
     name = _resolve_name(series, table.series_names())
     entry = table.find_series(name) if name is not None else None
-    if entry is None or not entry.points:
+    if entry is None or not entry.values:
         raise _unanswerable(f"cannot resolve series {series!r}")
     pick = max if which in ("highest", "maximum", "max") else min
-    return stringify(pick(value for _, value in entry.points))
+    return stringify(pick(entry.values))
 
 
 def _arg_extreme(table: ChartTable, subject: str, which: str) -> str:
     """Names the series or category of the overall highest/lowest point, table order on ties.
 
-    A later series wins only with a strictly better value: exact, as cells are finite.
+    Within a series `pick` returns the first extreme value and `index` finds its
+    first position; a later series wins only with a strictly better value.
+    Both are exact, as cells are finite.
     """
     pick, beats = (max, operator.gt) if which == "highest" else (min, operator.lt)
-    best: tuple[str, str, float] | None = None
+    best: tuple[Series, float] | None = None
     for entry in table.series:
-        if entry.points:
-            category, value = pick(entry.points, key=operator.itemgetter(1))
-            if best is None or beats(value, best[2]):
-                best = (entry.name, category, value)
+        if entry.values:
+            value = pick(entry.values)
+            if best is None or beats(value, best[1]):
+                best = (entry, value)
     if best is None:
         raise _unanswerable("table has no points")
-    return best[0] if subject == "series" else best[1]
+    entry, value = best
+    return entry.name if subject == "series" else entry.categories[entry.values.index(value)]
 
 
 def _two_cells(combine: Callable[[float, float], float], table: ChartTable, rest: str) -> str:

@@ -1,14 +1,15 @@
 """Ground-truth chart tables.
 
 A ChartTable is the underlying data of one chart: named series of
-(category, value) points.  One JSON document holds one table.
+(category, value) points, stored column-wise.  One JSON document holds one
+table.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -41,10 +42,18 @@ def _distinct_forms(names: Iterable[str], what: str) -> dict[str, str]:
     return forms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Series:
+    """One named series, column-wise: the value at each position belongs to the category there."""
+
     name: str
-    points: tuple[tuple[str, float], ...]
+    categories: tuple[str, ...]
+    values: tuple[float, ...]
+
+    @property
+    def points(self) -> tuple[tuple[str, float], ...]:
+        """The (category, value) pairs in series order."""
+        return tuple(zip(self.categories, self.values))
 
 
 @dataclass(frozen=True)
@@ -53,25 +62,41 @@ class ChartTable:
     x_label: str
     y_label: str
     series: tuple[Series, ...]
+    _categories: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """Admits only cells the oracle can reach: finite values, names distinct once normalized."""
+        """Admits only cells the oracle can reach: finite values, names distinct once normalized.
+
+        Also keeps the table's distinct category labels, in first-seen order.
+        A category tuple that several series share is checked once.
+        """
         if "" in (forms := _distinct_forms(self.series_names(), "series")):
             raise TableFormatError(f"series name {forms['']!r} has no letters or digits")
+        labels: dict[str, None] = {}
+        checked: set[int] = set()
         for entry in self.series:
-            if len({category for category, _ in entry.points}) != len(entry.points):
-                raise TableFormatError(f"duplicate category in series {entry.name!r}")
-            for category, value in entry.points:
-                if not math.isfinite(value):
-                    raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
-        _distinct_forms(self.categories(), "categories")
+            if len(entry.categories) != len(entry.values):
+                raise TableFormatError(
+                    f"series {entry.name!r} has {len(entry.categories)} categories but {len(entry.values)} values"
+                )
+            if id(entry.categories) not in checked:
+                checked.add(id(entry.categories))
+                distinct = dict.fromkeys(entry.categories)
+                if len(distinct) != len(entry.categories):
+                    raise TableFormatError(f"duplicate category in series {entry.name!r}")
+                labels.update(distinct)
+            if not all(map(math.isfinite, entry.values)):
+                category, value = next(cell for cell in entry.points if not math.isfinite(cell[1]))
+                raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
+        object.__setattr__(self, "_categories", tuple(labels))
+        _distinct_forms(self._categories, "categories")
 
     def series_names(self) -> list[str]:
         return [entry.name for entry in self.series]
 
     def categories(self) -> list[str]:
-        """Each distinct category label once, in first-seen order: one pass over the points."""
-        return list(dict.fromkeys(category for entry in self.series for category, _ in entry.points))
+        """Each distinct category label once, in first-seen order, as kept when the table was built."""
+        return list(self._categories)
 
     def find_series(self, name: str) -> Series | None:
         folded = name.casefold()
@@ -85,22 +110,27 @@ class ChartTable:
         if entry is None:
             return None
         folded = category.casefold()
-        for cat, value in entry.points:
+        for cat, value in zip(entry.categories, entry.values):
             if cat.casefold() == folded:
                 return value
         return None
 
 
 def _parse_table(payload: dict) -> ChartTable:
-    labels: dict[str, str] = {}  # one string per distinct label: a 50x200 table holds 200, not 10,000
+    # One string per distinct label and one tuple per distinct category list:
+    # a 50x200 table holds 200 label strings and, if its series agree, one tuple.
+    labels: dict[str, str] = {}
+    columns: dict[tuple[str, ...], tuple[str, ...]] = {}
     series: list[Series] = []
     try:
         for entry in payload["series"]:
-            name, points = str(entry["name"]), []
+            name, categories, values = str(entry["name"]), [], []
             for point in entry["points"]:
                 label = str(point["category"])
-                points.append((labels.setdefault(label, label), float(point["value"])))
-            series.append(Series(name, tuple(points)))
+                categories.append(labels.setdefault(label, label))
+                values.append(float(point["value"]))
+            column = tuple(categories)
+            series.append(Series(name, columns.setdefault(column, column), tuple(values)))
         return ChartTable(
             title=str(payload["title"]),
             x_label=str(payload["x_label"]),

@@ -35,12 +35,6 @@ from .agents.http import HttpAgent
 from .agents.oracle import OracleAgent
 from .agents.replay import Cassette, ReplayAgent
 from .agents.table import load_table
-from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
-from .align.invariants import check_bundle
-from .align.pipeline import PipelineConfig, run_alignment_pipeline
-from .align.principles import DEFAULT_PROXIMITY_RADIUS
-from .align.synthetic import DEFAULT_LAYERS, make_grid, make_params, make_query
-from .align.types import DEFAULT_TOP_K
 from .dsl.formatter import format_program
 from .dsl.nodes import SolutionProgram
 from .dsl.parser import parse_program
@@ -185,12 +179,16 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
     p_align.add_argument("--dim", type=positive_int, default=16, help="embedding dimension")
     p_align.add_argument("--seed", type=int, default=0, help="seed for patches, query and parameters")
-    p_align.add_argument("--layers", type=int, default=DEFAULT_LAYERS, help="intra-cluster attention layers")
-    p_align.add_argument("--top-k", type=int, default=DEFAULT_TOP_K, help="patches marked by cross-cluster annotation")
-    p_align.add_argument("--linkage-threshold", type=float, default=DEFAULT_LINKAGE_THRESHOLD,
-                         help="stop merging clusters farther apart than this")
-    p_align.add_argument("--k-max", type=int, default=DEFAULT_K_MAX, help="maximum cluster count")
-    p_align.add_argument("--proximity-radius", type=float, default=DEFAULT_PROXIMITY_RADIUS, help="proximity radius")
+    # solvechart.align owns these five defaults and imports numpy, so the flags
+    # stay unset unless given and _cmd_align_demo fills them in from the library.
+    for flag, kind, text in (
+        ("--layers", int, "intra-cluster attention layers"),
+        ("--top-k", int, "patches marked by cross-cluster annotation"),
+        ("--linkage-threshold", float, "stop merging clusters farther apart than this"),
+        ("--k-max", int, "maximum cluster count"),
+        ("--proximity-radius", float, "proximity radius"),
+    ):
+        p_align.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=f"{text} (default: solvechart.align's)")
     p_align.add_argument("--disable-vp-alignment", action="store_true",
                          help="replace the alignment matrix with seeded noise")
     p_align.add_argument("--disable-intra", action="store_true", help="skip intra-cluster reasoning")
@@ -319,6 +317,21 @@ def _parse_grid(spec: str) -> tuple[int, int]:
 
 
 def _cmd_align_demo(cmd: argparse.Namespace) -> int:
+    # Imported here so that no other command pays for numpy.
+    from .align import PipelineConfig, check_bundle, make_grid, make_params, make_query, run_alignment_pipeline
+    from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
+    from .align.principles import DEFAULT_PROXIMITY_RADIUS
+    from .align.synthetic import DEFAULT_LAYERS
+    from .align.types import DEFAULT_TOP_K
+
+    defaults = {
+        "layers": DEFAULT_LAYERS,
+        "top_k": DEFAULT_TOP_K,
+        "linkage_threshold": DEFAULT_LINKAGE_THRESHOLD,
+        "k_max": DEFAULT_K_MAX,
+        "proximity_radius": DEFAULT_PROXIMITY_RADIUS,
+    }
+    cmd = argparse.Namespace(**{**defaults, **vars(cmd)})
     rows, cols = _parse_grid(cmd.grid)
     grid = make_grid(rows, cols, cmd.dim, seed=cmd.seed)
     query = make_query(cmd.dim, seed=cmd.seed)

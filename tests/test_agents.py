@@ -34,7 +34,10 @@ def make_table(*series) -> ChartTable:
         title="t",
         x_label="x",
         y_label="y",
-        series=tuple(Series(name, tuple(points)) for name, points in series),
+        series=tuple(
+            Series(name, tuple(category for category, _ in points), tuple(value for _, value in points))
+            for name, points in series
+        ),
     )
 
 
@@ -152,14 +155,51 @@ def test_load_table_keeps_one_string_per_label(tmp_path):
     assert b[0][0] is a[1][0]
 
 
-def test_categories_takes_one_pass_over_the_points():
-    """200 series x 2,000 labels: a list search per point takes seconds, one pass milliseconds."""
+def test_categories_reads_the_list_kept_at_build():
+    """200 series x 2,000 labels: categories() copies the list the table kept, with no walk over the points."""
     labels = [f"c{index}" for index in range(2000)]
     points = [(label, 1.0) for label in labels]
     table = make_table(*((f"s{index}", points) for index in range(200)))
     start = time.perf_counter()
     assert table.categories() == labels
     assert time.perf_counter() - start < 1.0
+
+
+def test_load_table_shares_one_category_tuple_per_list(tmp_path):
+    path = write_table(tmp_path / "t.json", [
+        ("A", [("Jan", "1"), ("Feb", "2")]),
+        ("B", [("Mar", "3")]),
+        ("C", [("Jan", "4"), ("Feb", "5")]),
+        ("D", [("Feb", "6"), ("Jan", "7")]),
+    ])
+    table = load_table(path)
+    a, b, c, d = table.series
+    assert c.categories is a.categories
+    assert d.categories is not a.categories and b.categories is not a.categories
+    assert table.categories() == ["Jan", "Feb", "Mar"]
+    assert c.values == (4.0, 5.0)
+
+
+def test_ragged_table_keeps_each_series_order(tmp_path):
+    """Series with different label sets, or one set in another order, answer by their own positions."""
+    path = write_table(tmp_path / "t.json", [
+        ("A", [("Feb", "1"), ("Jan", "2")]),
+        ("B", [("Jan", "3"), ("Mar", "4"), ("Feb", "5")]),
+    ])
+    table = load_table(path)
+    assert [entry.categories for entry in table.series] == [("Feb", "Jan"), ("Jan", "Mar", "Feb")]
+    assert table.categories() == ["Feb", "Jan", "Mar"]
+    assert table.series[1].points == (("Jan", 3.0), ("Mar", 4.0), ("Feb", 5.0))
+    assert table.lookup("A", "Jan") == 2.0 and table.lookup("B", "Feb") == 5.0
+    assert oracle_answer(table, "which month has the highest value") == "Feb"
+
+
+@pytest.mark.parametrize("categories, values", [(("x", "y"), (1.0,)), (("x",), (1.0, 2.0)), ((), (1.0,))],
+                         ids=["fewer-values", "fewer-categories", "no-categories"])
+def test_direct_table_rejects_series_of_unequal_lengths(categories, values):
+    with pytest.raises(TableFormatError) as err:
+        ChartTable("t", "x", "y", (Series("A", ("x",), (1.0,)), Series("B", categories, values)))
+    assert "'B'" in str(err.value)
 
 
 # -- templates --------------------------------------------------------------
@@ -202,6 +242,26 @@ def test_oracle_cell_lookup(election_table):
 def test_oracle_overall_argmax_series():
     table = make_table(("A", [("x", 4.0)]), ("B", [("x", 9.0)]))
     assert oracle_answer(table, "which series has the highest value") == "B"
+
+
+@pytest.mark.parametrize(
+    "series, question, answer",
+    [
+        ([("A", [("Jan", -1.0), ("Feb", -0.0), ("Mar", 0.0)]), ("B", [("Apr", 0.0)])],
+         "which month has the highest value", "Feb"),
+        ([("A", [("Jan", -1.0), ("Feb", 0.0), ("Mar", -0.0)]), ("B", [("Apr", -0.0)])],
+         "which month has the highest value", "Feb"),
+        ([("A", [("Jan", 1.0)]), ("B", [("Feb", 0.0), ("Mar", -0.0)]), ("C", [("Apr", -0.0)])],
+         "which month has the lowest value", "Feb"),
+        ([("A", [("Jan", 1.0)]), ("B", [("Feb", 0.0), ("Mar", -0.0)]), ("C", [("Apr", -0.0)])],
+         "which series has the lowest value", "B"),
+        ([("A", [("Jan", 2.0), ("Feb", 1.0), ("Mar", 2.0)]), ("B", [("Apr", 2.0)])],
+         "which month has the highest value", "Jan"),
+    ],
+    ids=["minus-zero-first", "zero-first", "lowest-zero-first", "lowest-series", "equal-values"],
+)
+def test_arg_extreme_ties_answer_the_first_point_in_series_order(series, question, answer):
+    assert oracle_answer(make_table(*series), question) == answer
 
 
 def test_oracle_unanswerable(election_table):

@@ -510,13 +510,63 @@ def test_align_demo_output_is_deterministic(capsys):
     assert first == second
 
 
+# The printed config on the defaults; the five numeric ones come from solvechart.align.
+ALIGN_DEFAULT_CONFIG = {
+    "dim": 16, "disable_cross": False, "disable_intra": False, "disable_vp_alignment": False, "grid": "4x4",
+    "k_max": 12, "layers": 2, "linkage_threshold": 0.35, "proximity_radius": 3.0, "seed": 0, "top_k": 5,
+}
+
+
+def align_demo_stdout(capsys, *argv: str) -> str:
+    assert cli("align-demo", *argv) == 0
+    return capsys.readouterr().out
+
+
+def test_align_demo_defaults_are_the_library_defaults(capsys):
+    out = align_demo_stdout(capsys)
+    printed = json.loads(out)["config"]
+    assert json.dumps(printed, sort_keys=True) == json.dumps(ALIGN_DEFAULT_CONFIG, sort_keys=True)  # 3.0 stays 3.0
+    spelled_out = ["--layers", "2", "--top-k", "5", "--linkage-threshold", "0.35", "--k-max", "12",
+                   "--proximity-radius", "3.0"]
+    assert align_demo_stdout(capsys, *spelled_out) == out
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--grid", "grid", "3x2"), ("--dim", "dim", 8), ("--seed", "seed", 4), ("--layers", "layers", 1),
+        ("--top-k", "top_k", 2), ("--linkage-threshold", "linkage_threshold", 0.6), ("--k-max", "k_max", 3),
+        ("--proximity-radius", "proximity_radius", 1.5), ("--disable-vp-alignment", "disable_vp_alignment", True),
+        ("--disable-intra", "disable_intra", True), ("--disable-cross", "disable_cross", True),
+    ],
+)
+def test_align_demo_flag_and_config_print_the_same_document(tmp_path, capsys, flag, key, value):
+    by_flag = align_demo_stdout(capsys, flag, *([] if value is True else [str(value)]))
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert align_demo_stdout(capsys, "--config", str(path)) == by_flag
+    assert json.loads(by_flag)["config"] == {**ALIGN_DEFAULT_CONFIG, key: value}
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(solvechart.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    """Only align-demo needs numpy, so eval, run and solve start without paying for it."""
+    probe = ("import sys, solvechart.cli\n"
+             "print(sorted(name for name in sys.modules if name.startswith(('numpy', 'solvechart.align'))))")
+    done = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_closed_stdout_exits_quietly():
     # The document (about 272 KB) overflows the pipe buffer, so the process is
     # still writing when the reader goes away, as with `| head -c 600`.
-    src = str(Path(solvechart.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [sys.executable, "-m", "solvechart.cli", "align-demo", "--grid", "8x8", "--seed", "3"]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(600)) == 600
         proc.stdout.close()
         stderr = proc.stderr.read()

@@ -35,7 +35,10 @@ def assert_agrees(table: ChartTable, question: str) -> None:
 
 
 def table_of(*series: tuple[str, list[tuple[str, float]]]) -> ChartTable:
-    return ChartTable("t", "x", "y", tuple(Series(name, tuple(points)) for name, points in series))
+    return ChartTable("t", "x", "y", tuple(
+        Series(name, tuple(category for category, _ in points), tuple(value for _, value in points))
+        for name, points in series
+    ))
 
 
 @st.composite
@@ -108,6 +111,7 @@ def test_categories_match_the_reference_walk(data):
 
 
 TIES = table_of(("A", [("Jan", 2.0), ("Feb", 1.0), ("Mar", 2.0)]), ("Sales", [("Jan", 2.0), ("Feb", 1.0)]))
+SIGNED_ZEROS = table_of(("A", [("Jan", -1.0), ("Feb", -0.0), ("Mar", 0.0)]), ("Sales", [("Jan", 0.0), ("Q1", -0.0)]))
 NESTED = table_of(
     ("Total", [("Jan", 5.0)]),
     ("Total Sales", [("Jan", 9.0), ("Made in USA", 3.0)]),
@@ -138,6 +142,10 @@ NESTED = table_of(
         (table_of(("Empty", [])), "Which series has the highest value?"),
         (table_of(), "What is the value of Jan?"),
         (NESTED, "compare the trends"),
+        (SIGNED_ZEROS, "which month has the highest value"),
+        (SIGNED_ZEROS, "Which series has the highest value?"),
+        (SIGNED_ZEROS, "What is the maximum value of A?"),
+        (SIGNED_ZEROS, "What is the min value of Sales?"),
     ],
 )
 def test_oracle_matches_reference_on_named_cases(table, question):
