@@ -13,7 +13,7 @@ import math
 import operator
 import re
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable, TypeVar
 
 from ..engine.values import stringify
 from ..errors import ErrorKind
@@ -27,40 +27,48 @@ def _unanswerable(message: str) -> AgentError:
     return AgentError(message, ErrorKind.UNANSWERABLE)
 
 
-def _resolve_name(part: str, names: list[str]) -> str | None:
-    """Finds the table name the slot text refers to, longest match first."""
+_Entry = TypeVar("_Entry")
+_name_of_series = operator.attrgetter("name")
+
+
+def _resolve_name(part: str, entries: Iterable[_Entry], name_of: Callable[[_Entry], str]) -> _Entry | None:
+    """Finds the entry whose name the slot text refers to, longest match first.
+
+    The oracle's one name rule: a name matches when its normalized form is the
+    whole slot text or a run of its words; the first of equally long forms wins.
+    """
     padded = f" {part} "
-    best: str | None = None
-    for name in names:
-        folded = normalize_question(name)
-        if not folded:
-            continue
-        if part == folded or f" {folded} " in padded:
-            if best is None or len(folded) > len(normalize_question(best)):
-                best = name
+    best, best_length = None, 0
+    for entry in entries:
+        form = normalize_question(name_of(entry))
+        if len(form) > best_length and (part == form or f" {form} " in padded):
+            best, best_length = entry, len(form)
     return best
 
 
-def _resolve_cell(table: ChartTable, text: str) -> tuple[str, str] | None:
-    """Maps slot text to (series name, category), or None."""
+def _resolve_cell(table: ChartTable, text: str) -> tuple[Series, str] | None:
+    """Maps slot text to (series, category label), or None."""
     pieces = text.split(" in ")
     if len(pieces) > 1:
         for split in range(len(pieces) - 1, 0, -1):
-            series = _resolve_name(" in ".join(pieces[:split]), table.series_names())
-            category = _resolve_name(" in ".join(pieces[split:]), table.categories())
-            if series is not None and category is not None:
-                return series, category
+            entry = _resolve_name(" in ".join(pieces[:split]), table.series, _name_of_series)
+            label = _resolve_name(" in ".join(pieces[split:]), table.categories(), str)
+            if entry is not None and label is not None:
+                return entry, label
     if len(table.series) == 1:
-        category = _resolve_name(text, table.categories())
-        if category is not None:
-            return table.series[0].name, category
+        label = _resolve_name(text, table.categories(), str)
+        if label is not None:
+            return table.series[0], label
     return None
 
 
 def _read_cell(table: ChartTable, text: str) -> tuple[bool, float | None]:
-    """Resolves slot text to a cell, then looks it up: (resolved, value or None)."""
+    """Resolves slot text to a cell, then reads it: (resolved, value, or None where the series lacks the label)."""
     cell = _resolve_cell(table, text)
-    return cell is not None, None if cell is None else table.lookup(*cell)
+    if cell is None:
+        return False, None
+    entry, label = cell
+    return True, entry.values[entry.categories.index(label)] if label in entry.categories else None
 
 
 def _value_of(table: ChartTable, rest: str) -> str:
@@ -71,8 +79,7 @@ def _value_of(table: ChartTable, rest: str) -> str:
 
 
 def _extreme_of_series(table: ChartTable, which: str, series: str) -> str:
-    name = _resolve_name(series, table.series_names())
-    entry = table.find_series(name) if name is not None else None
+    entry = _resolve_name(series, table.series, _name_of_series)
     if entry is None or not entry.values:
         raise _unanswerable(f"cannot resolve series {series!r}")
     pick = max if which in ("highest", "maximum", "max") else min

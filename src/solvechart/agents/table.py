@@ -2,7 +2,8 @@
 
 A ChartTable is the underlying data of one chart: named series of
 (category, value) points, stored column-wise.  One JSON document holds one
-table.
+table.  A table only holds validated columns; the oracle alone resolves names
+against it, by `normalize_question`.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ class Series:
     categories: tuple[str, ...]
     values: tuple[float, ...]
 
-    @property
-    def points(self) -> tuple[tuple[str, float], ...]:
-        """The (category, value) pairs in series order."""
-        return tuple(zip(self.categories, self.values))
-
 
 @dataclass(frozen=True)
 class ChartTable:
@@ -86,7 +82,8 @@ class ChartTable:
                     raise TableFormatError(f"duplicate category in series {entry.name!r}")
                 labels.update(distinct)
             if not all(map(math.isfinite, entry.values)):
-                category, value = next(cell for cell in entry.points if not math.isfinite(cell[1]))
+                cells = zip(entry.categories, entry.values)
+                category, value = next(cell for cell in cells if not math.isfinite(cell[1]))
                 raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
         object.__setattr__(self, "_categories", tuple(labels))
         _distinct_forms(self._categories, "categories")
@@ -97,23 +94,6 @@ class ChartTable:
     def categories(self) -> list[str]:
         """Each distinct category label once, in first-seen order, as kept when the table was built."""
         return list(self._categories)
-
-    def find_series(self, name: str) -> Series | None:
-        folded = name.casefold()
-        for entry in self.series:
-            if entry.name.casefold() == folded:
-                return entry
-        return None
-
-    def lookup(self, series_name: str, category: str) -> float | None:
-        entry = self.find_series(series_name)
-        if entry is None:
-            return None
-        folded = category.casefold()
-        for cat, value in zip(entry.categories, entry.values):
-            if cat.casefold() == folded:
-                return value
-        return None
 
 
 def _parse_table(payload: dict) -> ChartTable:

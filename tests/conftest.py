@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 from contextlib import contextmanager
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import solvechart
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.table import ChartTable, load_table
 
@@ -24,6 +26,12 @@ if difference_in_2012 > 0:
 else:
     answer = "Democrat"
 """
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(solvechart.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture(scope="session")

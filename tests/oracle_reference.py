@@ -2,9 +2,12 @@
 
 Kept verbatim (only the imports are absolute) as the behaviour spec for
 `solvechart.agents.oracle`: on any valid table and any question, both must
-give the same answer, or the same error class, kind and message.  The one
-addition is `categories`, the table's first-seen label walk as it stood then,
-so that the spec does not lean on `ChartTable.categories`, which it checks.
+give the same answer, or the same error class, kind and message.  The
+additions are the table reads the oracle made then, so that the spec reads
+only table fields (`title`, `series`, and each series' `name`, `categories`
+and `values`) and leans on no table code it checks: `categories`, the
+first-seen label walk, and `_series_names`, `_points`, `_find_series` and
+`_lookup`, the casefold name search and point pairs the table offered then.
 
 Pure table-backed oracle over a closed set of question templates.
 
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass
 
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
-from solvechart.agents.table import ChartTable
+from solvechart.agents.table import ChartTable, Series
 from solvechart.engine.values import stringify
 from solvechart.errors import ErrorKind
 
@@ -79,11 +82,39 @@ def match_template(question: str) -> TemplateMatch:
     raise _unanswerable(f"no template matches {question!r}")
 
 
+def _series_names(table: ChartTable) -> list[str]:
+    return [entry.name for entry in table.series]
+
+
+def _points(series: Series) -> list[tuple[str, float]]:
+    """The (category, value) pairs in series order."""
+    return list(zip(series.categories, series.values))
+
+
+def _find_series(table: ChartTable, name: str) -> Series | None:
+    folded = name.casefold()
+    for entry in table.series:
+        if entry.name.casefold() == folded:
+            return entry
+    return None
+
+
+def _lookup(table: ChartTable, series_name: str, category: str) -> float | None:
+    entry = _find_series(table, series_name)
+    if entry is None:
+        return None
+    folded = category.casefold()
+    for cat, value in _points(entry):
+        if cat.casefold() == folded:
+            return value
+    return None
+
+
 def categories(table: ChartTable) -> list[str]:
     """Each distinct category label once, in first-seen order."""
     out: list[str] = []
     for entry in table.series:
-        for category, _ in entry.points:
+        for category, _ in _points(entry):
             if category not in out:
                 out.append(category)
     return out
@@ -110,7 +141,7 @@ def _resolve_cell(table: ChartTable, text: str) -> tuple[str, str] | None:
         for split in range(len(pieces) - 1, 0, -1):
             series_part = " in ".join(pieces[:split])
             category_part = " in ".join(pieces[split:])
-            series = _resolve_name(series_part, table.series_names())
+            series = _resolve_name(series_part, _series_names(table))
             category = _resolve_name(category_part, categories(table))
             if series is not None and category is not None:
                 return series, category
@@ -125,7 +156,7 @@ def _cell_value(table: ChartTable, text: str) -> float:
     cell = _resolve_cell(table, text)
     if cell is None:
         raise _unanswerable(f"cannot resolve {text!r} against the table")
-    value = table.lookup(*cell)
+    value = _lookup(table, *cell)
     if value is None:
         raise _unanswerable(f"no point for {text!r}")
     return value
@@ -141,8 +172,8 @@ def _split_two_cells(table: ChartTable, rest: str) -> tuple[float, float]:
         first_cell = _resolve_cell(table, first)
         second_cell = _resolve_cell(table, second)
         if first_cell is not None and second_cell is not None:
-            first_value = table.lookup(*first_cell)
-            second_value = table.lookup(*second_cell)
+            first_value = _lookup(table, *first_cell)
+            second_value = _lookup(table, *second_cell)
             if first_value is not None and second_value is not None:
                 return first_value, second_value
     raise _unanswerable(f"cannot resolve two cells in {rest!r}")
@@ -152,7 +183,7 @@ def _overall_extreme(table: ChartTable, which: str) -> tuple[str, str, float]:
     """Finds the point with the overall highest/lowest value, table order on ties."""
     best: tuple[str, str, float] | None = None
     for entry in table.series:
-        for category, value in entry.points:
+        for category, value in _points(entry):
             if best is None:
                 best = (entry.name, category, value)
             elif which == "highest" and value > best[2]:
@@ -170,11 +201,11 @@ def oracle_answer(table: ChartTable, question: str) -> str:
     if match.kind == "value_of":
         return stringify(_cell_value(table, match.slots["rest"]))
     if match.kind == "extreme_of_series":
-        name = _resolve_name(match.slots["series"], table.series_names())
-        series = table.find_series(name) if name is not None else None
-        if series is None or not series.points:
+        name = _resolve_name(match.slots["series"], _series_names(table))
+        series = _find_series(table, name) if name is not None else None
+        if series is None or not _points(series):
             raise _unanswerable(f"cannot resolve series {match.slots['series']!r}")
-        values = [value for _, value in series.points]
+        values = [value for _, value in _points(series)]
         extreme = max(values) if match.slots["which"] == "highest" else min(values)
         return stringify(extreme)
     if match.kind == "arg_extreme":

@@ -65,8 +65,9 @@ def test_answer_latency_nonnegative():
 def test_load_table_fixture(election_table):
     assert election_table.title == "Vote share by party"
     assert election_table.series_names() == ["Republican", "Democrat"]
-    assert election_table.lookup("Republican", "2012") == 50.0
-    assert election_table.lookup("republican", "2012") == 50.0
+    republican = election_table.series[0]
+    assert republican.values[republican.categories.index("2012")] == 50.0
+    assert oracle_answer(election_table, "value of republican in 2012") == "50"
 
 
 def test_duplicate_series_names_rejected_case_insensitive():
@@ -150,9 +151,9 @@ def test_load_table_keeps_one_string_per_label(tmp_path):
         ("B", [("Feb 2012", "3"), ("Jan", "4")]),
         ("C", [("Jan", "5")]),
     ])
-    a, b, c = (entry.points for entry in load_table(path).series)
-    assert b[1][0] is a[0][0] and c[0][0] is a[0][0]
-    assert b[0][0] is a[1][0]
+    a, b, c = (entry.categories for entry in load_table(path).series)
+    assert b[1] is a[0] and c[0] is a[0]
+    assert b[0] is a[1]
 
 
 def test_categories_reads_the_list_kept_at_build():
@@ -189,8 +190,8 @@ def test_ragged_table_keeps_each_series_order(tmp_path):
     table = load_table(path)
     assert [entry.categories for entry in table.series] == [("Feb", "Jan"), ("Jan", "Mar", "Feb")]
     assert table.categories() == ["Feb", "Jan", "Mar"]
-    assert table.series[1].points == (("Jan", 3.0), ("Mar", 4.0), ("Feb", 5.0))
-    assert table.lookup("A", "Jan") == 2.0 and table.lookup("B", "Feb") == 5.0
+    assert table.series[1].values == (3.0, 4.0, 5.0)
+    assert oracle_answer(table, "value of A in Jan") == "2" and oracle_answer(table, "value of B in Feb") == "5"
     assert oracle_answer(table, "which month has the highest value") == "Feb"
 
 

@@ -2,15 +2,13 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import solvechart
-from conftest import ELECTION_PROGRAM, json_server
+from conftest import ELECTION_PROGRAM, json_server, src_env
 from solvechart.agents.table import load_table
 from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
@@ -546,12 +544,6 @@ def test_align_demo_flag_and_config_print_the_same_document(tmp_path, capsys, fl
     path.write_text(json.dumps({key: value}), encoding="utf-8")
     assert align_demo_stdout(capsys, "--config", str(path)) == by_flag
     assert json.loads(by_flag)["config"] == {**ALIGN_DEFAULT_CONFIG, key: value}
-
-
-def src_env() -> dict[str, str]:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(solvechart.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_importing_the_cli_leaves_numpy_out():

@@ -16,8 +16,12 @@ import oracle_reference
 from solvechart.agents.oracle import oracle_answer
 from solvechart.agents.table import ChartTable, Series
 
-SERIES_NAMES = ["Total", "Total Sales", "Sales", "Salt and Pepper", "Made in USA", "A", "In", "And", "Apples"]
-CATEGORIES = ["Jan", "Feb", "2012", "Jan 2012", "Made in USA", "North and South", "Total", "Q1", "and"]
+# Some names differ from their normalized form by case and punctuation ("U.S." is "u s"). No pool may hold
+# two names with one normalized form: a table refuses them, so drawing both would fail the strategy.
+SERIES_NAMES = ["Total", "Total Sales", "Sales", "Salt and Pepper", "Made in USA", "A", "In", "And", "Apples",
+                "U.S.", "St. Louis", "Sales (EUR)"]
+CATEGORIES = ["Jan", "Feb", "2012", "Jan 2012", "Made in USA", "North and South", "Total", "Q1", "and",
+              "Q1 '12", "U.S.", "St. Louis", "Mar-Apr"]
 VALUES = [0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 150.0]
 PREFIXES = ["", "What is the ", "what's the ", "What was ", "the ", "whats "]
 EXTREME_WORDS = ["highest", "lowest", "maximum", "minimum", "max", "min"]
@@ -118,6 +122,10 @@ NESTED = table_of(
     ("Salt and Pepper", [("North and South", 4.0), ("Jan", -2.5)]),
     ("Empty", []),
 )
+# Ragged: each series lacks a label another one holds, and names carry case and punctuation.
+# Equal-length names that both match one slot: the first in table order wins.
+EQUAL_FORMS = table_of(("Sales", [("Feb", 3.0), ("Jan", 1.0)]), ("Total", [("Jan", 2.0)]))
+RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Mar-Apr", 2.0), ("Q1 '12", -3.0)]))
 
 
 @pytest.mark.parametrize(
@@ -146,6 +154,13 @@ NESTED = table_of(
         (SIGNED_ZEROS, "Which series has the highest value?"),
         (SIGNED_ZEROS, "What is the maximum value of A?"),
         (SIGNED_ZEROS, "What is the min value of Sales?"),
+        (RAGGED, "What is the value of U.S. in Mar-Apr?"),
+        (RAGGED, "What is the value of St. Louis in Jan?"),
+        (RAGGED, "What is the sum of U.S. in Q1 '12 and St. Louis in Jan?"),
+        (RAGGED, "What is the difference between u.s. in q1 '12 and st louis in Q1-12?"),
+        (RAGGED, "What is the highest value of ST. LOUIS?"),
+        (EQUAL_FORMS, "What is the maximum value of Total Sales?"),
+        (EQUAL_FORMS, "What is the value of Sales in Jan Feb?"),
     ],
 )
 def test_oracle_matches_reference_on_named_cases(table, question):
