@@ -66,7 +66,15 @@ def _is_open(sock: socket.socket) -> bool:
         return False
 
 
-def _connection(key: tuple[str, str, int], timeout_s: float) -> socket.socket:
+def _time_left(deadline: float) -> float:
+    """Seconds until deadline (a time.monotonic() reading); TimeoutError once it has passed."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("deadline passed")
+    return left
+
+
+def _connection(key: tuple[str, str, int], deadline: float) -> socket.socket:
     """The newest idle pooled socket to key that is still open, or a new one."""
     while True:
         with _idle_lock:
@@ -75,14 +83,15 @@ def _connection(key: tuple[str, str, int], timeout_s: float) -> socket.socket:
         if sock is None:
             break
         if _is_open(sock):
-            sock.settimeout(timeout_s)
             return sock
         sock.close()
     scheme, host, port = key
-    sock = socket.create_connection((host, port), timeout_s)
+    sock = socket.create_connection((host, port), _time_left(deadline))
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if scheme == "https":
+            # Each handshake read and write may take what is left when the handshake starts.
+            sock.settimeout(_time_left(deadline))
             sock = _tls_context().wrap_socket(sock, server_hostname=host)
     except BaseException:
         sock.close()
@@ -119,20 +128,25 @@ class _Reader:
     """Reads one reply from a socket through a single receive buffer.
 
     A stream that ends early is ConnectionError; a reply that breaks the
-    protocol or the head limits is ValueError.
+    protocol or the head limits is ValueError; a receive that would end past
+    the deadline is TimeoutError.
     """
 
-    __slots__ = ("sock", "buf", "pos")
+    __slots__ = ("sock", "deadline", "buf", "pos")
 
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock, self.buf, self.pos = sock, b"", 0
+    def __init__(self, sock: socket.socket, deadline: float) -> None:
+        self.sock, self.deadline, self.buf, self.pos = sock, deadline, b"", 0
+
+    def _recv(self, n: int) -> bytes:
+        self.sock.settimeout(_time_left(self.deadline))
+        return self.sock.recv(n)
 
     def line(self) -> bytes:
         """The next line, without its LF or CRLF ending."""
         while (end := self.buf.find(b"\n", self.pos)) < 0:
             if len(self.buf) - self.pos >= _MAX_LINE:
                 raise ValueError("reply line too long")
-            data = self.sock.recv(_RECV_BYTES)
+            data = self._recv(_RECV_BYTES)
             if not data:
                 raise ConnectionError("remote end closed the connection without a full reply")
             self.buf, self.pos = self.buf[self.pos:] + data, 0
@@ -146,7 +160,7 @@ class _Reader:
         first = self.buf[self.pos:self.pos + n]
         self.pos += len(first)
         parts, got = [first], len(first)
-        while got < n and (data := self.sock.recv(min(n - got, _RECV_BYTES))):
+        while got < n and (data := self._recv(min(n - got, _RECV_BYTES))):
             parts.append(data)
             got += len(data)
         return b"".join(parts)
@@ -198,14 +212,15 @@ class _Reader:
                 raise ValueError("chunk data not followed by a line end")
 
 
-def _exchange(sock: socket.socket, request: bytes) -> tuple[int, bytes, bool]:
-    """Sends request and reads its reply: (status, body, whether sock may be reused).
+def _exchange(sock: socket.socket, request: bytes, deadline: float) -> tuple[int, bytes, bool]:
+    """Sends request and reads its reply by deadline: (status, body, whether sock may be reused).
 
     The body is capped at MAX_BODY_BYTES + 1 bytes, and a longer one leaves
     sock unfit for reuse.  1xx replies before the final one are skipped.
     """
+    sock.settimeout(_time_left(deadline))  # sendall's timeout bounds the whole send
     sock.sendall(request)
-    reader = _Reader(sock)
+    reader = _Reader(sock, deadline)
     version, status = reader.status()
     while status < 200:
         reader.fields()
@@ -238,12 +253,15 @@ def post_json(
 ) -> Any:
     """POSTs payload as JSON to {endpoint}{path} and returns the decoded body.
 
+    timeout_s bounds the whole call: connecting, sending and reading the reply.
+
     Raises:
         error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
             bad URLs, connection failures, malformed replies or non-200
             statuses, BAD_RESPONSE when the body is not JSON or is over
             MAX_BODY_BYTES.
     """
+    deadline = time.monotonic() + timeout_s
     url = endpoint.rstrip("/") + path
     sock = None
     try:
@@ -253,8 +271,8 @@ def post_json(
         key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         request = _request(key, target, json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
-        sock = _connection(key, timeout_s)
-        status, data, reusable = _exchange(sock, request)
+        sock = _connection(key, deadline)
+        status, data, reusable = _exchange(sock, request, deadline)
     # ValueError: a bad port, a NaN in the payload, a refused header or a malformed reply.
     except (OSError, ValueError) as err:
         if sock is not None:

@@ -34,7 +34,7 @@ from .agents.base import AgentHandle, AgentQuery
 from .agents.http import HttpAgent
 from .agents.oracle import OracleAgent
 from .agents.replay import Cassette, ReplayAgent
-from .agents.table import load_table
+from .agents.table import ChartTable, load_table
 from .dsl.formatter import format_program
 from .dsl.nodes import SolutionProgram
 from .dsl.parser import parse_program
@@ -42,11 +42,12 @@ from .engine.interpreter import EngineConfig, execute
 from .engine.values import stringify
 from .errors import SolveChartError
 from .evaluation.dataset import load_dataset
-from .evaluation.harness import EvalConfig, oracle_agents, prompt_hints, run_eval
+from .evaluation.harness import EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
 from .files import read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
 from .solgen.generate import MAX_REPLY_CHARS, generate_solution
+from .solgen.prompt import chart_hints
 
 
 # UTF-8 spends at most 4 bytes a character, so any reply the model path
@@ -239,11 +240,11 @@ def _write_output(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _build_agent(spec: str, table: str | None, record: str | None) -> AgentHandle:
+def _build_agent(spec: str, table: ChartTable | None, record: str | None) -> AgentHandle:
     if spec == "oracle":
         if table is None:
             raise CliError("--agent oracle requires --table")
-        base: AgentHandle = OracleAgent(load_table(table))
+        base: AgentHandle = OracleAgent(table)
     elif spec.startswith(("http://", "https://")):
         base = HttpAgent(spec)
     elif spec.startswith("replay:"):
@@ -285,11 +286,14 @@ def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent:
 
 def _cmd_run(cmd: argparse.Namespace) -> int:
     program = parse_program(_read_source(cmd.program))
-    return _execute_and_print(cmd, program, _build_agent(cmd.agent, cmd.table, cmd.record))
+    table = load_table(cmd.table) if cmd.table is not None and cmd.agent == "oracle" else None
+    return _execute_and_print(cmd, program, _build_agent(cmd.agent, table, cmd.record))
 
 
 def _cmd_solve(cmd: argparse.Namespace) -> int:
-    agent = _build_agent(cmd.agent, cmd.table, None)
+    live = cmd.mode == "programmatic" and cmd.llm is not None  # only a live model gets a prompt
+    table = load_table(cmd.table) if cmd.table is not None and (cmd.agent == "oracle" or live) else None
+    agent = _build_agent(cmd.agent, table, None)
     if cmd.mode == "agent-only":
         print(agent.answer(AgentQuery(cmd.question, cmd.chart_id, "ASK")).answer)
         return 0
@@ -299,7 +303,7 @@ def _cmd_solve(cmd: argparse.Namespace) -> int:
         if cmd.llm is None:
             raise CliError("--llm-record requires --llm")
         record_to = Cassette.record(cmd.llm_record)
-    hints = prompt_hints(llm, agent, cmd.table)
+    hints = chart_hints(table) if live and table is not None else None
     program = generate_solution(cmd.question, llm, chart_hints=hints, chart_id=cmd.chart_id, record_to=record_to)
     if cmd.show_program:
         sys.stderr.write(format_program(program))
@@ -361,11 +365,10 @@ def _cmd_eval(cmd: argparse.Namespace) -> int:
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
     shared = None if cmd.agent == "oracle" else _build_agent(cmd.agent, None, None)
-    factory = oracle_agents() if shared is None else lambda item: shared
     llm = _build_llm(cmd.llm, cmd.llm_replay) if mode == "programmatic" else None
     config = EvalConfig(
         mode=mode,
-        agent_factory=factory,
+        agent_factory=None if shared is None else lambda item: shared,  # None: the oracle over each item's table
         llm_client=llm,
         fallback_to_ask=cmd.fallback,
         workers=cmd.workers,

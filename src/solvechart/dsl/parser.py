@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 
+from ..errors import SolveChartError
 from .errors import ParseError
 from .lexer import Token, TokenKind, decode_string, tokenize
 from .nodes import (
+    AGENT_CALLEES,
     ANSWER_VARIABLE,
     BINARY_PRECEDENCE,
     UNARY_PRECEDENCE,
@@ -45,13 +47,18 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "make_program"]
+__all__ = ["MAX_AGENT_CALLS", "MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "make_program"]
 
 # Deepest nesting accepted: the most levels on a path from a statement down to
 # a leaf, where each if block, parenthesis, bracket, call, unary operator and
 # binary operator on the path is a level.  The formatter and the engine
 # recurse on the tree, so this keeps them well inside Python's recursion limit.
 MAX_DEPTH = 100
+
+# Most ASK and SUBSTEP call sites in one program.  The language has no loops,
+# so call sites bound the agent calls a run makes; the paper's programs make
+# 1-4.  The engine's fallback ASK is not a call site.
+MAX_AGENT_CALLS = 64
 
 
 class _Parser:
@@ -63,6 +70,7 @@ class _Parser:
         self.pos = start
         self.head = start
         self.depth = 0
+        self.agent_calls = 0
 
     # -- token plumbing -----------------------------------------------------
 
@@ -105,6 +113,9 @@ class _Parser:
         while self.tokens[self.pos].kind is not TokenKind.END:
             self.head = self.pos
             statements.append(self._statement())
+        if self.agent_calls > MAX_AGENT_CALLS:
+            # Not a ParseError: the suffix scan must refuse this program, not fall back to a shorter suffix.
+            raise SolveChartError(f"program has {self.agent_calls} agent call sites, more than {MAX_AGENT_CALLS}")
         return tuple(statements)
 
     def _statement(self) -> Statement:
@@ -229,6 +240,8 @@ class _Parser:
                 f"{callee} takes exactly {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
                 name.line, name.column,
             )
+        if callee in AGENT_CALLEES:
+            self.agent_calls += 1
         return Call(callee, args), height
 
     def _sequence(self, opener: Token, closer: str) -> tuple[tuple[Expression, ...], int]:

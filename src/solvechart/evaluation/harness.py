@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Union
 
 from ..agents.base import AgentHandle, AgentQuery
 from ..agents.oracle import OracleAgent
 from ..agents.replay import Cassette
-from ..agents.table import load_table
+from ..agents.table import ChartTable, load_table
 from ..engine.interpreter import EngineConfig, execute
 from ..engine.values import stringify
 from ..errors import SolveChartError
@@ -42,13 +41,17 @@ MODES = ("agent_only", "programmatic")
 AgentFactory = Callable[[EvalItem], AgentHandle]
 LlmSource = Union[LlmConfig, Cassette]
 
+# The tables one run's reader holds, least recently read dropped first: twice the reuse measured at seed 7,
+# where the fixture reads a table again at an LRU stack distance of at most 2 and eval-lookup at most 3.
+TABLES_HELD = 8
+
 
 @dataclass(frozen=True, slots=True)
 class EvalConfig:
-    """Settings for one evaluation run."""
+    """Settings for one evaluation run; with no agent_factory, an OracleAgent answers each item from its table."""
 
     mode: str
-    agent_factory: AgentFactory = field(repr=False)
+    agent_factory: AgentFactory | None = field(default=None, repr=False)
     llm_client: LlmSource | None = None
     fallback_to_ask: bool = True
     workers: int = 1
@@ -111,39 +114,25 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def oracle_agents() -> AgentFactory:
-    """An agent factory: an OracleAgent over each item's table, each path loaded once while the factory lives."""
-    agent_for = cache(lambda path: OracleAgent(load_table(path)))  # threads may race to load a path; either serves
-
-    def factory(item: EvalItem) -> AgentHandle:
-        if item.table_path is None:
-            raise SolveChartError(f"item {item.id!r} has no table_path for the oracle agent")
-        return agent_for(item.table_path)
-
-    return factory
-
-
-def prompt_hints(llm_client: LlmSource, agent: AgentHandle, table_path: str | None) -> str | None:
-    """The prompt's chart context; only a live model gets a prompt, so a cassette reads no table."""
-    if not isinstance(llm_client, LlmConfig) or table_path is None:
-        return None
-    # Any other agent's table is read for this prompt and dropped: a run-long cache grows with the dataset's
-    # tables, and put eval-live peak RSS up 4.1% with column-wise tables (8% with point tuples; README).
-    return chart_hints(agent.table if isinstance(agent, OracleAgent) else load_table(table_path))
-
-
-def _evaluate_item(item: EvalItem, config: EvalConfig) -> ItemResult:
+def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], ChartTable] | None) -> ItemResult:
+    """One item's result; tables is the run's table reader, None where the run reads no table."""
     try:
-        agent = config.agent_factory(item)
+        if config.agent_factory is not None:
+            agent = config.agent_factory(item)
+        elif item.table_path is None:
+            raise SolveChartError(f"item {item.id!r} has no table_path for the oracle agent")
+        else:
+            agent = OracleAgent(tables(item.table_path))
         fallback_used, trace_path = False, None
         if config.mode == "agent_only":
             prediction = agent.answer(AgentQuery(item.question, item.chart_id, "ASK")).answer
         else:
             assert config.llm_client is not None
+            live = isinstance(config.llm_client, LlmConfig)  # only a live model gets a prompt
             program = generate_solution(
                 item.question,
                 config.llm_client,
-                chart_hints=prompt_hints(config.llm_client, agent, item.table_path),
+                chart_hints=chart_hints(tables(item.table_path)) if live and item.table_path is not None else None,
                 chart_id=item.chart_id,
             )
             result = execute(
@@ -190,11 +179,18 @@ def run_eval(items: list[EvalItem], config: EvalConfig) -> EvalReport:
     """Evaluate every item and assemble a report in dataset order."""
     if not items:
         return EvalReport(items=(), accuracy=0.0, config=config.snapshot(), empty_dataset=True)
+    # Only a run that reads tables builds a reader: an lru_cache is a reference cycle that only the garbage
+    # collector frees, which costs a caller that runs items one run_eval call at a time.  Threads may race
+    # to load a path; either copy serves.
+    live = config.mode == "programmatic" and isinstance(config.llm_client, LlmConfig)
+    tables = lru_cache(maxsize=TABLES_HELD)(load_table) if live or config.agent_factory is None else None
     if config.workers == 1:
-        results = [_evaluate_item(item, config) for item in items]
+        results = [_evaluate_item(item, config, tables) for item in items]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # imported here, so a serial run never loads it
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda it: _evaluate_item(it, config), items))
+            results = list(pool.map(lambda it: _evaluate_item(it, config, tables), items))
     accuracy = sum(1 for r in results if r.correct) / len(results)
     return EvalReport(
         items=tuple(results),

@@ -36,8 +36,10 @@ def extract_program(reply: str) -> str:
 
     Returns the text inside the first fenced code block if there is one,
     otherwise the longest suffix of the reply that parses as a program with
-    at least one statement.  Raises ExtractionError when neither applies.
-    The returned text is not guaranteed to parse if it came from a fence.
+    at least one statement.  Raises ExtractionError when neither applies,
+    and the parser's SolveChartError when that suffix holds more than
+    MAX_AGENT_CALLS agent call sites.  The returned text is not guaranteed
+    to parse if it came from a fence.
     """
     return scan_reply(reply)[0]
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from typing import Union
 
 from ..agents.replay import Cassette
-from ..dsl import ParseError, SolutionProgram, parse_program
+from ..dsl import SolutionProgram, parse_program
 from ..dsl.parser import UNASSIGNED_WARNING
 from ..errors import ErrorKind, SolveChartError
 from .client import LlmConfig, chat_completion
-from .extract import ExtractionError, scan_reply
+from .extract import scan_reply
 from .prompt import PromptBundle, build_prompt
 
 __all__ = ["GenerationError", "MAX_REPLY_CHARS", "generate_solution"]
@@ -35,7 +35,7 @@ def _try_accept(reply: str) -> tuple[SolutionProgram | None, str | None]:
         source, program = scan_reply(reply)
         if program is None:
             program = parse_program(source)
-    except (ExtractionError, ParseError) as err:
+    except SolveChartError as err:  # ExtractionError, ParseError, or too many agent call sites
         return None, str(err)
     if UNASSIGNED_WARNING in program.warnings:
         return None, UNASSIGNED_WARNING

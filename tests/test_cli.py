@@ -9,6 +9,8 @@ import pytest
 
 import solvechart
 from conftest import ELECTION_PROGRAM, json_server, src_env
+from solvechart.agents.base import AgentQuery
+from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.table import load_table
 from solvechart.cli import CliError, _load_config, main, parse_args, run_command
 
@@ -385,6 +387,16 @@ def test_run_failure_without_fallback(tmp_path, fixtures_dir, capsys):
     assert "division-by-zero" in capsys.readouterr().err
 
 
+def test_run_refuses_a_program_over_the_agent_call_site_limit_before_any_call(tmp_path, capsys):
+    program = tmp_path / "many.txt"
+    program.write_text('a=SUBSTEP("q")\n' * 6665 + "answer=a\n", encoding="utf-8")
+    requests = []
+    with json_server(lambda path, body: requests.append(body) or {"answer": "1"}) as (_, url):
+        assert cli("run", "--program", str(program), "--agent", url, "--fallback", "--question", "q") == 1
+    assert requests == []
+    assert "program has 6665 agent call sites, more than 64" in capsys.readouterr().err
+
+
 # -- solve command ----------------------------------------------------------
 
 def test_solve_agent_only(election_json, capsys):
@@ -461,6 +473,30 @@ def test_solve_loads_the_table_once(monkeypatch, capsys, election_json, fixtures
     else:
         assert cli(*argv, "--llm-replay", str(fixtures_dir / "llm_cassette.json")) == 0
     assert loads == [election_json]
+    assert capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize("llm", ["live", "replay"])
+def test_solve_with_another_agent_reads_the_table_only_for_a_live_model(monkeypatch, capsys, election_json,
+                                                                         fixtures_dir, llm):
+    loads, prompts = [], []
+    monkeypatch.setattr("solvechart.cli.load_table", lambda path: loads.append(path) or load_table(path))
+    oracle = OracleAgent(load_table(election_json))
+
+    def respond(path, body):
+        if path == "/answer":
+            return {"answer": oracle.answer(AgentQuery(body["question"], body["chart_id"], body["operator"])).answer}
+        prompts.append(body["messages"][-1]["content"])
+        return {"choices": [{"message": {"content": f"```\n{ELECTION_PROGRAM}```\n"}}]}
+
+    with json_server(respond) as (_, url):
+        argv = ["solve", "--agent", url, "--table", election_json, "--chart-id", "election",
+                "--question", "By how much did Republican exceed Democrat in 2012?"]
+        llm_args = ["--llm", url] if llm == "live" else ["--llm-replay", str(fixtures_dir / "llm_cassette.json")]
+        assert cli(*argv, *llm_args) == 0
+    assert loads == ([election_json] if llm == "live" else [])
+    assert prompts == ([f"Question: {argv[-1]}\nChart: Vote share by party; series: Republican, Democrat"]
+                       if llm == "live" else [])
     assert capsys.readouterr().out != ""
 
 
@@ -547,9 +583,10 @@ def test_align_demo_flag_and_config_print_the_same_document(tmp_path, capsys, fl
 
 
 def test_importing_the_cli_leaves_numpy_out():
-    """Only align-demo needs numpy, so eval, run and solve start without paying for it."""
+    """Only align-demo needs numpy, and only eval --workers above 1 a thread pool, so commands start without them."""
     probe = ("import sys, solvechart.cli\n"
-             "print(sorted(name for name in sys.modules if name.startswith(('numpy', 'solvechart.align'))))")
+             "print(sorted(name for name in sys.modules\n"
+             "             if name.startswith(('numpy', 'solvechart.align', 'concurrent.futures'))))")
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 

@@ -16,8 +16,10 @@ from solvechart.dsl.nodes import (
     StringLit,
     Unary,
 )
-from solvechart.dsl.parser import MAX_DEPTH, UNASSIGNED_WARNING, parse_program
-from solvechart.engine.interpreter import execute
+from solvechart.agents.base import AgentAnswer
+from solvechart.dsl.parser import MAX_AGENT_CALLS, MAX_DEPTH, UNASSIGNED_WARNING, parse_program
+from solvechart.engine.interpreter import EngineConfig, execute
+from solvechart.errors import SolveChartError
 
 
 def test_election_program_shape(election_program_source):
@@ -237,6 +239,30 @@ def test_unbounded_nesting_is_parse_error():
     for source in ("answer = " + "(" * 200, "answer = " + " + ".join(["1"] * 500), "answer = " + NESTED_GROUPS):
         with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
             parse_program(source)
+
+
+class _CountingAgent:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def answer(self, query):
+        self.calls += 1
+        return AgentAnswer("1", 0.0, "stub")
+
+
+def test_agent_call_sites_are_capped_and_the_fallback_ask_is_not_one():
+    # Every ASK or SUBSTEP counts, in untaken branches and nested calls too.
+    sites = ['a = SUBSTEP("q")', "if a > 5:", '    a = ASK("q") + max(SUBSTEP("q"), 1)', "else:", '    a = [ASK("q")]']
+    at_limit = "\n".join(sites + ['b = SUBSTEP("q")'] * (MAX_AGENT_CALLS - 4) + ["answer = a / 0", ""])
+    program = parse_program(at_limit)
+    agent = _CountingAgent()
+    result = execute(program, agent, EngineConfig(fallback_to_ask=True, question="q"))
+    assert result.fallback_used is True
+    assert agent.calls == MAX_AGENT_CALLS - 2 + 1  # the untaken branch's two sites, then the fallback ASK
+    over = f"program has {MAX_AGENT_CALLS + 1} agent call sites, more than {MAX_AGENT_CALLS}"
+    with pytest.raises(SolveChartError, match=over) as err:
+        parse_program('c = ASK("q")\n' + at_limit)
+    assert not isinstance(err.value, ParseError)
 
 
 def test_number_literal_must_be_finite():

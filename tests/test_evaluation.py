@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
+import solvechart.agents.table
 from conftest import json_server
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
@@ -19,7 +21,7 @@ from solvechart.evaluation.dataset import (
     EvalItem,
     load_dataset,
 )
-from solvechart.evaluation.harness import EvalConfig, oracle_agents, run_eval
+from solvechart.evaluation.harness import TABLES_HELD, EvalConfig, run_eval
 from solvechart.evaluation.metrics import relaxed_match
 from solvechart.solgen.client import LlmConfig
 from solvechart.solgen.prompt import chart_hints
@@ -400,7 +402,7 @@ def test_live_model_gets_chart_hints(temps_path, tmp_path, monkeypatch):
     items = [EvalItem(id="bad", question="What is X?", gold="1", chart_id="bad", table_path=str(bad)),
              *temps_items(temps_path)[:1]]
     shared = ForwardingAgent(OracleAgent(table))
-    for factory in (oracle_agents(), lambda item: shared):
+    for factory in (None, lambda item: shared):
         prompts.clear()
         config = EvalConfig(
             mode="programmatic",
@@ -411,6 +413,82 @@ def test_live_model_gets_chart_hints(temps_path, tmp_path, monkeypatch):
         assert report.items[0].reason == "malformed chart table: 'series'"  # only its own item fails
         assert report.items[1].correct is True
         assert prompts == [f"Question: {TEMPS_QA[0][1]}\nChart: {chart_hints(table)}"]
+
+
+@pytest.fixture()
+def reader_log(monkeypatch):
+    """Records each table the harness parses, by title, and each reader it builds."""
+    log = {"parses": [], "readers": 0}
+    parse_table = solvechart.agents.table._parse_table
+    monkeypatch.setattr("solvechart.agents.table._parse_table",
+                        lambda payload: log["parses"].append(payload["title"]) or parse_table(payload))
+
+    def counting_lru_cache(**kwargs):
+        log["readers"] += 1
+        return lru_cache(**kwargs)
+
+    monkeypatch.setattr("solvechart.evaluation.harness.lru_cache", counting_lru_cache)
+    return log
+
+
+def titled_tables(tmp_path, temps_path, count: int) -> list[str]:
+    payload = json.loads(temps_path.read_text(encoding="utf-8"))
+    paths = []
+    for n in range(count):
+        path = tmp_path / f"table{n}.json"
+        path.write_text(json.dumps({**payload, "title": f"t{n}"}), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def mon_items(paths: list[str]) -> list[EvalItem]:
+    return [EvalItem(id=f"i{n}", question=TEMPS_QA[0][1], gold=TEMPS_QA[0][2], chart_id="temps", table_path=path)
+            for n, path in enumerate(paths)]
+
+
+def test_oracle_run_parses_a_table_again_once_the_reader_has_dropped_it(reader_log, temps_path, tmp_path):
+    paths = titled_tables(tmp_path, temps_path, TABLES_HELD + 1)
+    report = run_eval(mon_items(paths + paths[:1]), EvalConfig(mode="agent_only"))
+    assert report.accuracy == 1.0
+    assert reader_log == {"parses": [f"t{n}" for n in range(TABLES_HELD + 1)] + ["t0"], "readers": 1}
+
+
+def test_oracle_run_within_the_bound_parses_each_table_once(reader_log, temps_path, tmp_path):
+    paths = titled_tables(tmp_path, temps_path, TABLES_HELD)
+    report = run_eval(mon_items(paths + paths[::-1] + paths), EvalConfig(mode="agent_only"))
+    assert report.accuracy == 1.0
+    assert reader_log == {"parses": [f"t{n}" for n in range(TABLES_HELD)], "readers": 1}
+
+
+def test_http_agent_with_a_cassette_model_builds_no_reader(reader_log, tmp_path):
+    item = EvalItem(id="x1", question="What is X?", gold="42", chart_id="c", table_path=str(tmp_path / "missing.json"))
+    cassette = Cassette.empty()
+    cassette.append("c", item.question, '```\nanswer = SUBSTEP("What is X?")\n```')
+    with json_server(lambda path, body: {"answer": "42"}) as (_, url):
+        agent = HttpAgent(url, timeout_s=5.0)
+        config = EvalConfig(mode="programmatic", agent_factory=lambda _: agent, llm_client=cassette)
+        report = run_eval([item], config)
+    assert report.items[0].correct is True
+    assert reader_log == {"parses": [], "readers": 0}
+
+
+class CountingAgent:
+    def __init__(self):
+        self.calls = 0
+
+    def answer(self, query):
+        self.calls += 1
+        return AgentAnswer("42", 0.0, "stub")
+
+
+def test_program_over_the_agent_call_site_limit_fails_its_item_before_any_call():
+    cassette = Cassette.empty()
+    cassette.append("c", "many?", 'a=SUBSTEP("q")\n' * 6665 + "answer=a\n")
+    agent = CountingAgent()
+    config = EvalConfig(mode="programmatic", agent_factory=lambda _: agent, llm_client=cassette)
+    result = run_eval([EvalItem(id="many", question="many?", gold="42", chart_id="c")], config).items[0]
+    assert result.reason == "invalid-program: recorded reply unusable: program has 6665 agent call sites, more than 64"
+    assert agent.calls == 0
 
 
 def test_refused_model_is_reported_once_as_transport(temps_path):

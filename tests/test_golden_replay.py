@@ -30,9 +30,10 @@ RUNS = {
 }
 
 
-def replay(mode: str, workdir: Path) -> dict[str, bytes]:
+def replay(mode: str, workdir: Path, *extra: str) -> dict[str, bytes]:
     """Runs one eval in workdir; its outputs keyed by their path under the mode's golden directory."""
-    argv = [sys.executable, "-m", "solvechart.cli", "eval", "--dataset", str(FIXTURES / "dataset.jsonl"), *RUNS[mode]]
+    argv = [sys.executable, "-m", "solvechart.cli", "eval", "--dataset", str(FIXTURES / "dataset.jsonl"), *RUNS[mode],
+            *extra]
     done = subprocess.run(argv, cwd=workdir, env=src_env(), capture_output=True, timeout=120, check=True)
     traces = {f"traces/{path.name}": path.read_bytes() for path in sorted(workdir.glob("traces/*"))}
     return {"stdout": done.stdout, "stderr": done.stderr, **traces}
@@ -49,6 +50,14 @@ def test_replayed_eval_matches_golden_bytes(mode, tmp_path):
     assert sorted(outputs) == sorted(expected)
     for name, data in outputs.items():
         assert data == expected[name], name
+
+
+@pytest.mark.parametrize("mode", RUNS)
+def test_four_workers_replay_the_same_bytes(mode, tmp_path):
+    outputs, expected = replay(mode, tmp_path, "--workers", "4"), golden(mode)
+    assert expected["stdout"].count(b'"workers": 1') == 1
+    expected["stdout"] = expected["stdout"].replace(b'"workers": 1', b'"workers": 4')  # the report's config says so
+    assert outputs == expected
 
 
 def test_golden_programmatic_run_keeps_every_trace():

@@ -12,6 +12,7 @@ import io
 import json
 import socket
 import threading
+import time
 from contextlib import ExitStack, contextmanager
 
 import pytest
@@ -19,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvechart.agents import http as agents_http
-from solvechart.agents.base import AgentError
-from solvechart.agents.http import post_json
-from solvechart.errors import ErrorKind
+from solvechart.agents.base import AgentError, AgentQuery
+from solvechart.agents.http import HttpAgent, post_json
+from solvechart.errors import ErrorKind, SolveChartError
+from solvechart.solgen.client import LlmConfig, chat_completion
+from solvechart.solgen.prompt import build_prompt
 
 BODY = json.dumps({"answer": "50", "note": "a longer body that chunking can split"}).encode()
 
@@ -42,11 +45,12 @@ def _read_request(conn: socket.socket) -> bytes | None:
 
 
 @contextmanager
-def canned_server(replies: list[tuple[bytes, bool]], drip: bool = False):
+def canned_server(replies: list[tuple[bytes, bool]], drip: bool = False, pause_s: float = 0.0):
     """Serves replies in order, one per request: (raw bytes, close the connection after it).
 
-    With drip, each reply goes out one byte per send.  Yields a state dict with
-    the URL, the number of connections accepted and the requests received.
+    With drip, each reply goes out one byte per send, pause_s apart.  Yields a
+    state dict with the URL, the number of connections accepted and the
+    requests received.
     """
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -65,8 +69,13 @@ def canned_server(replies: list[tuple[bytes, bool]], drip: bool = False):
                 while pending and (request := _read_request(conn)) is not None:
                     state["requests"].append(request)
                     raw, close = pending.pop(0)
-                    for piece in ([raw[i:i + 1] for i in range(len(raw))] if drip else [raw]):
-                        conn.sendall(piece)
+                    try:
+                        for piece in ([raw[i:i + 1] for i in range(len(raw))] if drip else [raw]):
+                            conn.sendall(piece)
+                            if pause_s:
+                                time.sleep(pause_s)
+                    except OSError:  # the client gave up and closed the connection
+                        break
                     if close:
                         break
 
@@ -253,6 +262,26 @@ def test_idle_pool_keeps_at_most_its_limit_and_closes_the_sockets_it_evicts():
             kept = [sock for _, sock in agents_http._idle]
     assert kept == pooled[3:]
     assert [sock.fileno() for sock in pooled[:3]] == [-1, -1, -1]
+
+
+DRIP_S = 0.05
+TIMEOUT_S = 0.2
+
+
+@pytest.mark.parametrize("backend", ["agent", "model"])
+def test_a_dripped_reply_times_out_by_the_call_deadline(backend):
+    # 40 bytes, one each 50 ms: every receive is well inside the timeout, the whole reply takes 2 s.
+    raw = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"
+    with canned_server([(raw, True)], drip=True, pause_s=DRIP_S) as state:
+        started = time.monotonic()
+        with pytest.raises(SolveChartError) as err:
+            if backend == "agent":
+                HttpAgent(state["url"], timeout_s=TIMEOUT_S).answer(AgentQuery("q", "c", "ASK"))
+            else:
+                chat_completion(LlmConfig(endpoint=state["url"], timeout_s=TIMEOUT_S), build_prompt("q"))
+        elapsed = time.monotonic() - started
+    assert err.value.kind is ErrorKind.TIMEOUT
+    assert TIMEOUT_S <= elapsed < TIMEOUT_S + DRIP_S + 0.1  # 0.1 s for the scheduler
 
 
 def test_https_url_uses_tls_with_sni(monkeypatch):

@@ -321,6 +321,19 @@ def test_million_statement_reply_is_refused_before_lexing():
     assert f"over {MAX_REPLY_CHARS}" in str(excinfo.value)
 
 
+def test_reply_over_the_agent_call_site_limit_is_invalid_program():
+    reply = 'a=SUBSTEP("q")\n' * 6665 + "answer=a\n"
+    assert len(reply) < MAX_REPLY_CHARS
+    # Unfenced, the suffix scan refuses the whole reply rather than settle on its last 64 lines.
+    for text in (reply, f"```\n{reply}```"):
+        cassette = Cassette.empty()
+        cassette.append("c1", "q", text)
+        with pytest.raises(GenerationError) as excinfo:
+            generate_solution("q", cassette, chart_id="c1")
+        assert excinfo.value.kind is ErrorKind.INVALID_PROGRAM
+        assert str(excinfo.value).endswith("program has 6665 agent call sites, more than 64")
+
+
 def test_reply_bound_is_inclusive():
     program_text = "answer = 1\n"
     padded = program_text + "#" * (MAX_REPLY_CHARS - len(program_text))
