@@ -24,12 +24,12 @@ class TableFormatError(SolveChartError):
     """The table document is malformed, or holds a value or name the oracle could not reach."""
 
 
-_NOT_ALNUM = re.compile(r"[^a-z0-9]+")
+_ALNUM_RUN = re.compile(r"[a-z0-9]+")
 
 
 def normalize_question(text: str) -> str:
-    """Lowercases and strips punctuation, collapsing runs of whitespace; the oracle's one name rule."""
-    return _NOT_ALNUM.sub(" ", text.casefold()).strip()
+    """Casefolds and keeps the ASCII letter and digit runs, one space apart; the oracle's one name rule."""
+    return " ".join(_ALNUM_RUN.findall(text.casefold()))
 
 
 def _distinct_forms(names: Iterable[str], what: str) -> dict[str, str]:

@@ -284,6 +284,15 @@ def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent:
     return 0
 
 
+def _refuse_in_agent_only(cmd: argparse.Namespace, *flags: str) -> None:
+    """An agent-only run executes no program, so it has no trace and no model reply to write."""
+    if cmd.mode != "agent-only":
+        return
+    for flag in flags:
+        if getattr(cmd, flag[2:].replace("-", "_")) is not None:
+            raise CliError(f"{flag} does not apply to --mode agent-only, which runs no program")
+
+
 def _cmd_run(cmd: argparse.Namespace) -> int:
     program = parse_program(_read_source(cmd.program))
     table = load_table(cmd.table) if cmd.table is not None and cmd.agent == "oracle" else None
@@ -291,6 +300,7 @@ def _cmd_run(cmd: argparse.Namespace) -> int:
 
 
 def _cmd_solve(cmd: argparse.Namespace) -> int:
+    _refuse_in_agent_only(cmd, "--trace", "--llm-record")
     live = cmd.mode == "programmatic" and cmd.llm is not None  # only a live model gets a prompt
     table = load_table(cmd.table) if cmd.table is not None and (cmd.agent == "oracle" or live) else None
     agent = _build_agent(cmd.agent, table, None)
@@ -362,6 +372,7 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 
 
 def _cmd_eval(cmd: argparse.Namespace) -> int:
+    _refuse_in_agent_only(cmd, "--trace-dir")
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
     shared = None if cmd.agent == "oracle" else _build_agent(cmd.agent, None, None)

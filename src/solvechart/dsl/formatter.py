@@ -47,7 +47,9 @@ def _format_number(value: float) -> str:
 
 
 def _format_string(value: str) -> str:
-    return '"' + "".join(_STRING_ESCAPES.get(ch, ch) for ch in value) + '"'
+    for char, escape in _STRING_ESCAPES.items():  # the backslash first, so no escape is escaped twice
+        value = value.replace(char, escape)
+    return f'"{value}"'
 
 
 def _expr(node: Expression, minimum: int) -> str:

@@ -249,7 +249,8 @@ class _Evaluator:
             raise EngineError(f"{operator} failed: {err}", ErrorKind.AGENT_FAILURE) from err
         value = coerce_numeric(reply.answer)
         self.trace.agent_calls.append(AgentCallRecord(operator, question, reply.answer))
-        self.trace.steps.append(TraceStep("agent_call", f'{operator}("{question}")', value))
+        detail = format_expression(Call(operator, (StringLit(question),)))
+        self.trace.steps.append(TraceStep("agent_call", detail, value))
         return value
 
     # -- statements ---------------------------------------------------------

@@ -825,6 +825,26 @@ def test_dash_as_output_path_is_refused(monkeypatch, capsys, tmp_path, fixtures_
     assert not (tmp_path / "-").exists()
 
 
+AGENT_ONLY_REFUSALS = [
+    (["solve", "--question", "Who won?", "--table", "{table}"], "--trace"),
+    (["solve", "--question", "Who won?", "--table", "{table}"], "--llm-record"),
+    (["eval", "--dataset", "{dataset}"], "--trace-dir"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", AGENT_ONLY_REFUSALS, ids=[argv[0] + flag for argv, flag in AGENT_ONLY_REFUSALS])
+def test_agent_only_refuses_program_outputs(monkeypatch, capsys, tmp_path, fixtures_dir, argv, flag):
+    # An agent-only run executes no program, so these outputs would never be written.
+    monkeypatch.chdir(tmp_path)
+    paths = {"table": fixtures_dir / "tables" / "election.json", "dataset": fixtures_dir / "dataset.jsonl"}
+    argv = [arg.format(**paths) for arg in argv]
+    code, out, err = run_main(monkeypatch, capsys, *argv, "--mode", "agent-only", flag, "out")
+    assert code == 1
+    assert out == ""
+    assert err == f"solvechart: error: {flag} does not apply to --mode agent-only, which runs no program\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_trace_dir_naming_a_file_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir):
     target = tmp_path / "traces"
     target.write_text("", encoding="utf-8")

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from solvechart.agents.base import AgentAnswer, AgentError
+from solvechart.dsl.formatter import format_program
 from solvechart.dsl.nodes import Assignment, Binary, NumberLit, SolutionProgram
 from solvechart.dsl.parser import parse_program
 from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
@@ -352,3 +353,15 @@ def test_fallback_failure_propagates():
     # The direct ASK itself failing surfaces as an engine error.
     with pytest.raises(EngineError):
         run("answer = 1 / 0", MapAgent({}), fallback_to_ask=True, question="missing")
+
+
+def test_trace_quotes_agent_questions_as_the_formatter_does():
+    source = 'answer = SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow")'
+    question = 'say "hi" \\ there\n\tnow'
+    result = run(source, MapAgent({question: "1"}))
+    assert format_program(parse_program(source)) == "answer = " + result.trace.steps[0].detail + "\n"
+    assert result.trace.steps[0].detail == 'SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow")'
+
+    fallback = run("answer = 1 / 0", MapAgent({'a "b" \\ c': "2"}), fallback_to_ask=True, question='a "b" \\ c')
+    assert fallback.trace.steps[-1].kind == "agent_call"
+    assert fallback.trace.steps[-1].detail == 'ASK("a \\"b\\" \\\\ c")'

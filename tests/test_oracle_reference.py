@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracle_reference
 from solvechart.agents.oracle import oracle_answer
-from solvechart.agents.table import ChartTable, Series
+from solvechart.agents.table import ChartTable, Series, normalize_question
 
 # Some names differ from their normalized form by case and punctuation ("U.S." is "u s"). No pool may hold
 # two names with one normalized form: a table refuses them, so drawing both would fail the strategy.
@@ -165,3 +165,26 @@ RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Ma
 )
 def test_oracle_matches_reference_on_named_cases(table, question):
     assert_agrees(table, question)
+
+
+# Names that casefold expands, or whose letters and digits lie outside ASCII.
+NAMED_TEXTS = ["Straße", "ﬁnal", "İstanbul", "ǅ", "１２", "٣٤", "ΣΑΣ", " A--B ", "", "!!"]
+
+
+def assert_name_rule(text: str) -> None:
+    form = normalize_question(text)
+    assert form == oracle_reference.normalize_question(text)
+    assert normalize_question(form) == form
+    assert set(form) <= set("abcdefghijklmnopqrstuvwxyz0123456789 ")
+    assert form == form.strip() and "  " not in form
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text())
+def test_name_rule_matches_reference(text):
+    assert_name_rule(text)
+
+
+@pytest.mark.parametrize("text", NAMED_TEXTS)
+def test_name_rule_matches_reference_on_named_cases(text):
+    assert_name_rule(text)
