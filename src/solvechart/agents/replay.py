@@ -84,16 +84,13 @@ class Cassette:
             self._admit({"chart_id": chart_id, "question": question, "answer": answer})
             if self.path is None:
                 return
-            try:
-                if not self._file_current:
-                    write_text_atomic(self.path, json.dumps(self.entries, indent=2) + "\n")
-                else:
-                    # The file ends "\n]\n"; put the entry, indented as the whole file is, in its place.
-                    entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
-                    self._file_current = False  # until the tail is written in full
-                    overwrite_tail(self.path, 3, f",\n  {entry}\n]\n".encode("utf-8"))
-            except OSError as err:
-                raise SolveChartError(f"cannot write {self.path}: {err.strerror or err}") from err
+            if not self._file_current:
+                write_text_atomic(self.path, json.dumps(self.entries, indent=2) + "\n")
+            else:
+                # The file ends "\n]\n"; put the entry, indented as the whole file is, in its place.
+                entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
+                self._file_current = False  # until the tail is written in full
+                overwrite_tail(self.path, 3, f",\n  {entry}\n]\n".encode("utf-8"))
             self._file_current = True
 
     def __len__(self) -> int:

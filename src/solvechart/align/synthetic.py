@@ -14,17 +14,19 @@ from .types import DEFAULT_TOP_K, AlignParams, AttentionLayerParams, FuseParams,
 __all__ = ["make_grid", "make_params", "make_query"]
 
 DEFAULT_LAYERS = 2  # intra-cluster attention layers
+GRID_CENTERS = 4  # anchor directions a grid's embeddings are drawn around
+GRID_NOISE = 0.08  # scale of the noise added to each anchor
 
 
-def make_grid(rows: int, cols: int, dim: int, seed: int, centers: int = 4, noise: float = 0.08) -> PatchGrid:
+def make_grid(rows: int, cols: int, dim: int, seed: int) -> PatchGrid:
     """Builds a clusterable grid of embeddings from a seed."""
     rng = np.random.default_rng(seed)
     n = rows * cols
-    centers = max(1, min(centers, n))
+    centers = min(GRID_CENTERS, n)
     anchors = rng.normal(size=(centers, dim))
     anchors /= np.linalg.norm(anchors, axis=1, keepdims=True)
     assignments = np.arange(n) % centers
-    embeddings = anchors[assignments] + noise * rng.normal(size=(n, dim))
+    embeddings = anchors[assignments] + GRID_NOISE * rng.normal(size=(n, dim))
     return PatchGrid(rows, cols, embeddings)
 
 

@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Any, Callable
 
 from .agents.base import AgentHandle, AgentQuery
@@ -233,13 +232,6 @@ def _read_source(path: str) -> str:
     return read_text(path, "program", CliError, MAX_PROGRAM_BYTES)
 
 
-def _write_output(path: str, text: str) -> None:
-    try:
-        write_text_atomic(path, text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
 def _build_agent(spec: str, table: ChartTable | None, record: str | None) -> AgentHandle:
     if spec == "oracle":
         if table is None:
@@ -279,29 +271,31 @@ def _execute_and_print(cmd: argparse.Namespace, program: SolutionProgram, agent:
     config = EngineConfig(fallback_to_ask=cmd.fallback, chart_id=cmd.chart_id, question=cmd.question)
     result = execute(program, agent, config)
     if cmd.trace is not None:
-        _write_output(cmd.trace, result.trace.to_json_text())
+        write_text_atomic(cmd.trace, result.trace.to_json_text())
     print(stringify(result.answer))
     return 0
 
 
 def _refuse_in_agent_only(cmd: argparse.Namespace, *flags: str) -> None:
-    """An agent-only run executes no program, so it has no trace and no model reply to write."""
+    """An agent-only run executes no program, so it asks no model and has no program or trace to write."""
     if cmd.mode != "agent-only":
         return
     for flag in flags:
-        if getattr(cmd, flag[2:].replace("-", "_")) is not None:
+        if getattr(cmd, flag[2:].replace("-", "_")) not in (None, False):  # False: an on/off flag left off
             raise CliError(f"{flag} does not apply to --mode agent-only, which runs no program")
 
 
 def _cmd_run(cmd: argparse.Namespace) -> int:
+    if cmd.fallback and cmd.question is None:
+        raise CliError("--fallback requires --question")
     program = parse_program(_read_source(cmd.program))
     table = load_table(cmd.table) if cmd.table is not None and cmd.agent == "oracle" else None
     return _execute_and_print(cmd, program, _build_agent(cmd.agent, table, cmd.record))
 
 
 def _cmd_solve(cmd: argparse.Namespace) -> int:
-    _refuse_in_agent_only(cmd, "--trace", "--llm-record")
-    live = cmd.mode == "programmatic" and cmd.llm is not None  # only a live model gets a prompt
+    _refuse_in_agent_only(cmd, "--trace", "--llm-record", "--llm", "--llm-replay", "--show-program")
+    live = cmd.llm is not None  # only a live model gets a prompt
     table = load_table(cmd.table) if cmd.table is not None and (cmd.agent == "oracle" or live) else None
     agent = _build_agent(cmd.agent, table, None)
     if cmd.mode == "agent-only":
@@ -372,7 +366,7 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 
 
 def _cmd_eval(cmd: argparse.Namespace) -> int:
-    _refuse_in_agent_only(cmd, "--trace-dir")
+    _refuse_in_agent_only(cmd, "--trace-dir", "--llm", "--llm-replay")
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
     shared = None if cmd.agent == "oracle" else _build_agent(cmd.agent, None, None)
@@ -386,15 +380,10 @@ def _cmd_eval(cmd: argparse.Namespace) -> int:
         tolerance=cmd.tolerance,
         trace_dir=cmd.trace_dir,
     )
-    if cmd.trace_dir is not None:
-        try:
-            Path(cmd.trace_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot write {cmd.trace_dir}: {exc.strerror or exc}") from exc
     report = run_eval(items, config)
     text = report.to_json_text()
     if cmd.output is not None:
-        _write_output(cmd.output, text)
+        write_text_atomic(cmd.output, text)
     sys.stdout.write(text)
     total = len(report.items)
     correct = sum(1 for item in report.items if item.correct)

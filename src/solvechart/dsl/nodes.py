@@ -35,7 +35,6 @@ __all__ = [
 # one (at least one argument).  Agent operators are spelled in capitals.
 CALLEES = {"ASK": 1, "SUBSTEP": 1, "abs": 1, "round": 1, "min": None, "max": None, "sum": None}
 AGENT_CALLEES = frozenset(filter(str.isupper, CALLEES))
-BUILTIN_CALLEES = frozenset(CALLEES) - AGENT_CALLEES
 
 ANSWER_VARIABLE = "answer"
 

@@ -29,7 +29,7 @@ from ..agents.table import ChartTable, load_table
 from ..engine.interpreter import EngineConfig, execute
 from ..engine.values import stringify
 from ..errors import SolveChartError
-from ..files import write_text_atomic
+from ..files import make_dir, write_text_atomic
 from ..solgen.client import LlmConfig
 from ..solgen.generate import generate_solution
 from ..solgen.prompt import chart_hints
@@ -94,9 +94,6 @@ class ItemResult:
     trace_path: str | None = None
     reason: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True, slots=True)
 class EvalReport:
@@ -150,11 +147,7 @@ def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], C
                 if item.id in (".", "..") or "/" in item.id or "\0" in item.id:
                     raise SolveChartError(f"cannot name a trace after item id {item.id!r}: not a plain file name")
                 out = Path(config.trace_dir) / f"{item.id}.json"
-                try:
-                    out.parent.mkdir(parents=True, exist_ok=True)
-                    write_text_atomic(out, result.trace.to_json_text())
-                except OSError as exc:
-                    raise SolveChartError(f"cannot write trace {out}: {exc.strerror or exc}") from exc
+                write_text_atomic(out, result.trace.to_json_text())
                 trace_path = str(out)
         correct = relaxed_match(prediction, item.gold, config.tolerance)
         return ItemResult(
@@ -176,7 +169,9 @@ def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], C
 
 
 def run_eval(items: list[EvalItem], config: EvalConfig) -> EvalReport:
-    """Evaluate every item and assemble a report in dataset order."""
+    """Evaluate every item and assemble a report in dataset order; a programmatic run makes trace_dir first."""
+    if config.mode == "programmatic" and config.trace_dir is not None:
+        make_dir(config.trace_dir)
     if not items:
         return EvalReport(items=(), accuracy=0.0, config=config.snapshot(), empty_dataset=True)
     # Only a run that reads tables builds a reader: an lru_cache is a reference cycle that only the garbage

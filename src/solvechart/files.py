@@ -1,9 +1,10 @@
-"""File I/O: bounded reads of every input, atomic writes.
+"""File I/O: bounded reads of every input, and every write of an output.
 
 read_bytes reads a path, or stdin for "-", taking at most its limit plus one
 byte, so an oversized input fails without being read in full.  Any failure
 raises the caller's SolveChartError class as "cannot read <what> <path>:
-<reason>".  read_text (strict UTF-8) and read_json build on it.
+<reason>".  read_text (strict UTF-8) and read_json build on it.  A failed
+write raises SolveChartError as "cannot write <path>: <reason>".
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import json
 import os
 import sys
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any, BinaryIO, Iterator
 
 from .errors import SolveChartError
 
-__all__ = ["MAX_FILE_BYTES", "overwrite_tail", "read_bytes", "read_json", "read_text", "write_text_atomic"]
+__all__ = ["MAX_FILE_BYTES", "make_dir", "overwrite_tail", "read_bytes", "read_json", "read_text", "write_text_atomic"]
 
 # The limit for every JSON and JSONL input: 16x the largest benchmark input
 # (a 1.0 MB cassette).  Datasets are held in memory whole, so one limit on
@@ -75,6 +77,15 @@ def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
         raise error(f"invalid JSON in {path}: {err}") from err
 
 
+@contextmanager
+def _writing(path: str | Path) -> Iterator[None]:
+    """Raises an OSError from the block as SolveChartError "cannot write <path>: <reason>"."""
+    try:
+        yield
+    except OSError as err:
+        raise SolveChartError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Writes and syncs a temporary file beside path, then os.replace()s path with it.
 
@@ -83,19 +94,26 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """
     target = Path(path)
     temp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, target)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    with _writing(path):
+        try:
+            with open(temp, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(temp, target)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
 
 
 def overwrite_tail(path: str | Path, size: int, data: bytes) -> None:
     """Writes data over the last `size` bytes of path, in place (not atomic)."""
-    with open(path, "r+b") as handle:
+    with _writing(path), open(path, "r+b") as handle:
         handle.seek(-size, os.SEEK_END)
         handle.write(data)
+
+
+def make_dir(path: str | Path) -> None:
+    """Creates directory path and its missing parents; an existing directory is fine."""
+    with _writing(path):
+        Path(path).mkdir(parents=True, exist_ok=True)

@@ -40,8 +40,8 @@ def build_prompt(question: str, chart_hints: str | None = None) -> PromptBundle:
 
     Args:
         question: The chart question; must be non-empty.
-        chart_hints: Optional context about the chart (title, axes, series
-            names) appended to the user message.
+        chart_hints: Optional context about the chart (chart_hints' title and
+            series names) appended to the user message as a "Chart:" line.
     """
     if not question.strip():
         raise ValueError("question must be non-empty")

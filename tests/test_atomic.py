@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from solvechart.files import write_text_atomic
+from solvechart.errors import SolveChartError
+from solvechart.files import make_dir, overwrite_tail, write_text_atomic
 
 
 def test_write_text_atomic_replaces_target_and_leaves_no_temp(tmp_path):
@@ -21,3 +22,29 @@ def test_write_text_atomic_failure_keeps_target_and_removes_temp(tmp_path):
         write_text_atomic(target, None)  # type: ignore[arg-type]
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+
+
+def test_write_text_atomic_into_missing_directory_names_target_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "no-such-dir" / "report.json"
+    with pytest.raises(SolveChartError) as err:
+        write_text_atomic(target, "{}\n")
+    assert str(err.value).startswith(f"cannot write {target}: ")
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_overwrite_tail_of_missing_file_names_target(tmp_path):
+    target = tmp_path / "c.json"
+    with pytest.raises(SolveChartError) as err:
+        overwrite_tail(target, 3, b"x")
+    assert str(err.value).startswith(f"cannot write {target}: ")
+
+
+def test_make_dir_makes_parents_accepts_an_existing_directory_and_refuses_a_file(tmp_path):
+    make_dir(tmp_path / "a" / "b")
+    make_dir(str(tmp_path / "a" / "b"))
+    assert (tmp_path / "a" / "b").is_dir()
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    with pytest.raises(SolveChartError) as err:
+        make_dir(tmp_path / "f" / "sub")
+    assert str(err.value).startswith(f"cannot write {tmp_path / 'f' / 'sub'}: ")

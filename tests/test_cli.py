@@ -828,21 +828,42 @@ def test_dash_as_output_path_is_refused(monkeypatch, capsys, tmp_path, fixtures_
 AGENT_ONLY_REFUSALS = [
     (["solve", "--question", "Who won?", "--table", "{table}"], "--trace"),
     (["solve", "--question", "Who won?", "--table", "{table}"], "--llm-record"),
+    (["solve", "--question", "Who won?", "--table", "{table}"], "--llm"),
+    (["solve", "--question", "Who won?", "--table", "{table}"], "--llm-replay"),
+    (["solve", "--question", "Who won?", "--table", "{table}"], "--show-program"),
     (["eval", "--dataset", "{dataset}"], "--trace-dir"),
+    (["eval", "--dataset", "{dataset}"], "--llm"),
+    (["eval", "--dataset", "{dataset}"], "--llm-replay"),
 ]
 
 
 @pytest.mark.parametrize("argv, flag", AGENT_ONLY_REFUSALS, ids=[argv[0] + flag for argv, flag in AGENT_ONLY_REFUSALS])
 def test_agent_only_refuses_program_outputs(monkeypatch, capsys, tmp_path, fixtures_dir, argv, flag):
-    # An agent-only run executes no program, so these outputs would never be written.
+    # An agent-only run executes no program, so it would never read these model inputs or write these outputs.
     monkeypatch.chdir(tmp_path)
     paths = {"table": fixtures_dir / "tables" / "election.json", "dataset": fixtures_dir / "dataset.jsonl"}
-    argv = [arg.format(**paths) for arg in argv]
-    code, out, err = run_main(monkeypatch, capsys, *argv, "--mode", "agent-only", flag, "out")
-    assert code == 1
-    assert out == ""
-    assert err == f"solvechart: error: {flag} does not apply to --mode agent-only, which runs no program\n"
-    assert not (tmp_path / "out").exists()
+    argv = [arg.format(**paths) for arg in argv] + ["--mode", "agent-only"]
+    value = [] if flag == "--show-program" else ["out"]  # "out" names no file, and none may be made
+    config = {flag[2:].replace("-", "_"): value[0] if value else True}
+    (tmp_path / "conf.json").write_text(json.dumps(config), encoding="utf-8")
+    for given in ([flag, *value], ["--config", "conf.json"]):
+        code, out, err = run_main(monkeypatch, capsys, *argv, *given)
+        assert code == 1
+        assert out == ""
+        assert err == f"solvechart: error: {flag} does not apply to --mode agent-only, which runs no program\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_run_fallback_without_question_is_refused_before_the_program_is_read(
+    monkeypatch, capsys, tmp_path, election_json
+):
+    missing = str(tmp_path / "no-such-program.txt")
+    (tmp_path / "conf.json").write_text(json.dumps({"fallback": True}), encoding="utf-8")
+    for given in (["--fallback"], ["--config", str(tmp_path / "conf.json")]):
+        code, out, err = run_main(monkeypatch, capsys, "run", "--program", missing, "--table", election_json, *given)
+        assert code == 1
+        assert out == ""
+        assert err == "solvechart: error: --fallback requires --question\n"
 
 
 def test_eval_trace_dir_naming_a_file_exits_1(monkeypatch, capsys, tmp_path, fixtures_dir):

@@ -285,9 +285,7 @@ def test_worker_count_does_not_change_results(temps_path):
     )
     # The config snapshot records the worker count, so compare the outcomes.
     assert serial.accuracy == threaded.accuracy
-    assert [r.to_json_dict() for r in serial.items] == [
-        r.to_json_dict() for r in threaded.items
-    ]
+    assert serial.items == threaded.items
 
 
 def test_repeat_runs_byte_identical(temps_path):
@@ -590,7 +588,31 @@ def test_trace_write_failure_fails_only_that_item(temps_path, tmp_path):
     )
     report = run_eval(temps_items(temps_path), config)
     assert [r.correct for r in report.items] == [True, False, True, True]
-    assert f"cannot write trace {traces / 't2.json'}" in report.items[1].reason
+    assert f"cannot write {traces / 't2.json'}: " in report.items[1].reason
+
+
+def test_trace_dir_that_cannot_be_made_fails_the_run_before_any_agent_call(temps_path, tmp_path):
+    traces = tmp_path / "traces"
+    traces.write_text("", encoding="utf-8")
+    agent = CountingAgent()
+    config = EvalConfig(
+        mode="programmatic", agent_factory=lambda _: agent, llm_client=temps_cassette(), trace_dir=str(traces)
+    )
+    with pytest.raises(SolveChartError) as err:
+        run_eval(temps_items(temps_path), config)
+    assert str(err.value).startswith(f"cannot write {traces}: ")
+    assert agent.calls == 0
+
+
+def test_trace_dir_is_made_by_programmatic_runs_only(temps_path, tmp_path):
+    programmatic = EvalConfig(
+        mode="programmatic", llm_client=temps_cassette(), trace_dir=str(tmp_path / "programs" / "traces")
+    )
+    assert run_eval([], programmatic).empty_dataset
+    assert (tmp_path / "programs" / "traces").is_dir()
+    agent_only = EvalConfig(mode="agent_only", trace_dir=str(tmp_path / "agent-only"))
+    assert [r.correct for r in run_eval(temps_items(temps_path), agent_only).items] == [True, True, True, False]
+    assert not (tmp_path / "agent-only").exists()
 
 
 def test_trace_dir_rejects_ids_that_are_not_plain_file_names(temps_path, tmp_path):
