@@ -9,6 +9,10 @@ write, and the reply is read through one buffer, skipping 1xx replies, with
 the head limits of the standard library's HTTP client.  Its body ends by
 Content-Length, by chunked encoding or where the server closes the
 connection.
+
+Each endpoint URL is parsed once, and the head it fixes (request line,
+Host, Accept-Encoding, Content-Type) is built once with it; a call adds
+only the caller's headers, Content-Length and the body.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import select
 import socket
 import threading
 import time
-from functools import cache
+from functools import cache, lru_cache
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -33,6 +37,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024  # a longer reply body is BAD_RESPONSE
 _MAX_LINE = 65536  # bytes in one reply head line, line end included (the stdlib client's limit)
 _MAX_HEADERS = 100  # header (or trailer) lines of one head, its closing blank line included (the stdlib client's limit)
 _RECV_BYTES = 65536
+_MAX_ROUTES = 16  # endpoint URLs whose parse and fixed head are kept
+_OWN_FIELDS = frozenset({"host", "accept-encoding", "content-type", "content-length"})  # set by post_json alone
+
+# json.dumps(..., allow_nan=False) would build a new encoder on every call.
+_encode_json = json.JSONEncoder(allow_nan=False).encode
 
 _HEADER_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # an RFC 9110 token
 _TARGET = re.compile(r"[\x21-\x7e]+")  # printable ASCII without spaces
@@ -99,29 +108,44 @@ def _connection(key: tuple[str, str, int], deadline: float) -> socket.socket:
     return sock
 
 
-def _request(key: tuple[str, str, int], target: str, body: bytes, headers: dict | None) -> bytes:
-    """The whole POST request, head and body, as the bytes to send in one write.
+@lru_cache(maxsize=_MAX_ROUTES)
+def _route(url: str) -> tuple[tuple[str, str, int], bytes]:
+    """url's (scheme, host, port) and the head of a POST to it, up to the caller's headers.
 
     Raises:
-        ValueError: a target or header that cannot go on the wire as given.
+        ValueError: not an http(s) URL, a bad port, or a target that cannot go on the wire.
     """
-    scheme, host, port = key
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http(s) URL")
+    scheme, host, default_port = parts.scheme, parts.hostname, 443 if parts.scheme == "https" else 80
+    port = parts.port or default_port
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     if not _TARGET.fullmatch(target):
         raise ValueError(f"URL path can't contain control characters or spaces: {target!r}")
     authority = host if host.isascii() else host.encode("idna").decode("ascii")
     if ":" in authority:
         authority = f"[{authority}]"
-    if port != (443 if scheme == "https" else 80):
+    if port != default_port:
         authority = f"{authority}:{port}"
-    fields = {"Host": authority, "Accept-Encoding": "identity", "Content-Type": "application/json",
-              **(headers or {}), "Content-Length": str(len(body))}
-    lines = [f"POST {target} HTTP/1.1"]
-    for name, value in fields.items():
-        if not _HEADER_NAME.fullmatch(name) or "\r" in value or "\n" in value:
+    head = f"POST {target} HTTP/1.1\r\nHost: {authority}\r\nAccept-Encoding: identity\r\n"
+    return (scheme, host, port), (head + "Content-Type: application/json\r\n").encode("latin-1")
+
+
+def _request(head: bytes, body: bytes, headers: dict | None) -> bytes:
+    """The whole POST request, the route's head to the body, as the bytes to send in one write.
+
+    Raises:
+        ValueError: a caller header that cannot go on the wire, or one that
+            names a field post_json sets itself.
+    """
+    lines = []
+    for name, value in (headers or {}).items():
+        if not _HEADER_NAME.fullmatch(name) or name.lower() in _OWN_FIELDS or "\r" in value or "\n" in value:
             raise ValueError(f"invalid header {name!r}: {value!r}")
-        lines.append(f"{name}: {value}")
-    lines.append("\r\n")
-    return "\r\n".join(lines).encode("latin-1") + body
+        lines.append(f"{name}: {value}\r\n")
+    lines.append(f"Content-Length: {len(body)}\r\n\r\n")
+    return head + "".join(lines).encode("latin-1") + body
 
 
 class _Reader:
@@ -254,23 +278,21 @@ def post_json(
     """POSTs payload as JSON to {endpoint}{path} and returns the decoded body.
 
     timeout_s bounds the whole call: connecting, sending and reading the reply.
+    headers are sent after Host, Accept-Encoding and Content-Type, and may
+    not name those or Content-Length.
 
     Raises:
         error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
-            bad URLs, connection failures, malformed replies or non-200
-            statuses, BAD_RESPONSE when the body is not JSON or is over
+            bad URLs, refused headers, connection failures, malformed replies
+            or non-200 statuses, BAD_RESPONSE when the body is not JSON or is over
             MAX_BODY_BYTES.
     """
     deadline = time.monotonic() + timeout_s
     url = endpoint.rstrip("/") + path
     sock = None
     try:
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError("not an http(s) URL")
-        key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        request = _request(key, target, json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
+        key, head = _route(url)
+        request = _request(head, _encode_json(payload).encode("utf-8"), headers)
         sock = _connection(key, deadline)
         status, data, reusable = _exchange(sock, request, deadline)
     # ValueError: a bad port, a NaN in the payload, a refused header or a malformed reply.

@@ -27,14 +27,21 @@ def normalize_key(question: str) -> str:
     return " ".join(question.split()).casefold()
 
 
+def _entry_text(entry: dict) -> str:
+    """One entry laid out as json.dumps(entries, indent=2) lays it out, but through the C encoder."""
+    chart_id, question, answer = (json.dumps(entry[key]) for key in ("chart_id", "question", "answer"))
+    return f'{{\n    "chart_id": {chart_id},\n    "question": {question},\n    "answer": {answer}\n  }}'
+
+
 class Cassette:
     """In-memory cassette; a record cassette also writes each append to its file.
 
     Appends are serialized with a lock; on duplicate keys the latest entry
     wins, so re-recording a question overrides the earlier answer.  After
-    every append the file holds the whole cassette as an indented JSON array:
-    the first append writes the whole file atomically, each later one
-    rewrites only the closing bracket with the new entry and a new bracket.
+    every append the file holds the whole cassette as json.dumps(entries,
+    indent=2) lays it out: the first append writes the whole file
+    atomically, each later one rewrites only the closing bracket with the
+    new entry and a new bracket.
     """
 
     def __init__(self, entries: list[dict] | None = None, path: str | Path | None = None) -> None:
@@ -85,12 +92,11 @@ class Cassette:
             if self.path is None:
                 return
             if not self._file_current:
-                write_text_atomic(self.path, json.dumps(self.entries, indent=2) + "\n")
+                write_text_atomic(self.path, "[\n  " + ",\n  ".join(map(_entry_text, self.entries)) + "\n]\n")
             else:
-                # The file ends "\n]\n"; put the entry, indented as the whole file is, in its place.
-                entry = json.dumps(self.entries[-1], indent=2).replace("\n", "\n  ")
+                # The file ends "\n]\n"; put the new entry and a new bracket in its place.
                 self._file_current = False  # until the tail is written in full
-                overwrite_tail(self.path, 3, f",\n  {entry}\n]\n".encode("utf-8"))
+                overwrite_tail(self.path, 3, f",\n  {_entry_text(self.entries[-1])}\n]\n".encode("utf-8"))
             self._file_current = True
 
     def __len__(self) -> int:

@@ -26,7 +26,7 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["format_program", "format_expression"]
+__all__ = ["format_expression", "format_program", "format_string"]
 
 _INDENT = "    "
 _ATOM_PRECEDENCE = 9
@@ -46,7 +46,8 @@ def _format_number(value: float) -> str:
     raise ValueError(f"cannot format number {value!r}")
 
 
-def _format_string(value: str) -> str:
+def format_string(value: str) -> str:
+    """value as a DSL string literal: double-quoted, with backslash escapes."""
     for char, escape in _STRING_ESCAPES.items():  # the backslash first, so no escape is escaped twice
         value = value.replace(char, escape)
     return f'"{value}"'
@@ -63,7 +64,7 @@ def _render(node: Expression) -> tuple[int, str]:
     if isinstance(node, NumberLit):
         return _ATOM_PRECEDENCE, _format_number(node.value)
     if isinstance(node, StringLit):
-        return _ATOM_PRECEDENCE, _format_string(node.value)
+        return _ATOM_PRECEDENCE, format_string(node.value)
     if isinstance(node, BoolLit):
         return _ATOM_PRECEDENCE, "True" if node.value else "False"
     if isinstance(node, Identifier):

@@ -15,7 +15,7 @@ import operator
 from dataclasses import asdict, dataclass, field
 
 from ..agents.base import AgentError, AgentHandle, AgentQuery
-from ..dsl.formatter import format_expression
+from ..dsl.formatter import format_expression, format_string
 from ..dsl.nodes import (
     ANSWER_VARIABLE,
     AGENT_CALLEES,
@@ -249,7 +249,7 @@ class _Evaluator:
             raise EngineError(f"{operator} failed: {err}", ErrorKind.AGENT_FAILURE) from err
         value = coerce_numeric(reply.answer)
         self.trace.agent_calls.append(AgentCallRecord(operator, question, reply.answer))
-        detail = format_expression(Call(operator, (StringLit(question),)))
+        detail = f"{operator}({format_string(question)})"  # as format_expression renders the call
         self.trace.steps.append(TraceStep("agent_call", detail, value))
         return value
 

@@ -4,7 +4,8 @@ read_bytes reads a path, or stdin for "-", taking at most its limit plus one
 byte, so an oversized input fails without being read in full.  Any failure
 raises the caller's SolveChartError class as "cannot read <what> <path>:
 <reason>".  read_text (strict UTF-8) and read_json build on it.  A failed
-write raises SolveChartError as "cannot write <path>: <reason>".
+write raises SolveChartError as "cannot write <path>: <reason>".  A path
+holding a NUL byte fails either way before any system call.
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ def _read_at_most(handle: BinaryIO, size: int, expected: int) -> bytes:
     return data
 
 
+def _refuse_nul(path: str | Path) -> None:
+    """OSError for a path the OS cannot take, which open() would raise as a ValueError."""
+    if "\0" in str(path):
+        raise OSError(errno.EINVAL, "path holds a NUL byte")
+
+
 def read_bytes(path: str | Path, what: str, error: type[SolveChartError], limit: int = MAX_FILE_BYTES) -> bytes:
     """path's bytes, or stdin's for "-"; unreadable or over limit bytes raises `error`."""
     try:
+        _refuse_nul(path)
         if str(path) != "-":
             with open(path, "rb") as handle:
                 data = _read_at_most(handle, limit + 1, os.fstat(handle.fileno()).st_size)
@@ -81,6 +89,7 @@ def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
 def _writing(path: str | Path) -> Iterator[None]:
     """Raises an OSError from the block as SolveChartError "cannot write <path>: <reason>"."""
     try:
+        _refuse_nul(path)
         yield
     except OSError as err:
         raise SolveChartError(f"cannot write {path}: {err.strerror or err}") from err
@@ -107,10 +116,20 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def overwrite_tail(path: str | Path, size: int, data: bytes) -> None:
-    """Writes data over the last `size` bytes of path, in place (not atomic)."""
-    with _writing(path), open(path, "r+b") as handle:
-        handle.seek(-size, os.SEEK_END)
-        handle.write(data)
+    """Writes data over the last `size` bytes of path, in place (not atomic).
+
+    One unbuffered open, seek and write (repeated only after a short write),
+    so a record cassette's append costs no buffered file object.
+    """
+    with _writing(path):
+        fd = os.open(path, os.O_WRONLY)
+        try:
+            os.lseek(fd, -size, os.SEEK_END)
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
 
 
 def make_dir(path: str | Path) -> None:

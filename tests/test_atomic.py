@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from solvechart.errors import SolveChartError
@@ -38,6 +40,27 @@ def test_overwrite_tail_of_missing_file_names_target(tmp_path):
     with pytest.raises(SolveChartError) as err:
         overwrite_tail(target, 3, b"x")
     assert str(err.value).startswith(f"cannot write {target}: ")
+
+
+def test_overwrite_tail_writes_the_rest_after_a_short_write(monkeypatch, tmp_path):
+    target = tmp_path / "c.json"
+    target.write_bytes(b"[\n  1\n]\n")
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:2])))
+    overwrite_tail(target, 3, b",\n  2\n]\n")
+    assert target.read_bytes() == b"[\n  1,\n  2\n]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_overwrite_tail_past_the_start_of_the_file_fails_and_closes_it(tmp_path):
+    target = tmp_path / "c.json"
+    target.write_bytes(b"]\n")
+    open_before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(SolveChartError) as err:
+        overwrite_tail(target, 3, b"x")
+    assert str(err.value).startswith(f"cannot write {target}: ")
+    assert len(os.listdir("/proc/self/fd")) == open_before
+    assert target.read_bytes() == b"]\n"
 
 
 def test_make_dir_makes_parents_accepts_an_existing_directory_and_refuses_a_file(tmp_path):

@@ -215,6 +215,28 @@ def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, arg
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, key, failure",
+    [("run", "table", "read table"), ("run", "trace", "write"), ("run", "record", "write"),
+     ("eval", "trace_dir", "write"), ("eval", "output", "write")],
+)
+def test_a_config_path_holding_a_nul_byte_exits_1_without_traceback(
+    monkeypatch, tmp_path, capsys, fixtures_dir, program_file, election_json, command, key, failure
+):
+    if command == "run":
+        argv, config = ["run", "--program", program_file], {"table": election_json}
+    else:
+        argv, config = ["eval", "--dataset", str(fixtures_dir / "dataset.jsonl")], {
+            "llm_replay": str(fixtures_dir / "llm_cassette.json")}
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({**config, key: "a\0b"}), encoding="utf-8")
+    monkeypatch.setattr("sys.argv", ["solvechart", *argv, "--config", str(path)])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err == f"solvechart: error: cannot {failure} a\0b: path holds a NUL byte\n"
+
+
 def test_help_shows_parser_defaults(capsys):
     with pytest.raises(SystemExit) as excinfo:
         parse_args(["solve", "--help"])

@@ -3,10 +3,12 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solvechart.agents.base import AgentAnswer, AgentError
-from solvechart.dsl.formatter import format_program
-from solvechart.dsl.nodes import Assignment, Binary, NumberLit, SolutionProgram
+from solvechart.dsl.formatter import format_expression, format_program
+from solvechart.dsl.nodes import Assignment, Binary, Call, NumberLit, SolutionProgram, StringLit
 from solvechart.dsl.parser import parse_program
 from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
 from solvechart.engine.values import (
@@ -355,13 +357,22 @@ def test_fallback_failure_propagates():
         run("answer = 1 / 0", MapAgent({}), fallback_to_ask=True, question="missing")
 
 
-def test_trace_quotes_agent_questions_as_the_formatter_does():
-    source = 'answer = SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow")'
-    question = 'say "hi" \\ there\n\tnow'
-    result = run(source, MapAgent({question: "1"}))
-    assert format_program(parse_program(source)) == "answer = " + result.trace.steps[0].detail + "\n"
-    assert result.trace.steps[0].detail == 'SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow")'
+@settings(max_examples=200, deadline=None)
+@given(st.text().filter(str.strip))  # the agent refuses a blank question before the trace
+def test_trace_quotes_agent_questions_as_the_formatter_does(question):
+    agent = MapAgent({question: "1"})
+    for op in ("SUBSTEP", "ASK"):
+        call = Call(op, (StringLit(question),))
+        result = execute(SolutionProgram((Assignment("answer", call),)), agent, EngineConfig())
+        assert result.trace.steps[0].detail == format_expression(call)
 
-    fallback = run("answer = 1 / 0", MapAgent({'a "b" \\ c': "2"}), fallback_to_ask=True, question='a "b" \\ c')
+    fallback = run("answer = 1 / 0", agent, fallback_to_ask=True, question=question)
     assert fallback.trace.steps[-1].kind == "agent_call"
-    assert fallback.trace.steps[-1].detail == 'ASK("a \\"b\\" \\\\ c")'
+    assert fallback.trace.steps[-1].detail == format_expression(Call("ASK", (StringLit(question),)))
+
+
+def test_trace_quotes_a_question_with_every_escape():
+    source = 'answer = SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow\\r")'
+    result = run(source, MapAgent({'say "hi" \\ there\n\tnow\r': "1"}))
+    assert format_program(parse_program(source)) == "answer = " + result.trace.steps[0].detail + "\n"
+    assert result.trace.steps[0].detail == 'SUBSTEP("say \\"hi\\" \\\\ there\\n\\tnow\\r")'

@@ -591,6 +591,16 @@ def test_trace_write_failure_fails_only_that_item(temps_path, tmp_path):
     assert f"cannot write {traces / 't2.json'}: " in report.items[1].reason
 
 
+def test_a_table_path_holding_a_nul_byte_fails_only_that_item(temps_path, tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [
+        record("n", "What is the value of Mon?", "12", table_path="a\0b.json"),
+        record("t", "What is the value of Mon?", "12", table_path=str(temps_path)),
+    ])
+    report = run_eval(load_dataset(path), EvalConfig(mode="agent_only"))
+    assert [r.correct for r in report.items] == [False, True]
+    assert report.items[0].reason == f"cannot read table {tmp_path / 'a'}\0b.json: path holds a NUL byte"
+
+
 def test_trace_dir_that_cannot_be_made_fails_the_run_before_any_agent_call(temps_path, tmp_path):
     traces = tmp_path / "traces"
     traces.write_text("", encoding="utf-8")

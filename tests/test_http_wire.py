@@ -223,6 +223,38 @@ def test_cr_or_lf_in_a_header_is_refused_before_connecting(headers):
     assert err.value.kind is ErrorKind.TRANSPORT
 
 
+@pytest.mark.parametrize("headers", [{"Content-Length": "0"}, {"host": "elsewhere"}, {"CONTENT-TYPE": "text/plain"}])
+def test_a_header_that_post_json_sets_itself_is_refused_before_connecting(headers):
+    with canned_server([(CANNED["content-length"], True)]) as state:
+        with pytest.raises(AgentError) as err:
+            post_json(state["url"], "/answer", {}, timeout_s=5, headers=headers)
+        assert state["connections"] == 0
+    assert err.value.kind is ErrorKind.TRANSPORT
+
+
+def test_cr_or_lf_in_a_header_is_refused_after_the_url_was_posted_to():
+    reply = (CANNED["content-length"], False)
+    with canned_server([reply, reply]) as state:
+        post_json(state["url"], "/answer", {}, timeout_s=5, headers={"Authorization": "Bearer k"})
+        with pytest.raises(AgentError) as err:
+            post_json(state["url"], "/answer", {}, timeout_s=5, headers={"Authorization": "Bearer k\r\nX-Injected: 1"})
+        assert post_json(state["url"], "/answer", {}, timeout_s=5) == json.loads(BODY)
+        assert state["connections"] == 1
+    assert err.value.kind is ErrorKind.TRANSPORT
+    assert [b"X-Injected" in request for request in state["requests"]] == [False, False]
+    assert [b"Authorization" in request for request in state["requests"]] == [True, False]
+
+
+def test_posts_to_two_paths_on_one_endpoint_each_send_their_own_request_line():
+    reply = (CANNED["content-length"], False)
+    with canned_server([reply, reply, reply]) as state:
+        for path in ("/answer", "/v1/chat/completions?x=1", "/answer"):
+            post_json(state["url"] + "/", path, {}, timeout_s=5)
+    assert [request.split(b"\r\n", 1)[0] for request in state["requests"]] == [
+        b"POST /answer HTTP/1.1", b"POST /v1/chat/completions?x=1 HTTP/1.1", b"POST /answer HTTP/1.1",
+    ]
+
+
 def test_space_in_the_path_is_refused_before_connecting():
     with canned_server([(CANNED["content-length"], True)]) as state:
         with pytest.raises(AgentError) as err:
