@@ -13,7 +13,7 @@ import math
 import operator
 import re
 from functools import partial
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from ..engine.values import stringify
 from ..errors import ErrorKind
@@ -28,65 +28,92 @@ def _unanswerable(message: str) -> AgentError:
 
 
 _Entry = TypeVar("_Entry")
-_name_of_series = operator.attrgetter("name")
 
 
-def _resolve_name(part: str, entries: Iterable[_Entry], name_of: Callable[[_Entry], str]) -> _Entry | None:
+def _resolve_name(part: str, entries: Sequence[_Entry], forms: Sequence[str]) -> _Entry | None:
     """Finds the entry whose name the slot text refers to, longest match first.
 
-    The oracle's one name rule: a name matches when its normalized form is the
-    whole slot text or a run of its words; the first of equally long forms wins.
+    forms[i] is the normalized name of entries[i].  The oracle's one name
+    rule: a name matches when its normalized form is the whole slot text or a
+    run of its words; the first of equally long forms wins.
     """
     padded = f" {part} "
     best, best_length = None, 0
-    for entry in entries:
-        form = normalize_question(name_of(entry))
+    for entry, form in zip(entries, forms):
         if len(form) > best_length and (part == form or f" {form} " in padded):
             best, best_length = entry, len(form)
     return best
 
 
-def _resolve_cell(table: ChartTable, text: str) -> tuple[Series, str] | None:
+class _Names:
+    """One question's view of a table's names: each list of forms is built when a slot first needs it.
+
+    So a name is normalized at most once per question, however many slots
+    and splits read it.  Nothing outlives the question.
+    """
+
+    __slots__ = ("table", "_series_forms", "_categories")
+
+    def __init__(self, table: ChartTable) -> None:
+        self.table = table
+        self._series_forms: list[str] | None = None
+        self._categories: tuple[list[str], list[str]] | None = None
+
+    def series(self) -> tuple[Sequence[Series], list[str]]:
+        if self._series_forms is None:
+            self._series_forms = [normalize_question(entry.name) for entry in self.table.series]
+        return self.table.series, self._series_forms
+
+    def categories(self) -> tuple[list[str], list[str]]:
+        if self._categories is None:
+            labels = self.table.categories()
+            self._categories = labels, [normalize_question(label) for label in labels]
+        return self._categories
+
+
+def _resolve_cell(names: _Names, text: str) -> tuple[Series, str] | None:
     """Maps slot text to (series, category label), or None."""
     pieces = text.split(" in ")
     if len(pieces) > 1:
         for split in range(len(pieces) - 1, 0, -1):
-            entry = _resolve_name(" in ".join(pieces[:split]), table.series, _name_of_series)
-            label = _resolve_name(" in ".join(pieces[split:]), table.categories(), str)
-            if entry is not None and label is not None:
+            entry = _resolve_name(" in ".join(pieces[:split]), *names.series())
+            if entry is None:
+                continue
+            label = _resolve_name(" in ".join(pieces[split:]), *names.categories())
+            if label is not None:
                 return entry, label
-    if len(table.series) == 1:
-        label = _resolve_name(text, table.categories(), str)
+    if len(names.table.series) == 1:
+        label = _resolve_name(text, *names.categories())
         if label is not None:
-            return table.series[0], label
+            return names.table.series[0], label
     return None
 
 
-def _read_cell(table: ChartTable, text: str) -> tuple[bool, float | None]:
+def _read_cell(names: _Names, text: str) -> tuple[bool, float | None]:
     """Resolves slot text to a cell, then reads it: (resolved, value, or None where the series lacks the label)."""
-    cell = _resolve_cell(table, text)
+    cell = _resolve_cell(names, text)
     if cell is None:
         return False, None
     entry, label = cell
     return True, entry.values[entry.categories.index(label)] if label in entry.categories else None
 
 
-def _value_of(table: ChartTable, rest: str) -> str:
-    resolved, value = _read_cell(table, rest)
+def _value_of(names: _Names, rest: str) -> str:
+    resolved, value = _read_cell(names, rest)
     if value is None:
         raise _unanswerable(f"no point for {rest!r}" if resolved else f"cannot resolve {rest!r} against the table")
     return stringify(value)
 
 
-def _extreme_of_series(table: ChartTable, which: str, series: str) -> str:
-    entry = _resolve_name(series, table.series, _name_of_series)
+def _extreme_of_series(names: _Names, which: str, series: str) -> str:
+    entry = _resolve_name(series, *names.series())
     if entry is None or not entry.values:
         raise _unanswerable(f"cannot resolve series {series!r}")
     pick = max if which in ("highest", "maximum", "max") else min
     return stringify(pick(entry.values))
 
 
-def _arg_extreme(table: ChartTable, subject: str, which: str) -> str:
+def _arg_extreme(names: _Names, subject: str, which: str) -> str:
     """Names the series or category of the overall highest/lowest point, table order on ties.
 
     Within a series `pick` returns the first extreme value and `index` finds its
@@ -95,7 +122,7 @@ def _arg_extreme(table: ChartTable, subject: str, which: str) -> str:
     """
     pick, beats = (max, operator.gt) if which == "highest" else (min, operator.lt)
     best: tuple[Series, float] | None = None
-    for entry in table.series:
+    for entry in names.table.series:
         if entry.values:
             value = pick(entry.values)
             if best is None or beats(value, best[1]):
@@ -106,16 +133,16 @@ def _arg_extreme(table: ChartTable, subject: str, which: str) -> str:
     return entry.name if subject == "series" else entry.categories[entry.values.index(value)]
 
 
-def _two_cells(combine: Callable[[float, float], float], table: ChartTable, rest: str) -> str:
+def _two_cells(combine: Callable[[float, float], float], names: _Names, rest: str) -> str:
     """Combines the first split of the slot text into two cells that both have a point."""
     pieces = rest.split(" and ")
     if len(pieces) < 2:
         raise _unanswerable(f"expected two cells in {rest!r}")
     for split in range(1, len(pieces)):
-        _, first = _read_cell(table, " and ".join(pieces[:split]))
+        _, first = _read_cell(names, " and ".join(pieces[:split]))
         if first is None:
             continue
-        _, second = _read_cell(table, " and ".join(pieces[split:]))
+        _, second = _read_cell(names, " and ".join(pieces[split:]))
         if second is not None:
             value = combine(first, second)
             if not math.isfinite(value):
@@ -147,7 +174,7 @@ def oracle_answer(table: ChartTable, question: str) -> str:
     for pattern, handler in _TEMPLATES:
         match = pattern.fullmatch(text)
         if match:
-            return handler(table, **match.groupdict())
+            return handler(_Names(table), **match.groupdict())
     raise _unanswerable(f"no template matches {question!r}")
 
 

@@ -43,7 +43,7 @@ from .errors import SolveChartError
 from .evaluation.dataset import load_dataset
 from .evaluation.harness import EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
-from .files import read_json, read_text, write_text_atomic
+from .files import check_output_path, read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
 from .solgen.generate import MAX_REPLY_CHARS, generate_solution
 from .solgen.prompt import chart_hints
@@ -285,9 +285,17 @@ def _refuse_in_agent_only(cmd: argparse.Namespace, *flags: str) -> None:
             raise CliError(f"{flag} does not apply to --mode agent-only, which runs no program")
 
 
+def _check_outputs(cmd: argparse.Namespace) -> None:
+    """Refuses, before any item, model call or agent call, a file output in a missing directory or naming one."""
+    for dest in ("output", "trace", "record", "llm_record"):
+        if (path := getattr(cmd, dest, None)) is not None:
+            check_output_path(path)
+
+
 def _cmd_run(cmd: argparse.Namespace) -> int:
     if cmd.fallback and cmd.question is None:
         raise CliError("--fallback requires --question")
+    _check_outputs(cmd)
     program = parse_program(_read_source(cmd.program))
     table = load_table(cmd.table) if cmd.table is not None and cmd.agent == "oracle" else None
     return _execute_and_print(cmd, program, _build_agent(cmd.agent, table, cmd.record))
@@ -295,6 +303,7 @@ def _cmd_run(cmd: argparse.Namespace) -> int:
 
 def _cmd_solve(cmd: argparse.Namespace) -> int:
     _refuse_in_agent_only(cmd, "--trace", "--llm-record", "--llm", "--llm-replay", "--show-program")
+    _check_outputs(cmd)
     live = cmd.llm is not None  # only a live model gets a prompt
     table = load_table(cmd.table) if cmd.table is not None and (cmd.agent == "oracle" or live) else None
     agent = _build_agent(cmd.agent, table, None)
@@ -367,6 +376,7 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 
 def _cmd_eval(cmd: argparse.Namespace) -> int:
     _refuse_in_agent_only(cmd, "--trace-dir", "--llm", "--llm-replay")
+    _check_outputs(cmd)
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
     shared = None if cmd.agent == "oracle" else _build_agent(cmd.agent, None, None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 import sys
 import threading
 from contextlib import contextmanager
@@ -21,7 +22,8 @@ from typing import Any, BinaryIO, Iterator
 
 from .errors import SolveChartError
 
-__all__ = ["MAX_FILE_BYTES", "make_dir", "overwrite_tail", "read_bytes", "read_json", "read_text", "write_text_atomic"]
+__all__ = ["MAX_FILE_BYTES", "check_output_path", "make_dir", "overwrite_tail", "read_bytes", "read_json", "read_text",
+           "write_text_atomic"]
 
 # The limit for every JSON and JSONL input: 16x the largest benchmark input
 # (a 1.0 MB cassette).  Datasets are held in memory whole, so one limit on
@@ -130,6 +132,20 @@ def overwrite_tail(path: str | Path, size: int, data: bytes) -> None:
                 view = view[os.write(fd, view):]
         finally:
             os.close(fd)
+
+
+def check_output_path(path: str | Path) -> None:
+    """Raises "cannot write <path>: <reason>" when path cannot name a file: a directory, or in a missing one.
+
+    Creates nothing.  A command checks its output files with it before any
+    work, so an output it could never write does not cost the whole run first.
+    """
+    with _writing(path):
+        target = Path(path)
+        if target.is_dir():  # "" too, which Path reads as "."
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
 
 
 def make_dir(path: str | Path) -> None:

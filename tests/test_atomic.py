@@ -5,7 +5,7 @@ import os
 import pytest
 
 from solvechart.errors import SolveChartError
-from solvechart.files import make_dir, overwrite_tail, write_text_atomic
+from solvechart.files import check_output_path, make_dir, overwrite_tail, write_text_atomic
 
 
 def test_write_text_atomic_replaces_target_and_leaves_no_temp(tmp_path):
@@ -71,3 +71,23 @@ def test_make_dir_makes_parents_accepts_an_existing_directory_and_refuses_a_file
     with pytest.raises(SolveChartError) as err:
         make_dir(tmp_path / "f" / "sub")
     assert str(err.value).startswith(f"cannot write {tmp_path / 'f' / 'sub'}: ")
+
+
+def test_check_output_path_refuses_a_directory_or_a_missing_parent_and_makes_nothing(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    check_output_path(tmp_path / "r.json")
+    check_output_path("r.json")  # a bare name is written in the working directory
+    (tmp_path / "f").write_text("", encoding="utf-8")
+    check_output_path(tmp_path / "f")  # an existing file is replaced
+    for target, cause in [
+        (tmp_path / "missing" / "r.json", FileNotFoundError),
+        (tmp_path / "f" / "r.json", NotADirectoryError),
+        (tmp_path / "f" / "sub" / "r.json", NotADirectoryError),
+        (tmp_path, IsADirectoryError),
+        ("", IsADirectoryError),  # Path("") is the working directory
+    ]:
+        with pytest.raises(SolveChartError) as err:
+            check_output_path(target)
+        assert str(err.value).startswith(f"cannot write {target}: ")
+        assert isinstance(err.value.__cause__, cause)
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]

@@ -14,6 +14,7 @@ from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.replay import Cassette
 from solvechart.agents.table import load_table
+from solvechart.cli import main
 from solvechart.errors import ErrorKind, SolveChartError
 from solvechart.evaluation.dataset import (
     DatasetFormatError,
@@ -612,6 +613,50 @@ def test_trace_dir_that_cannot_be_made_fails_the_run_before_any_agent_call(temps
         run_eval(temps_items(temps_path), config)
     assert str(err.value).startswith(f"cannot write {traces}: ")
     assert agent.calls == 0
+
+
+# Every command's file outputs, each with a live agent and (where the command asks one) a live model.
+# An output in a missing directory, or one naming a directory, could only fail once the work was done.
+FILE_OUTPUTS = [
+    (["eval", "--dataset", "{dataset}", "--agent", "{url}", "--llm", "{url}"], "--output"),
+    (["eval", "--dataset", "{dataset}", "--agent", "{url}", "--mode", "agent-only"], "--output"),
+    (["run", "--program", "{program}", "--agent", "{url}"], "--trace"),
+    (["run", "--program", "{program}", "--agent", "{url}"], "--record"),
+    (["solve", "--question", "What is the value of Mon?", "--agent", "{url}", "--llm", "{url}"], "--trace"),
+    (["solve", "--question", "What is the value of Mon?", "--agent", "{url}", "--llm", "{url}"], "--llm-record"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    FILE_OUTPUTS,
+    ids=["eval-output", "eval-agent-only-output", "run-trace", "run-record", "solve-trace", "solve-llm-record"],
+)
+@pytest.mark.parametrize("target, reason", [("missing/out.json", "No such file or directory"), (".", "Is a directory")])
+def test_an_output_that_cannot_be_a_file_is_refused_before_any_request(
+    monkeypatch, capsys, tmp_path, fixtures_dir, argv, flag, target, reason
+):
+    requests = []
+
+    def reply(path, body):
+        requests.append(body)
+        return {"answer": "12"}
+
+    program = tmp_path / "two_substeps.txt"
+    program.write_text('a = SUBSTEP("What is the value of Mon?")\nanswer = a + SUBSTEP("value of Tue")\n',
+                       encoding="utf-8")
+    target = tmp_path / target
+    with json_server(reply) as (_, url):
+        paths = {"dataset": fixtures_dir / "dataset.jsonl", "program": program, "url": url}
+        monkeypatch.setattr("sys.argv", ["solvechart", *(arg.format(**paths) for arg in argv), flag, str(target)])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+    captured = capsys.readouterr()
+    assert exit_.value.code == 1
+    assert captured.out == ""
+    assert captured.err == f"solvechart: error: cannot write {target}: {reason}\n"
+    assert requests == []
+    assert list(tmp_path.iterdir()) == [program]
 
 
 def test_trace_dir_is_made_by_programmatic_runs_only(temps_path, tmp_path):

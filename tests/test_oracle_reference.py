@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_reference
+from solvechart.agents import oracle
 from solvechart.agents.oracle import oracle_answer
 from solvechart.agents.table import ChartTable, Series, normalize_question
 
@@ -125,6 +126,7 @@ NESTED = table_of(
 # Ragged: each series lacks a label another one holds, and names carry case and punctuation.
 # Equal-length names that both match one slot: the first in table order wins.
 EQUAL_FORMS = table_of(("Sales", [("Feb", 3.0), ("Jan", 1.0)]), ("Total", [("Jan", 2.0)]))
+ONE_SERIES = table_of(("Sales", [("Made in USA", 7.0), ("Jan", 1.0)]))
 RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Mar-Apr", 2.0), ("Q1 '12", -3.0)]))
 
 
@@ -161,10 +163,52 @@ RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Ma
         (RAGGED, "What is the highest value of ST. LOUIS?"),
         (EQUAL_FORMS, "What is the maximum value of Total Sales?"),
         (EQUAL_FORMS, "What is the value of Sales in Jan Feb?"),
+        # The first " and " split leaves "salt" alone, which names no cell; the second resolves both.
+        (NESTED, "What is the sum of Salt and Pepper in Jan and Total in Jan?"),
+        # "pepper in made" names no series, so no split can resolve and no category part is read.
+        (NESTED, "What is the value of Pepper in Made in USA?"),
+        # "made" names no series; the one series' category fallback reads the whole slot.
+        (ONE_SERIES, "What is the value of Made in USA?"),
     ],
 )
 def test_oracle_matches_reference_on_named_cases(table, question):
     assert_agrees(table, question)
+
+
+# Names holding " in " and " and ", so that both split loops of a two-cell question run more than once.
+SPLIT_NAMES = table_of(
+    ("Total", [("Jan", 5.0)]),
+    ("Total Sales", [("Jan", 9.0), ("Made in USA", 3.0)]),
+    ("Salt and Pepper", [("North and South", 4.0), ("Jan", -2.5)]),
+    ("Made in USA", [("Jan", 1.0), ("Made in USA", 2.0)]),
+)
+
+
+@pytest.mark.parametrize(
+    "table, question",
+    [
+        (SPLIT_NAMES, "What is the value of Made in USA in Made in USA?"),
+        (SPLIT_NAMES, "What is the value of Pepper in Made in USA?"),
+        (SPLIT_NAMES, "What is the highest value of Salt and Pepper?"),
+        (SPLIT_NAMES, "Which category has the lowest value?"),
+        (SPLIT_NAMES, "What is the sum of Salt and Pepper in North and South and Made in USA in Made in USA?"),
+        (SPLIT_NAMES, "What is the difference between Total Sales in Made in USA and Salt and Pepper in Jan?"),
+        (SPLIT_NAMES, "What is the sum of Salt and Pepper in North and Oranges in Jan?"),
+        (ONE_SERIES, "What is the difference of Made in USA and Jan?"),
+        (SPLIT_NAMES, "compare the trends"),
+    ],
+)
+def test_a_question_normalizes_each_name_at_most_once(monkeypatch, table, question):
+    """One call for the question, then at most one per series name and one per distinct category label."""
+    calls = []
+
+    def counting(text: str) -> str:
+        calls.append(text)
+        return normalize_question(text)
+
+    monkeypatch.setattr(oracle, "normalize_question", counting)
+    assert outcome(oracle_answer, table, question) == outcome(oracle_reference.oracle_answer, table, question)
+    assert len(calls) <= 1 + len(table.series) + len(table.categories())
 
 
 # Names that casefold expands, or whose letters and digits lie outside ASCII.
