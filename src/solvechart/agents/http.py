@@ -13,10 +13,16 @@ connection.
 Each endpoint URL is parsed once, and the head it fixes (request line,
 Host, Accept-Encoding, Content-Type) is built once with it; a call adds
 only the caller's headers, Content-Length and the body.
+
+post_json is its two halves in sequence: _send_json writes the request on a
+pooled socket, and _read_json reads the reply and pools or closes the
+socket.  HttpAgent sends a program's Lookahead members with the first half
+each, then reads their replies in program order, all on the caller's thread.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import re
 import select
@@ -24,11 +30,11 @@ import socket
 import threading
 import time
 from functools import cache, lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 from urllib.parse import urlsplit
 
 from ..errors import ErrorKind, SolveChartError
-from .base import AgentAnswer, AgentError, AgentQuery
+from .base import AgentAnswer, AgentError, AgentQuery, Lookahead
 
 __all__ = ["HttpAgent", "MAX_BODY_BYTES", "post_json"]
 
@@ -56,6 +62,15 @@ _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _MAX_IDLE = 16
 _idle: list[tuple[tuple[str, str, int], socket.socket]] = []
 _idle_lock = threading.Lock()
+
+
+@atexit.register
+def _close_idle() -> None:
+    """Closes every idle pooled socket, so none is left open at interpreter exit."""
+    with _idle_lock:
+        for _, sock in _idle:
+            sock.close()
+        _idle.clear()
 
 
 @cache
@@ -236,14 +251,12 @@ class _Reader:
                 raise ValueError("chunk data not followed by a line end")
 
 
-def _exchange(sock: socket.socket, request: bytes, deadline: float) -> tuple[int, bytes, bool]:
-    """Sends request and reads its reply by deadline: (status, body, whether sock may be reused).
+def _reply(sock: socket.socket, deadline: float) -> tuple[int, bytes, bool]:
+    """Reads one reply by deadline: (status, body, whether sock may be reused).
 
     The body is capped at MAX_BODY_BYTES + 1 bytes, and a longer one leaves
     sock unfit for reuse.  1xx replies before the final one are skipped.
     """
-    sock.settimeout(_time_left(deadline))  # sendall's timeout bounds the whole send
-    sock.sendall(request)
     reader = _Reader(sock, deadline)
     version, status = reader.status()
     while status < 200:
@@ -271,6 +284,22 @@ def _exchange(sock: socket.socket, request: bytes, deadline: float) -> tuple[int
     return status, body, reusable
 
 
+class _Sent(NamedTuple):
+    """A request written on sock, whose reply is due by deadline."""
+
+    url: str
+    key: tuple[str, str, int]
+    sock: socket.socket
+    deadline: float
+
+
+def _failure(error: type[SolveChartError], url: str, err: Exception) -> SolveChartError:
+    """The error post_json raises for an OSError or ValueError on the way to url."""
+    if isinstance(err, TimeoutError):
+        return error(f"{url} timed out", ErrorKind.TIMEOUT)
+    return error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT)
+
+
 def post_json(
     endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None,
     error: type[SolveChartError] = AgentError,
@@ -287,6 +316,14 @@ def post_json(
             or non-200 statuses, BAD_RESPONSE when the body is not JSON or is over
             MAX_BODY_BYTES.
     """
+    return _read_json(_send_json(endpoint, path, payload, timeout_s=timeout_s, headers=headers, error=error), error)
+
+
+def _send_json(
+    endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None,
+    error: type[SolveChartError] = AgentError,
+) -> _Sent:
+    """post_json's first half: writes the request on a pooled socket; raises as post_json does."""
     deadline = time.monotonic() + timeout_s
     url = endpoint.rstrip("/") + path
     sock = None
@@ -294,14 +331,24 @@ def post_json(
         key, head = _route(url)
         request = _request(head, _encode_json(payload).encode("utf-8"), headers)
         sock = _connection(key, deadline)
-        status, data, reusable = _exchange(sock, request, deadline)
-    # ValueError: a bad port, a NaN in the payload, a refused header or a malformed reply.
+        sock.settimeout(_time_left(deadline))  # sendall's timeout bounds the whole send
+        sock.sendall(request)
+    # ValueError: a bad port, a NaN in the payload or a refused header.
     except (OSError, ValueError) as err:
         if sock is not None:
             sock.close()
-        if isinstance(err, TimeoutError):
-            raise error(f"{url} timed out", ErrorKind.TIMEOUT) from err
-        raise error(f"cannot reach {url}: {err}", ErrorKind.TRANSPORT) from err
+        raise _failure(error, url, err) from err
+    return _Sent(url, key, sock, deadline)
+
+
+def _read_json(sent: _Sent, error: type[SolveChartError] = AgentError) -> Any:
+    """post_json's second half: reads the reply, then pools or closes the socket; raises as post_json does."""
+    url, key, sock, deadline = sent
+    try:
+        status, data, reusable = _reply(sock, deadline)
+    except (OSError, ValueError) as err:  # ValueError: a malformed reply
+        sock.close()
+        raise _failure(error, url, err) from err
     if reusable:
         with _idle_lock:
             _idle.append((key, sock))
@@ -320,7 +367,13 @@ def post_json(
 
 
 class HttpAgent:
-    """Agent backend bound to one remote endpoint."""
+    """Agent backend bound to one remote endpoint.
+
+    The first member of a Lookahead to reach it goes out together with every
+    later member still wanted, each on its own socket; the replies are then
+    read in program order.  Each later member is answered from its reply,
+    with the same answer or AgentError, and sends no request of its own.
+    """
 
     def __init__(self, endpoint: str, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
         self.endpoint = endpoint
@@ -328,10 +381,47 @@ class HttpAgent:
 
     def answer(self, query: AgentQuery) -> AgentAnswer:
         """Sends one query to POST {endpoint}/answer; raises AgentError as post_json does."""
-        payload = {"question": query.question, "chart_id": query.chart_id, "operator": query.operator}
+        ahead = query.lookahead
+        if ahead is not None:
+            if ahead.replies is None:
+                ahead.replies = self._send_together(query, ahead)
+            outcome = ahead.replies.pop(ahead.at, None)
+            if isinstance(outcome, AgentError):
+                raise outcome
+            if outcome is not None:
+                return outcome
         started = time.perf_counter()
-        body = post_json(self.endpoint, "/answer", payload, timeout_s=self.timeout_s)
+        return self._answer(_read_json(self._send(query.operator, query.question, query.chart_id)), started)
+
+    def _send(self, operator: str, question: str, chart_id: str) -> _Sent:
+        payload = {"question": question, "chart_id": chart_id, "operator": operator}
+        return _send_json(self.endpoint, "/answer", payload, timeout_s=self.timeout_s)
+
+    def _answer(self, body: Any, started: float) -> AgentAnswer:
         latency_ms = (time.perf_counter() - started) * 1000.0
         if not isinstance(body, dict) or not isinstance(body.get("answer"), str):
             raise AgentError(f'agent at {self.endpoint} sent no "answer" field', ErrorKind.BAD_RESPONSE)
         return AgentAnswer(body["answer"], latency_ms, "http")
+
+    def _send_together(self, query: AgentQuery, ahead: Lookahead) -> dict[int, AgentAnswer | AgentError]:
+        """Sends query, member ahead.at, and each later member still wanted, then reads every reply in order.
+
+        A failed send of query raises before any later member is sent.  A
+        later member whose send fails is left out; it goes out alone when
+        its own statement asks it.
+        """
+        sent = [(ahead.at, time.perf_counter(), self._send(query.operator, query.question, query.chart_id))]
+        for index in range(ahead.at + 1, len(ahead.calls)):
+            if (call := ahead.calls[index]) is not None:
+                started = time.perf_counter()
+                try:
+                    sent.append((index, started, self._send(*call, query.chart_id)))
+                except AgentError:
+                    pass
+        outcomes: dict[int, AgentAnswer | AgentError] = {}
+        for index, started, request in sent:
+            try:
+                outcomes[index] = self._answer(_read_json(request), started)
+            except AgentError as err:
+                outcomes[index] = err
+        return outcomes

@@ -104,7 +104,12 @@ class Cassette:
 
 
 class ReplayAgent:
-    """Replay backend; in record mode misses are filled by a live agent."""
+    """Replay backend; in record mode misses are filled by a live agent.
+
+    Before a miss goes live, the later members of its Lookahead that a serial
+    run would not send live are dropped from it: one this cassette already
+    answers, and one that repeats an earlier member's key.
+    """
 
     def __init__(self, cassette: Cassette, live: AgentHandle | None = None) -> None:
         self.cassette = cassette
@@ -120,6 +125,20 @@ class ReplayAgent:
                 f"no recording for chart {query.chart_id!r}, question {query.question!r}",
                 ErrorKind.CASSETTE_MISS,
             )
+        if query.lookahead is not None:
+            self._drop_answered(query)
         reply = self.live.answer(query)
         self.cassette.append(query.chart_id, query.question, reply.answer)
         return AgentAnswer(reply.answer, reply.latency_ms, "record")
+
+    def _drop_answered(self, query: AgentQuery) -> None:
+        ahead, chart_id = query.lookahead, query.chart_id
+        keys = {normalize_key(query.question)}
+        for index in range(ahead.at + 1, len(ahead.calls)):
+            if (call := ahead.calls[index]) is None:
+                continue
+            key = normalize_key(call[1])
+            if key in keys or self.cassette.lookup(chart_id, call[1]) is not None:
+                ahead.calls[index] = None
+            else:
+                keys.add(key)

@@ -5,6 +5,11 @@ the language has no loops, so each AST node is visited at most once.  The
 trace records every assignment, branch decision, and agent exchange in
 evaluation order.  With fallback enabled, any execution failure is converted
 into a single direct ASK of the original question.
+
+A program's leading independent agent calls share one Lookahead, so a live
+agent may send them together; every call is still made, recorded and
+traced at its own statement, in program order.  execute runs those leading
+assignments itself, straight from the scan that found them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 
-from ..agents.base import AgentError, AgentHandle, AgentQuery
+from ..agents.base import AgentError, AgentHandle, AgentQuery, Lookahead
 from ..dsl.formatter import format_expression, format_string
 from ..dsl.nodes import (
     ANSWER_VARIABLE,
@@ -46,6 +51,7 @@ __all__ = [
 ]
 
 MAX_TEXT_CHARS = 100_000  # the longest text "+" may build
+LOOKAHEAD_CALLS = 4  # the most leading agent calls that share one Lookahead
 
 
 @dataclass(frozen=True)
@@ -241,9 +247,9 @@ class _Evaluator:
             raise _mismatch(expr.callee, question)
         return self.ask_agent(expr.callee, question)
 
-    def ask_agent(self, operator: str, question: str) -> Value:
+    def ask_agent(self, operator: str, question: str, ahead: Lookahead | None = None) -> Value:
         try:
-            query = AgentQuery(question=question, chart_id=self.config.chart_id, operator=operator)
+            query = AgentQuery(question, self.config.chart_id, operator, ahead)
             reply = self.agent.answer(query)
         except AgentError as err:
             raise EngineError(f"{operator} failed: {err}", ErrorKind.AGENT_FAILURE) from err
@@ -255,15 +261,17 @@ class _Evaluator:
 
     # -- statements ---------------------------------------------------------
 
+    def assign(self, target: str, value: Value, env: dict[str, Value]) -> None:
+        env[target] = value
+        self.trace.steps.append(TraceStep("assignment", target, value))
+
     def run_block(self, statements: tuple[Statement, ...], env: dict[str, Value]) -> None:
         for stmt in statements:
             self.run_statement(stmt, env)
 
     def run_statement(self, stmt: Statement, env: dict[str, Value]) -> None:
         if isinstance(stmt, Assignment):
-            value = self.eval(stmt.expr, env)
-            env[stmt.target] = value
-            self.trace.steps.append(TraceStep("assignment", stmt.target, value))
+            self.assign(stmt.target, self.eval(stmt.expr, env), env)
             return
         for index, (condition, body) in enumerate(stmt.branches):
             decision = self.eval(condition, env)
@@ -280,6 +288,24 @@ class _Evaluator:
             self.run_block(stmt.else_body, env)
 
 
+def _leading_calls(statements: tuple[Statement, ...]) -> list[tuple[str, str, str]]:
+    """(target, operator, question) of each leading agent-call assignment, at most LOOKAHEAD_CALLS.
+
+    They are the first top-level assignments whose value is an agent call on
+    a non-blank string literal; a blank one ends the run, so it fails at its
+    own statement.
+    """
+    calls = []
+    for stmt in statements[:LOOKAHEAD_CALLS]:
+        if not (isinstance(stmt, Assignment) and isinstance(stmt.expr, Call) and stmt.expr.callee in AGENT_CALLEES):
+            break
+        question = stmt.expr.args[0]
+        if not (isinstance(question, StringLit) and question.value.strip()):
+            break
+        calls.append((stmt.target, stmt.expr.callee, question.value))
+    return calls
+
+
 def execute(program: SolutionProgram, agent: AgentHandle, config: EngineConfig | None = None) -> ExecutionResult:
     """Runs a program to completion and returns its answer plus trace.
 
@@ -291,8 +317,16 @@ def execute(program: SolutionProgram, agent: AgentHandle, config: EngineConfig |
     trace = ExecutionTrace()
     evaluator = _Evaluator(agent, config, trace)
     env: dict[str, Value] = {}
+    leading = _leading_calls(program.statements)
+    # One Lookahead for a run of two or more; each member's query carries it, no other query does.
+    ahead = Lookahead([call[1:] for call in leading]) if len(leading) > 1 else None
     try:
-        evaluator.run_block(program.statements, env)
+        # These assignments run as run_statement would run them, without its dispatch.
+        for index, (target, callee, question) in enumerate(leading):
+            if ahead is not None:
+                ahead.at = index
+            evaluator.assign(target, evaluator.ask_agent(callee, question, ahead), env)
+        evaluator.run_block(program.statements[len(leading):], env)
         if ANSWER_VARIABLE not in env:
             raise EngineError(
                 f"program finished without assigning '{ANSWER_VARIABLE}'", ErrorKind.ANSWER_UNASSIGNED
