@@ -53,6 +53,14 @@ from .solgen.prompt import chart_hints
 # accepts also runs from a program file.
 MAX_PROGRAM_BYTES = 4 * MAX_REPLY_CHARS
 
+# The largest align-demo inputs.  The command holds several patches x patches
+# arrays, their JSON text and, for the JSON encoder, one object per printed
+# number, so its memory grows as the square of the patch count: a 45x45 grid
+# (2,025 patches) peaked at 1.5 GB resident, and 4,096 patches would need
+# four times as much.  The parameters hold several dim x dim matrices.
+MAX_DEMO_PATCHES = 2048
+MAX_DEMO_DIM = 1024
+
 
 class CliError(SolveChartError):
     """A command cannot proceed with the given arguments."""
@@ -334,6 +342,11 @@ def _parse_grid(spec: str) -> tuple[int, int]:
 
 
 def _cmd_align_demo(cmd: argparse.Namespace) -> int:
+    rows, cols = _parse_grid(cmd.grid)
+    if rows * cols > MAX_DEMO_PATCHES:
+        raise CliError(f"--grid {rows}x{cols} has {rows * cols} patches, more than {MAX_DEMO_PATCHES}")
+    if cmd.dim > MAX_DEMO_DIM:
+        raise CliError(f"--dim {cmd.dim} is more than {MAX_DEMO_DIM}")
     # Imported here so that no other command pays for numpy.
     from .align import PipelineConfig, check_bundle, make_grid, make_params, make_query, run_alignment_pipeline
     from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
@@ -349,7 +362,6 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
         "proximity_radius": DEFAULT_PROXIMITY_RADIUS,
     }
     cmd = argparse.Namespace(**{**defaults, **vars(cmd)})
-    rows, cols = _parse_grid(cmd.grid)
     grid = make_grid(rows, cols, cmd.dim, seed=cmd.seed)
     query = make_query(cmd.dim, seed=cmd.seed)
     params = make_params(cmd.dim, seed=cmd.seed, layers=cmd.layers, top_k=cmd.top_k)

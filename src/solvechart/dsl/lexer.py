@@ -44,32 +44,42 @@ KEYWORDS = frozenset({"if", "elif", "else", "and", "or", "not", "True", "False"}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 # The tokenizer recipe of the `re` docs: one alternative per group, tried in
-# order at each position of a line's content, so two-character operators come
-# before their prefixes.  STRING runs up to its closing quote or its first
-# error; without CLOSE it is no token.  IDENTIFIER is any run of word
-# characters (str.isalnum or "_"); tokenize rejects one whose first character
-# is neither a letter nor "_".  ERROR catches the one character at which no
-# token starts.
-_TOKEN_PATTERN = re.compile("|".join(f"(?P<{group}>{pattern})" for group, pattern in (
-    ("SPACE", r" +"),
+# order after the spaces before each token of a line's content, so
+# two-character operators come before their prefixes; one match is one token
+# and its spaces.  The line's trailing spaces are cut off first, since spaces
+# with no token after them would match ERROR.  A string literal runs up to its
+# closing quote, or else up to its first error as UNTERMINATED.  A run of word
+# characters (str.isalnum or "_") is a KEYWORD if it is one, an IDENTIFIER if
+# it starts with an ASCII letter or "_", and otherwise a WORD, which tokenize
+# rejects unless its first character is a letter.  ERROR catches the one
+# character at which no token starts.
+_STRING_BODY = r'"[^"\\]*(?:\\[' + re.escape("".join(_ESCAPES)) + r'][^"\\]*)*'
+_TOKEN_PATTERN = re.compile(" *(?:" + "|".join(f"(?P<{group}>{pattern})" for group, pattern in (
     ("COMMENT", r"#.*"),
-    ("STRING", r'"[^"\\]*(?:\\[' + re.escape("".join(_ESCAPES)) + r'][^"\\]*)*(?P<CLOSE>")?'),
+    ("STRING", _STRING_BODY + '"'),
+    ("UNTERMINATED", _STRING_BODY),
     ("NUMBER", r"\d+(?:\.\d+)?"),
-    ("IDENTIFIER", r"\w+"),
+    ("KEYWORD", "(?:" + "|".join(sorted(KEYWORDS)) + r")(?!\w)"),
+    ("IDENTIFIER", r"[A-Za-z_]\w*"),
+    ("WORD", r"\w+"),
     ("OPERATOR", r"==|!=|<=|>=|//|[-+*/%<>=()\[\],:]"),
     ("ERROR", r"."),
-)))
+)) + ")")
 _ESCAPE_PATTERN = re.compile(r"\\(.)")
-# Token kind by name, looked up by pattern group name or "KEYWORD": a dict
+# Token kind by pattern group name, None for a match that is no token: a dict
 # lookup is several times cheaper than TokenKind[name].
-_KINDS = {kind.name: kind for kind in TokenKind}
+_GROUP_KINDS = {
+    **{kind.name: kind for kind in TokenKind},
+    "WORD": TokenKind.IDENTIFIER, "COMMENT": None, "UNTERMINATED": None, "ERROR": None,
+}
 
 
 def _lex_error(line: str, match: re.Match[str], line_number: int) -> LexError:
-    """The error for a match that is no token: a string without CLOSE, or else
+    """The error for a match that is no token: an unterminated string, or else
     an illegal character at its start."""
-    start, stop = match.span()
-    if match.lastgroup != "STRING":
+    group = match.lastgroup
+    start, stop = match.span(group)
+    if group != "UNTERMINATED":
         return LexError(f"illegal character {line[start]!r}", line_number, start + 1)
     if line[stop:stop + 1] == "\\" and stop + 1 < len(line):
         return LexError(f"invalid escape sequence '\\{line[stop + 1]}'", line_number, stop + 2)
@@ -100,42 +110,41 @@ class LineLexer:
         ParseError for an unindent that matches no outer level.
         """
         line = raw_line.rstrip("\r")
-        content = line.lstrip(" ")
-        width = len(line) - len(content)
+        code = line.rstrip(" ")
+        content = code.lstrip(" ")
+        width = len(code) - len(content)
         if content.startswith("\t"):
             raise LexError("tab character in indentation", line_number, width + 1)
-        stripped = content.strip()
-        if not stripped or stripped.startswith("#"):
+        # Blank, or a comment after other white space: the first non-white character decides.
+        if content.lstrip()[:1] in ("", "#"):
             return None
         tokens = self.tokens
         indents = self._indents
+        # tuple.__new__ is all that Token(...) calls, without its Python frame.
+        new = tuple.__new__
         column = width + 1
         if width > indents[-1]:
             indents.append(width)
-            tokens.append(Token(TokenKind.INDENT, "", line_number, column))
+            tokens.append(new(Token, (TokenKind.INDENT, "", line_number, column)))
         else:
             while width < indents[-1]:
                 indents.pop()
-                tokens.append(Token(TokenKind.DEDENT, "", line_number, column))
+                tokens.append(new(Token, (TokenKind.DEDENT, "", line_number, column)))
             if width != indents[-1]:
                 raise ParseError("unindent does not match any outer level", line_number, column)
         head = len(tokens)
-        # tuple.__new__ is all that Token(...) calls, without its Python frame.
-        new = tuple.__new__
-        for match in _TOKEN_PATTERN.finditer(line, width):
+        for match in _TOKEN_PATTERN.finditer(code, width):
             group = match.lastgroup
-            if group == "SPACE" or group == "COMMENT":
-                continue
-            if group == "ERROR" or group == "STRING" and match.group("CLOSE") is None:
+            kind = _GROUP_KINDS[group]
+            if kind is None:
+                if group == "COMMENT":
+                    break
                 raise _lex_error(line, match, line_number)
-            lexeme = match.group()
-            if group == "IDENTIFIER":
-                if not (lexeme[0].isalpha() or lexeme[0] == "_"):
-                    raise _lex_error(line, match, line_number)
-                if lexeme in KEYWORDS:
-                    group = "KEYWORD"
-            tokens.append(new(Token, (_KINDS[group], lexeme, line_number, match.start() + 1)))
-        tokens.append(Token(TokenKind.NEWLINE, "\n", line_number, len(line) + 1))
+            lexeme = match.group(group)
+            if group == "WORD" and not lexeme[0].isalpha():
+                raise _lex_error(line, match, line_number)
+            tokens.append(new(Token, (kind, lexeme, line_number, match.start(group) + 1)))
+        tokens.append(new(Token, (TokenKind.NEWLINE, "\n", line_number, len(line) + 1)))
         return head
 
     def end(self, line_number: int) -> list[Token]:
@@ -164,4 +173,6 @@ def tokenize(source: str) -> list[Token]:
 
 def decode_string(lexeme: str) -> str:
     """Decodes a STRING token's raw lexeme (quotes included) to its value."""
+    if "\\" not in lexeme:
+        return lexeme[1:-1]
     return _ESCAPE_PATTERN.sub(lambda match: _ESCAPES[match.group(1)], lexeme[1:-1])

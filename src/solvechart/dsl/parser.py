@@ -119,12 +119,29 @@ class _Parser:
         return tuple(statements)
 
     def _statement(self) -> Statement:
-        token = self.tokens[self.pos]
+        tokens, pos = self.tokens, self.pos
+        token = tokens[pos]
         if token.lexeme == "if":
             return self._if_statement()
         if token.kind is not TokenKind.IDENTIFIER:
             raise self._error("expected a statement")
-        self.pos += 1
+        # The paper's usual statement, `name = SUBSTEP("...")` or ASK, in one step: the tree, call count and
+        # depth check of the general path below, which takes every other shape and raises every error.  Each
+        # test passes only on a token that a NEWLINE follows, so no index runs past END.
+        if (
+            tokens[pos + 1].lexeme == "="
+            and tokens[pos + 2].lexeme in AGENT_CALLEES
+            and tokens[pos + 3].lexeme == "("
+            and tokens[pos + 4].kind is TokenKind.STRING
+            and tokens[pos + 5].lexeme == ")"
+            and tokens[pos + 6].lexeme == "\n"
+            and self.depth < MAX_DEPTH  # the call's parenthesis is one level
+        ):
+            self.pos = pos + 7
+            self.agent_calls += 1
+            question = StringLit(decode_string(tokens[pos + 4].lexeme))
+            return Assignment(token.lexeme, Call(tokens[pos + 2].lexeme, (question,)))
+        self.pos = pos + 1
         self._expect("=")
         expr, _ = self._expression()
         self._expect("\n", "end of line")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from ..agents.base import AgentError, AgentHandle, AgentQuery, Lookahead
 from ..dsl.formatter import format_expression, format_string
@@ -68,13 +68,61 @@ class AgentCallRecord:
     raw_answer: str
 
 
-@dataclass
 class ExecutionTrace:
-    steps: list[TraceStep] = field(default_factory=list)
-    agent_calls: list[AgentCallRecord] = field(default_factory=list)
+    """A run's steps in order, and its agent exchanges.
+
+    A run appends one tuple per step to `_log`: ("agent_call", operator,
+    question, raw answer, value); ("if" or "elif", condition, decision) for
+    a tested branch; or (kind, detail, value) for a step whose detail is
+    already text.  The TraceStep and AgentCallRecord objects, and their
+    text, are built the first time steps, agent_calls or to_json_* is read,
+    so a run whose trace nobody reads builds none of them.
+    """
+
+    __slots__ = ("_log", "_built")
+
+    def __init__(self) -> None:
+        self._log: list[tuple] = []
+        self._built: tuple[list[TraceStep], list[AgentCallRecord]] | None = None
+
+    @property
+    def steps(self) -> list[TraceStep]:
+        return self._build()[0]
+
+    @property
+    def agent_calls(self) -> list[AgentCallRecord]:
+        return self._build()[1]
+
+    def _build(self) -> tuple[list[TraceStep], list[AgentCallRecord]]:
+        if self._built is None:
+            steps: list[TraceStep] = []
+            calls: list[AgentCallRecord] = []
+            for entry in self._log:
+                kind = entry[0]
+                if kind == "agent_call":
+                    _, operator, question, raw_answer, value = entry
+                    calls.append(AgentCallRecord(operator, question, raw_answer))
+                    # As format_expression renders the call, without making a Call node.
+                    steps.append(TraceStep(kind, f"{operator}({format_string(question)})", value))
+                elif kind == "if" or kind == "elif":
+                    _, condition, decision = entry
+                    outcome = "taken" if decision else "skipped"
+                    steps.append(TraceStep("branch", f"{kind} {format_expression(condition)} -> {outcome}", decision))
+                else:
+                    steps.append(TraceStep(*entry))
+            self._built = steps, calls
+        return self._built
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecutionTrace):
+            return NotImplemented
+        return self._build() == other._build()
+
+    def __repr__(self) -> str:
+        return f"ExecutionTrace(steps={self.steps!r}, agent_calls={self.agent_calls!r})"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {"steps": [asdict(step) for step in self.steps], "agent_calls": [asdict(call) for call in self.agent_calls]}
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -133,7 +181,7 @@ class _Evaluator:
     def __init__(self, agent: AgentHandle, config: EngineConfig, trace: ExecutionTrace) -> None:
         self.agent = agent
         self.config = config
-        self.trace = trace
+        self.log = trace._log
 
     # -- expressions --------------------------------------------------------
 
@@ -254,16 +302,14 @@ class _Evaluator:
         except AgentError as err:
             raise EngineError(f"{operator} failed: {err}", ErrorKind.AGENT_FAILURE) from err
         value = coerce_numeric(reply.answer)
-        self.trace.agent_calls.append(AgentCallRecord(operator, question, reply.answer))
-        detail = f"{operator}({format_string(question)})"  # as format_expression renders the call
-        self.trace.steps.append(TraceStep("agent_call", detail, value))
+        self.log.append(("agent_call", operator, question, reply.answer, value))
         return value
 
     # -- statements ---------------------------------------------------------
 
     def assign(self, target: str, value: Value, env: dict[str, Value]) -> None:
         env[target] = value
-        self.trace.steps.append(TraceStep("assignment", target, value))
+        self.log.append(("assignment", target, value))
 
     def run_block(self, statements: tuple[Statement, ...], env: dict[str, Value]) -> None:
         for stmt in statements:
@@ -277,14 +323,12 @@ class _Evaluator:
             decision = self.eval(condition, env)
             if not isinstance(decision, bool):
                 raise _mismatch("if", decision)
-            outcome = "taken" if decision else "skipped"
-            detail = f"{'if' if index == 0 else 'elif'} {format_expression(condition)} -> {outcome}"
-            self.trace.steps.append(TraceStep("branch", detail, decision))
+            self.log.append(("if" if index == 0 else "elif", condition, decision))
             if decision:
                 self.run_block(body, env)
                 return
         if stmt.else_body is not None:
-            self.trace.steps.append(TraceStep("branch", "else -> taken", True))
+            self.log.append(("branch", "else -> taken", True))
             self.run_block(stmt.else_body, env)
 
 
@@ -335,6 +379,6 @@ def execute(program: SolutionProgram, agent: AgentHandle, config: EngineConfig |
     except EngineError as err:
         if not config.fallback_to_ask or config.question is None:
             raise
-        trace.steps.append(TraceStep("fallback", f"execution failed ({err}); asking directly", None))
+        evaluator.log.append(("fallback", f"execution failed ({err}); asking directly", None))
         answer = evaluator.ask_agent("ASK", config.question)
         return ExecutionResult(answer, trace, fallback_used=True)

@@ -1,0 +1,109 @@
+"""Records summaries of `align-demo` output, one JSON file per case.
+
+    PYTHONPATH=<checkout>/src python tests/make_align_golden.py tests/fixtures/golden/align
+
+writes <case>.json for every case below, as seen by the `solvechart` on
+PYTHONPATH.  tests/test_align_golden.py runs the same command lines against
+the current code, so record them from a known-good checkout, not from the
+change under test.
+
+A summary pins exactly the printed config, the cluster labels and the
+invariant report.  For each array it pins the shape exactly, and the sum,
+the sum of absolute values, the row sums and the entries at a few seeded
+indices to within test_align_golden's tolerance: raw bytes would tie the
+file to one numpy and BLAS build.  Floats are stored to 12 significant
+digits, far inside that tolerance, to keep the files small.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import random
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from solvechart.cli import parse_args, run_command
+
+# align-demo's default dimension (16) and seed 3, at three sizes; the three
+# ablations at 8x8; a single patch, which needs a top-k of 1; and a grid of
+# one dimension, where every cosine distance is exactly 0 or 2 and the
+# threshold is below all of them, so only the k-max cap stops merging and the
+# tie-break among equally close pairs decides which patches merge.
+CASES = {
+    "4x4": ["--grid", "4x4", "--seed", "3"],
+    "8x8": ["--grid", "8x8", "--seed", "3"],
+    "24x24": ["--grid", "24x24", "--seed", "3"],
+    "8x8-disable-vp-alignment": ["--grid", "8x8", "--seed", "3", "--disable-vp-alignment"],
+    "8x8-disable-intra": ["--grid", "8x8", "--seed", "3", "--disable-intra"],
+    "8x8-disable-cross": ["--grid", "8x8", "--seed", "3", "--disable-cross"],
+    "1x1": ["--grid", "1x1", "--seed", "3", "--top-k", "1"],
+    "4x4-dim1-ties": ["--grid", "4x4", "--dim", "1", "--seed", "3", "--linkage-threshold", "-1", "--k-max", "12"],
+}
+ARRAYS = ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused")
+SAMPLES = 8  # entries pinned per array
+
+
+def run_case(argv: list[str]) -> dict:
+    """The document `solvechart align-demo ARGV` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(parse_args(["align-demo", *argv])) == 0
+    return json.loads(out.getvalue())
+
+
+def measures(array: np.ndarray, indices: list[list[int]]) -> dict:
+    """The float summaries of one array; a vector counts as one row."""
+    rows = array.reshape(1, -1) if array.ndim == 1 else array
+    return {
+        "sum": float(array.sum()),
+        "abs_sum": float(np.abs(array).sum()),
+        "row_sums": rows.sum(axis=1).tolist(),
+        "entries": [float(array[tuple(index)]) for index in indices],
+    }
+
+
+def _short(value):
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, list):
+        return [_short(item) for item in value]
+    return value
+
+
+def record(name: str) -> dict:
+    document = run_case(CASES[name])
+    bundle = document["bundle"]
+    arrays = {}
+    for array_name in ARRAYS:
+        array = np.array(bundle[array_name], dtype=np.float64)
+        rng = random.Random(f"{name}/{array_name}")
+        indices = [[rng.randrange(size) for size in array.shape] for _ in range(SAMPLES)]
+        summary = {key: _short(value) for key, value in measures(array, indices).items()}
+        arrays[array_name] = {"shape": list(array.shape), "indices": indices, **summary}
+    return {
+        "argv": CASES[name],
+        "config": document["config"],
+        "clusters": bundle["clusters"],
+        "invariants": document["invariants"],
+        "arrays": arrays,
+    }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: make_align_golden.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    for name in CASES:
+        text = json.dumps(record(name), sort_keys=True, separators=(",", ":"))
+        (out / f"{name}.json").write_text(text + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

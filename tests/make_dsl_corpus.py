@@ -7,8 +7,10 @@ tests/test_dsl_corpus.py replays the file against the current code, so
 record it from a known-good checkout, not from the change under test.
 
 The inputs are random token sequences, generated programs and one-character
-deletions of those programs.  A deletion line names its program's line and
-the deleted index instead of repeating the text.  Inputs holding a character
+deletions of those programs, then a fixed block of agent-call statements and
+near misses of them, recorded after the seeded records so that none of those
+moves.  A deletion line names its program's line and the deleted index
+instead of repeating the text.  Inputs holding a character
 that is a digit but not a decimal digit (such as "²") are left out, because
 the lexer's reading of them changed: they are illegal characters, where the
 character-at-a-time lexer took them into numbers.  Token lists, ASTs and
@@ -48,6 +50,38 @@ _EXPRESSION_FRAGMENTS = (
     "x", "va", "ASK", "abs", "min", "round", "and", "or", "not", "True", "0", "2", "2.5", '"q"',
     "+", "-", "*", "/", "//", "%", "==", "!=", "<", "<=", ">", ">=", "(", ")", "[", "]", ",",
 )
+
+# `name = SUBSTEP("...")` and `name = ASK("...")` lines, the paper's usual
+# statement, and near misses of that shape: escapes in the literal, a blank
+# literal, comments, spacing, argument counts and kinds, callee spelling and
+# the tokens around the call.
+_AGENT_CALL_LINES = (
+    'x = SUBSTEP("what is the value of a in b")', 'x = ASK("q")', 'x = SUBSTEP("名前")',
+    'x = SUBSTEP("say \\"hi\\"")', 'x = SUBSTEP("a \\\\ b")', 'x = SUBSTEP("e\\n\\t\\r")',
+    'x = SUBSTEP("bad \\q")', 'x = SUBSTEP("tail\\")', 'x = SUBSTEP("open)', 'x = SUBSTEP("")', 'x = ASK(" ")',
+    'x = SUBSTEP("q")  # note', 'x = SUBSTEP("q")#note', 'x  =  SUBSTEP ( "q" )  ', 'x=SUBSTEP("q")',
+    ' x = SUBSTEP("q")', 'x = SUBSTEP("q")\t', 'x = SUBSTEP("q")\x0c',
+    'x = SUBSTEP()', 'x = SUBSTEP("a", "b")', 'x = SUBSTEP("q",)', 'x = SUBSTEP(3)', 'x = SUBSTEP(y)',
+    'x = SUBSTEP(("q"))', 'x = SUBSTEP(["q"])', 'x = SUBSTEP("q"', 'x = SUBSTEP("q"))', 'x = SUBSTEP("q") + 1',
+    'x = SUBSTEP("q") SUBSTEP("r")', 'x = -SUBSTEP("q")', 'x = SUBSTEP(-"q")',
+    'x = substep("q")', 'x = Ask("q")', 'x = LOOKUP("q")', 'x = abs("q")', 'x = SUBSTEP',
+    'x SUBSTEP("q")', 'SUBSTEP("q")', 'if = SUBSTEP("q")', 'x = SUBSTEP "q"', 'x == SUBSTEP("q")', 'x = = SUBSTEP("q")',
+)
+_NESTED_LEVELS = (99, 100)  # the call's parenthesis is the 100th and the 101st level: MAX_DEPTH is 100
+
+
+def _agent_call_sources() -> list[str]:
+    """Each line alone, with an answer line after it (LF and CRLF line ends),
+    and inside blocks: a tab indent, and if blocks nested to the depth limit."""
+    sources = []
+    for line in _AGENT_CALL_LINES:
+        sources += [line, f"{line}\nanswer = x\n", f"{line}\r\nanswer = x\r\n"]
+    for line in _AGENT_CALL_LINES[:2] + ('x = SUBSTEP("q") + 1',):
+        sources.append(f"if True:\n\t{line}\nanswer = x\n")
+        for levels in _NESTED_LEVELS:
+            ifs = "".join(f"{' ' * depth}if True:\n" for depth in range(levels))
+            sources.append(f"{ifs}{' ' * levels}{line}\nanswer = x\n")
+    return sources
 
 
 def _digest(text: str) -> str:
@@ -103,6 +137,7 @@ def build_records() -> list[dict]:
         for index in sorted(rng.sample(range(len(source)), min(DELETIONS_PER_PROGRAM, len(source)))):
             deleted = source[:index] + source[index + 1:]
             records.append({"program": program_line, "delete": index, **observe(deleted)})
+    records += [{"source": source, **observe(source)} for source in _agent_call_sources()]
     return records
 
 

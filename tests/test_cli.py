@@ -12,7 +12,7 @@ from conftest import ELECTION_PROGRAM, json_server, src_env
 from solvechart.agents.base import AgentQuery
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.table import load_table
-from solvechart.cli import CliError, _load_config, main, parse_args, run_command
+from solvechart.cli import MAX_DEMO_DIM, MAX_DEMO_PATCHES, CliError, _load_config, main, parse_args, run_command
 
 
 def cli(*argv: str) -> int:
@@ -611,6 +611,45 @@ def test_importing_the_cli_leaves_numpy_out():
              "             if name.startswith(('numpy', 'solvechart.align', 'concurrent.futures'))))")
     done = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--grid", "46x45"], None, "--grid 46x45 has 2070 patches, more than 2048"),
+        (["--grid", "100x100", "--dim", "4"], None, "--grid 100x100 has 10000 patches, more than 2048"),
+        (["--dim", "1025"], None, "--dim 1025 is more than 1024"),
+        ([], {"grid": "1x99999"}, "--grid 1x99999 has 99999 patches, more than 2048"),
+        ([], {"dim": 4096}, "--dim 4096 is more than 1024"),
+    ],
+)
+def test_align_demo_refuses_sizes_it_cannot_hold_before_loading_numpy(tmp_path, argv, config, message):
+    if config is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(tmp_path / "conf.json")]
+    # numpy never loaded means that no array was built.
+    probe = ("import sys\n"
+             "from solvechart.cli import parse_args, run_command\n"
+             "status = run_command(parse_args(sys.argv[1:]))\n"
+             "print(status, 'numpy' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe, "align-demo", *argv], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert (done.stdout, done.stderr) == ("1 False\n", f"solvechart: error: {message}\n")
+
+
+def test_align_demo_takes_the_largest_sizes_it_holds(monkeypatch):
+    import solvechart.align
+
+    class Reached(Exception):
+        pass
+
+    def make_grid(rows, cols, dim, seed):
+        raise Reached(rows * cols, dim)
+
+    monkeypatch.setattr(solvechart.align, "make_grid", make_grid)
+    with pytest.raises(Reached) as reached:
+        run_command(parse_args(["align-demo", "--grid", "32x64", "--dim", "1024"]))
+    assert reached.value.args == (MAX_DEMO_PATCHES, MAX_DEMO_DIM)
 
 
 def test_closed_stdout_exits_quietly():

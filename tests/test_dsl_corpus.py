@@ -1,9 +1,11 @@
 """The front end reads every input of a recorded corpus as it was recorded.
 
-tests/fixtures/dsl_corpus.jsonl was written by tests/make_dsl_corpus.py from
-the character-at-a-time lexer and the per-level recursive-descent parser; its
-token counts and digests, error texts, warnings and canonical texts must not
-move.
+tests/fixtures/dsl_corpus.jsonl was written by tests/make_dsl_corpus.py: its
+seeded records from the character-at-a-time lexer and the per-level
+recursive-descent parser, and the block of agent-call lines at its end from
+the front end before the lexer folded spaces into tokens and the parser took
+`name = SUBSTEP("...")` in one step.  Its token counts and digests, error
+texts, warnings and canonical texts must not move.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from solvechart.agents.base import AgentAnswer
 from solvechart.dsl.parser import MAX_AGENT_CALLS, MAX_DEPTH, UNASSIGNED_WARNING, parse_program
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.errors import SolveChartError
+from solvechart.solgen.extract import extract_program
 
 
 def test_election_program_shape(election_program_source):
@@ -263,6 +264,17 @@ def test_agent_call_sites_are_capped_and_the_fallback_ask_is_not_one():
     with pytest.raises(SolveChartError, match=over) as err:
         parse_program('c = ASK("q")\n' + at_limit)
     assert not isinstance(err.value, ParseError)
+
+
+def test_one_step_agent_call_statements_count_toward_the_cap():
+    # Each `name = SUBSTEP("...")` line is taken in one step, by parse_program and by the reply scan alike.
+    lines = [f'v{index} = SUBSTEP("q{index}")' for index in range(MAX_AGENT_CALLS + 1)]
+    assert len(parse_program("\n".join(lines[1:] + ["answer = v1"])).statements) == MAX_AGENT_CALLS + 1
+    over = f"program has {MAX_AGENT_CALLS + 1} agent call sites, more than {MAX_AGENT_CALLS}"
+    for accept in (parse_program, extract_program):
+        with pytest.raises(SolveChartError, match=over) as err:
+            accept("\n".join(lines + ["answer = v0"]))
+        assert not isinstance(err.value, ParseError)
 
 
 def test_number_literal_must_be_finite():

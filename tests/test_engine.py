@@ -312,6 +312,36 @@ def test_trace_serializes_to_json_dict(election_program_source, election_agent):
     assert doc["agent_calls"][0]["raw_answer"] == "50"
 
 
+def test_trace_read_twice_or_after_a_fallback_equals_a_fresh_runs():
+    # Every step kind: agent calls, assignments, an if and an elif tested, else taken, then the fallback.
+    source = 'a = SUBSTEP("x")\nb = ASK("say \\"y\\"")\nif a > b:\n    answer = "A"\nelif a == b:\n    answer = "B"\n' \
+        "else:\n    answer = [a, b] / 0\n"
+    agent = MapAgent({"x": "1", 'say "y"': "2%", "q?": "yes"})
+    trace = run(source, agent, fallback_to_ask=True, question="q?").trace
+    first = (list(trace.steps), list(trace.agent_calls), trace.to_json_text())
+    assert [(step.kind, step.detail, step.value) for step in first[0]] == [
+        ("agent_call", 'SUBSTEP("x")', 1.0),
+        ("assignment", "a", 1.0),
+        ("agent_call", 'ASK("say \\"y\\"")', 2.0),
+        ("assignment", "b", 2.0),
+        ("branch", "if a > b -> skipped", False),
+        ("branch", "elif a == b -> skipped", False),
+        ("branch", "else -> taken", True),
+        ("fallback", "execution failed (type-mismatch: cannot apply '/' to list, float); asking directly", None),
+        ("agent_call", 'ASK("q?")', "yes"),
+    ]
+    assert [(call.operator, call.question, call.raw_answer) for call in first[1]] == [
+        ("SUBSTEP", "x", "1"), ("ASK", 'say "y"', "2%"), ("ASK", "q?", "yes"),
+    ]
+    assert (trace.steps, trace.agent_calls, trace.to_json_text()) == first
+    for fresh in (run(source, agent, fallback_to_ask=True, question="q?").trace for _ in range(2)):
+        assert fresh.to_json_text() == first[2]  # JSON read first here, steps first above
+        assert fresh == trace and fresh.to_json_dict() == trace.to_json_dict()
+    other = run(source.replace('"x"', '"z"'), MapAgent({"z": "1", 'say "y"': "2%", "q?": "yes"}),
+                fallback_to_ask=True, question="q?").trace
+    assert other != trace
+
+
 # -- fallback ---------------------------------------------------------------
 
 def test_fallback_degrades_to_single_ask():

@@ -180,6 +180,33 @@ def test_relaxed_match_table(prediction, gold, expected):
     assert relaxed_match(prediction, gold) is expected
 
 
+# ChartQA's relaxed accuracy (Masry et al., arXiv:2203.10244) takes a number
+# within 5% relative error of the gold and needs an exact match otherwise.
+# These pin where relaxed_match goes beyond that rule, as it does today.
+@pytest.mark.parametrize(
+    "prediction,gold,expected",
+    [
+        pytest.param("0.45", "45%", False, id="percent-keeps-its-magnitude"),
+        pytest.param("45%", "45", True, id="percent-sign-dropped"),
+        pytest.param("45 %", "45.0", True, id="percent-sign-after-a-space"),
+        pytest.param("0", "0", True, id="zero-gold-admits-zero"),
+        pytest.param("-0", "0", True, id="zero-gold-admits-minus-zero"),
+        pytest.param("0.0001", "0", False, id="zero-gold-admits-nothing-else"),
+        pytest.param("Apples, 100", "apples, 104", True, id="list-element-by-element"),
+        pytest.param("b, a", "a, b", False, id="list-keeps-its-order"),
+        pytest.param("a, b", "a, b, c", False, id="list-keeps-its-length"),
+        pytest.param("STRASSE", "straße", True, id="text-casefolded"),
+        pytest.param(" Wed ", "wed", True, id="text-trimmed"),
+        pytest.param("1,234", "1234", True, id="thousands-separator-removed"),
+        pytest.param("1,2,3,4", "1234", True, id="comma-removed-anywhere-in-a-number"),
+        pytest.param("2,3", "23", True, id="decimal-comma-read-as-a-separator"),
+        pytest.param("2,3", "2.3", False, id="decimal-comma-is-not-a-point"),
+    ],
+)
+def test_relaxed_match_extensions_beyond_chartqa(prediction, gold, expected):
+    assert relaxed_match(prediction, gold) is expected
+
+
 def test_relaxed_match_zero_tolerance():
     assert relaxed_match("50", "50", tolerance=0.0) is True
     assert relaxed_match("50.0001", "50", tolerance=0.0) is False
