@@ -15,8 +15,8 @@ import re
 from functools import partial
 from typing import Callable, Sequence, TypeVar
 
-from ..engine.values import stringify
 from ..errors import ErrorKind
+from ..values import stringify
 from .base import AgentAnswer, AgentError, AgentQuery
 from .table import ChartTable, Series, normalize_question
 

@@ -16,7 +16,7 @@ from ..errors import ErrorKind, SolveChartError
 from ..files import overwrite_tail, read_json, write_text_atomic
 from .base import AgentAnswer, AgentError, AgentHandle, AgentQuery
 
-__all__ = ["Cassette", "CassetteFormatError", "ReplayAgent", "normalize_key"]
+__all__ = ["Cassette", "CassetteFormatError", "ReplayAgent"]
 
 
 class CassetteFormatError(SolveChartError):

@@ -38,7 +38,6 @@ from .dsl.formatter import format_program
 from .dsl.nodes import SolutionProgram
 from .dsl.parser import parse_program
 from .engine.interpreter import EngineConfig, execute
-from .engine.values import stringify
 from .errors import SolveChartError
 from .evaluation.dataset import load_dataset
 from .evaluation.harness import EvalConfig, run_eval
@@ -47,6 +46,7 @@ from .files import check_output_path, read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
 from .solgen.generate import MAX_REPLY_CHARS, generate_solution
 from .solgen.prompt import chart_hints
+from .values import stringify
 
 
 # UTF-8 spends at most 4 bytes a character, so any reply the model path

@@ -22,7 +22,7 @@ from .nodes import (
     StringLit,
     Unary,
 )
-from .parser import make_program, parse_program
+from .parser import make_program, parse_program, parse_suffix
 
 __all__ = [
     "AGENT_CALLEES",
@@ -48,5 +48,6 @@ __all__ = [
     "format_program",
     "make_program",
     "parse_program",
+    "parse_suffix",
     "tokenize",
 ]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import LexError, ParseError
 
-__all__ = ["Token", "TokenKind", "KEYWORDS", "LineLexer", "tokenize", "decode_string"]
+__all__ = ["Token", "TokenKind", "tokenize", "decode_string"]
 
 
 class TokenKind(Enum):
@@ -86,15 +86,10 @@ def _lex_error(line: str, match: re.Match[str], line_number: int) -> LexError:
     return LexError("unterminated string literal", line_number, start + 1)
 
 
-class LineLexer:
-    """Lexes text one line at a time into one token stream.
-
-    A line's own tokens do not depend on the lines above it; only the INDENT
-    or DEDENTs before them do.  After a line of width 0 the indent stack is
-    back at its bottom, so from that line's first own token on, the stream
-    holds what tokenize gives for the text from that line on, line numbers
-    apart.
-    """
+class _LineLexer:
+    """Lexes text one line at a time into one token stream; a line's own
+    tokens do not depend on the lines above it, only the INDENT or DEDENTs
+    before them do."""
 
     def __init__(self) -> None:
         self.tokens: list[Token] = []
@@ -164,7 +159,7 @@ def tokenize(source: str) -> list[Token]:
     string literals; ParseError for inconsistent dedents.  Every accepted
     stream has balanced INDENT/DEDENT pairs and non-decreasing positions.
     """
-    lexer = LineLexer()
+    lexer = _LineLexer()
     lines = source.split("\n")
     for line_number, raw_line in enumerate(lines, 1):
         lexer.line(raw_line, line_number)

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and static validation for solution programs.
+"""Recursive-descent parser, static validation and the reply-suffix scan for solution programs.
 
 Grammar sketch (layout tokens come from the lexer):
 
@@ -25,7 +25,7 @@ import math
 
 from ..errors import SolveChartError
 from .errors import ParseError
-from .lexer import Token, TokenKind, decode_string, tokenize
+from .lexer import Token, TokenKind, _LineLexer, decode_string, tokenize
 from .nodes import (
     AGENT_CALLEES,
     ANSWER_VARIABLE,
@@ -47,7 +47,7 @@ from .nodes import (
     Unary,
 )
 
-__all__ = ["MAX_AGENT_CALLS", "MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "make_program"]
+__all__ = ["MAX_AGENT_CALLS", "MAX_DEPTH", "UNASSIGNED_WARNING", "parse_program", "parse_suffix", "make_program"]
 
 # Deepest nesting accepted: the most levels on a path from a statement down to
 # a leaf, where each if block, parenthesis, bracket, call, unary operator and
@@ -311,3 +311,49 @@ def parse_program(source: str) -> SolutionProgram:
     """Parses program text; the result carries the static-validation warnings."""
     parser = _Parser(tokenize(source))
     return make_program(parser.parse())
+
+
+def parse_suffix(text: str) -> tuple[str, SolutionProgram] | None:
+    """The longest suffix of `text` that parses as a non-empty program, blank
+    and comment lines above its code kept, with that program, or None.  Over
+    MAX_AGENT_CALLS call sites it raises, and does not try a shorter suffix.
+
+    One scan, linear in the text, rests on one invariant: a line's tokens
+    after its INDENT or DEDENTs do not depend on the lines above it, and a
+    line of width 0 leaves the indent stack at its bottom.  So each line is
+    lexed once into one stream, and a line that fails to lex fails every
+    suffix through it and starts a fresh stream.  Only a line of width 0
+    starts a suffix (any other opens with an INDENT), and from its first
+    token on the stream is that suffix's own.  The parser keeps nothing
+    between top-level statements that a ParseError depends on, so every
+    start up to the line on which a failing statement begins fails the same
+    way, and the scan resumes after that line.
+    """
+    lines = text.split("\n")
+    # `floor` is the line after the last that failed to lex; `heads` holds the stream index of each start.
+    lexer, floor, heads = _LineLexer(), 0, []
+    for index, raw_line in enumerate(lines):
+        try:
+            head = lexer.line(raw_line, index + 1)
+        except ParseError:
+            lexer, floor, heads = _LineLexer(), index + 1, []
+            continue
+        if head is not None and not raw_line.startswith(" "):
+            heads.append(head)
+    tokens = lexer.end(len(lines) + 1)
+    failed_line = 0
+    for head in heads:
+        if tokens[head].line <= failed_line:
+            continue
+        parser = _Parser(tokens, head)
+        try:
+            program = make_program(parser.parse())
+        except ParseError:
+            failed_line = tokens[parser.head].line
+            continue
+        # Back over this line's DEDENTs to the previous code line's NEWLINE: its 1-based number indexes the next line.
+        previous = head - 1
+        while previous >= 0 and tokens[previous].kind is TokenKind.DEDENT:
+            previous -= 1
+        return "\n".join(lines[tokens[previous].line if previous >= 0 else floor:]), program
+    return None

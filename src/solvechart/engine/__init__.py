@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from ..values import Value, coerce_numeric, stringify
 from .interpreter import (
     AgentCallRecord,
     EngineConfig,
+    EngineError,
     ExecutionResult,
     ExecutionTrace,
     TraceStep,
     execute,
 )
-from .values import EngineError, Value, coerce_numeric, stringify
 
 __all__ = [
     "AgentCallRecord",

@@ -37,12 +37,13 @@ from ..dsl.nodes import (
     StringLit,
     Unary,
 )
-from ..errors import ErrorKind
-from .values import EngineError, Value, coerce_numeric, is_number, stringify
+from ..errors import ErrorKind, SolveChartError
+from ..values import Value, coerce_numeric, is_number, stringify
 
 __all__ = [
     "AgentCallRecord",
     "EngineConfig",
+    "EngineError",
     "ExecutionResult",
     "ExecutionTrace",
     "MAX_TEXT_CHARS",
@@ -52,6 +53,10 @@ __all__ = [
 
 MAX_TEXT_CHARS = 100_000  # the longest text "+" may build
 LOOKAHEAD_CALLS = 4  # the most leading agent calls that share one Lookahead
+
+
+class EngineError(SolveChartError):
+    """Execution failure, tagged with the kind of violation."""
 
 
 @dataclass(frozen=True)

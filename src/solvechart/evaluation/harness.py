@@ -27,12 +27,12 @@ from ..agents.oracle import OracleAgent
 from ..agents.replay import Cassette
 from ..agents.table import ChartTable, load_table
 from ..engine.interpreter import EngineConfig, execute
-from ..engine.values import stringify
 from ..errors import SolveChartError
 from ..files import make_dir, write_text_atomic
 from ..solgen.client import LlmConfig
 from ..solgen.generate import generate_solution
 from ..solgen.prompt import chart_hints
+from ..values import stringify
 from .dataset import EvalItem
 from .metrics import DEFAULT_TOLERANCE, relaxed_match
 

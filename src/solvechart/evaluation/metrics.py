@@ -1,6 +1,6 @@
 """Answer comparison with a relaxed numeric tolerance.
 
-Both sides pass through the engine's numeric coercion first, so "45%", "45",
+Both sides pass through agent text's numeric coercion first, so "45%", "45",
 and "45.0" all compare as the number 45. Numeric pairs match within a
 relative tolerance of the gold value; a gold of exactly zero admits no slack
 (relative error is undefined there). Comma-separated answers are treated as
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..engine.values import coerce_numeric, is_number
+from ..values import coerce_numeric, is_number
 
 DEFAULT_TOLERANCE = 0.05
 

@@ -1,4 +1,4 @@
-"""Runtime values, numeric coercion of agent text, and display rules.
+"""Answer values: runtime values, numeric coercion of agent text, and display rules.
 
 Values are plain Python data: float for numbers, str for text, bool for
 booleans, list for lists.  Numbers are always finite; any operation that
@@ -12,15 +12,9 @@ import math
 import re
 from typing import Union
 
-from ..errors import SolveChartError
-
-__all__ = ["EngineError", "Value", "coerce_numeric", "stringify", "is_number"]
+__all__ = ["Value", "coerce_numeric", "stringify", "is_number"]
 
 Value = Union[float, str, bool, list]
-
-
-class EngineError(SolveChartError):
-    """Execution failure, tagged with the kind of violation."""
 
 
 def is_number(value: Value) -> bool:

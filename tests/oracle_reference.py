@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.table import ChartTable, Series
-from solvechart.engine.values import stringify
+from solvechart.values import stringify
 from solvechart.errors import ErrorKind
 
 __all__ = ["OracleAgent", "TemplateMatch", "categories", "match_template", "oracle_answer"]

@@ -17,7 +17,7 @@ from solvechart.dsl.nodes import (
     Unary,
 )
 from solvechart.agents.base import AgentAnswer
-from solvechart.dsl.parser import MAX_AGENT_CALLS, MAX_DEPTH, UNASSIGNED_WARNING, parse_program
+from solvechart.dsl.parser import MAX_AGENT_CALLS, MAX_DEPTH, UNASSIGNED_WARNING, parse_program, parse_suffix
 from solvechart.engine.interpreter import EngineConfig, execute
 from solvechart.errors import SolveChartError
 from solvechart.solgen.extract import extract_program
@@ -275,6 +275,14 @@ def test_one_step_agent_call_statements_count_toward_the_cap():
         with pytest.raises(SolveChartError, match=over) as err:
             accept("\n".join(lines + ["answer = v0"]))
         assert not isinstance(err.value, ParseError)
+
+
+def test_parse_suffix_gives_the_longest_parsing_suffix_or_none():
+    assert parse_suffix("Sure, no code.\n\n  answer") is None
+    text, program = parse_suffix("Sure:\n# the sum\nanswer = 1 +\nanswer = 2\n")
+    assert text == "answer = 2\n"
+    assert program == parse_program(text)
+    assert parse_suffix("if x:\n    a = 1\n# c\nanswer = a\n")[0] == "if x:\n    a = 1\n# c\nanswer = a\n"
 
 
 def test_number_literal_must_be_finite():

@@ -11,7 +11,7 @@ from solvechart.dsl.formatter import format_expression, format_program
 from solvechart.dsl.nodes import Assignment, Binary, Call, NumberLit, SolutionProgram, StringLit
 from solvechart.dsl.parser import parse_program
 from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
-from solvechart.engine.values import (
+from solvechart.engine import (
     EngineError,
     coerce_numeric,
     stringify,

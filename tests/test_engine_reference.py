@@ -25,7 +25,7 @@ from solvechart.dsl.nodes import (
 )
 from solvechart.dsl.parser import make_program
 from solvechart.engine.interpreter import EngineConfig, execute
-from solvechart.engine.values import EngineError
+from solvechart.engine import EngineError
 from solvechart.errors import ErrorKind
 
 

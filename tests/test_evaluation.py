@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import solvechart.agents.table
 from conftest import json_server
+from relaxed_reference import numeral_value, relaxed_correct
 from solvechart.agents.base import AgentAnswer, AgentError, AgentQuery
 from solvechart.agents.http import HttpAgent
 from solvechart.agents.oracle import OracleAgent
@@ -183,28 +188,87 @@ def test_relaxed_match_table(prediction, gold, expected):
 # ChartQA's relaxed accuracy (Masry et al., arXiv:2203.10244) takes a number
 # within 5% relative error of the gold and needs an exact match otherwise.
 # These pin where relaxed_match goes beyond that rule, as it does today.
-@pytest.mark.parametrize(
-    "prediction,gold,expected",
-    [
-        pytest.param("0.45", "45%", False, id="percent-keeps-its-magnitude"),
-        pytest.param("45%", "45", True, id="percent-sign-dropped"),
-        pytest.param("45 %", "45.0", True, id="percent-sign-after-a-space"),
-        pytest.param("0", "0", True, id="zero-gold-admits-zero"),
-        pytest.param("-0", "0", True, id="zero-gold-admits-minus-zero"),
-        pytest.param("0.0001", "0", False, id="zero-gold-admits-nothing-else"),
-        pytest.param("Apples, 100", "apples, 104", True, id="list-element-by-element"),
-        pytest.param("b, a", "a, b", False, id="list-keeps-its-order"),
-        pytest.param("a, b", "a, b, c", False, id="list-keeps-its-length"),
-        pytest.param("STRASSE", "straße", True, id="text-casefolded"),
-        pytest.param(" Wed ", "wed", True, id="text-trimmed"),
-        pytest.param("1,234", "1234", True, id="thousands-separator-removed"),
-        pytest.param("1,2,3,4", "1234", True, id="comma-removed-anywhere-in-a-number"),
-        pytest.param("2,3", "23", True, id="decimal-comma-read-as-a-separator"),
-        pytest.param("2,3", "2.3", False, id="decimal-comma-is-not-a-point"),
-    ],
-)
+BEYOND_CHARTQA = [
+    pytest.param("0.45", "45%", False, id="percent-keeps-its-magnitude"),
+    pytest.param("45%", "45", True, id="percent-sign-dropped"),
+    pytest.param("45 %", "45.0", True, id="percent-sign-after-a-space"),
+    pytest.param("0", "0", True, id="zero-gold-admits-zero"),
+    pytest.param("-0", "0", True, id="zero-gold-admits-minus-zero"),
+    pytest.param("0.0001", "0", False, id="zero-gold-admits-nothing-else"),
+    pytest.param("Apples, 100", "apples, 104", True, id="list-element-by-element"),
+    pytest.param("b, a", "a, b", False, id="list-keeps-its-order"),
+    pytest.param("a, b", "a, b, c", False, id="list-keeps-its-length"),
+    pytest.param("STRASSE", "straße", True, id="text-casefolded"),
+    pytest.param(" Wed ", "wed", True, id="text-trimmed"),
+    pytest.param("1,234", "1234", True, id="thousands-separator-removed"),
+    pytest.param("1,2,3,4", "1234", True, id="comma-removed-anywhere-in-a-number"),
+    pytest.param("2,3", "23", True, id="decimal-comma-read-as-a-separator"),
+    pytest.param("2,3", "2.3", False, id="decimal-comma-is-not-a-point"),
+    # The engine prints the list [10, 20] as "10, 20", and the unspaced side reads as the number 1020.
+    pytest.param("10, 20", "10,20", False, id="unspaced-list-read-as-one-number"),
+    # 21.42 is 20.4 plus exactly 5%; "52.5" against "50" is the same distance and matches.
+    pytest.param("21.42", "20.4", False, id="exactly-5-percent-decided-by-float-rounding"),
+    pytest.param("1" + "0" * 309, "1" + "0" * 308 + "1", False, id="numeral-past-float-range-is-text"),
+]
+
+
+@pytest.mark.parametrize("prediction,gold,expected", BEYOND_CHARTQA)
 def test_relaxed_match_extensions_beyond_chartqa(prediction, gold, expected):
     assert relaxed_match(prediction, gold) is expected
+
+
+def beyond_chartqa(prediction: str, gold: str) -> bool:
+    """Whether a pair falls under one of the named cases above."""
+    for text in (prediction, gold):
+        if text != text.strip() or text.endswith("%") or "," in text:
+            return True  # trimmed text, a percent sign, or a comma
+        if numeral_value(text) is not None and math.isinf(float(text)):
+            return True
+    pred_value, gold_value = numeral_value(prediction), numeral_value(gold)
+    if gold_value == 0:
+        return True
+    if pred_value is not None and gold_value is not None:
+        return abs(pred_value - gold_value) == abs(gold_value) / 20
+    return prediction != gold and prediction.casefold() == gold.casefold()
+
+
+def test_every_named_case_is_beyond_chartqa():
+    assert [case.id for case in BEYOND_CHARTQA if not beyond_chartqa(*case.values[:2])] == []
+
+
+def _decimal(value: Fraction, places: int) -> str:
+    """`value` rounded to `places` decimals, as a numeral."""
+    digits = str(abs(round(value * 10**places))).rjust(places + 1, "0")
+    sign = "-" if value < 0 else ""
+    return sign + (f"{digits[:-places]}.{digits[-places:]}" if places else digits)
+
+
+NUMERALS = st.builds(
+    lambda sign, whole, fraction: sign + whole + ("" if fraction is None else "." + fraction),
+    st.sampled_from(["", "+", "-"]),
+    st.text("0123456789", max_size=7),
+    st.none() | st.text("0123456789", max_size=4),
+)
+TEXTS = st.text(st.sampled_from("aAbB5.+-%, \tßſ٣"), max_size=6)
+
+
+@st.composite
+def answer_pairs(draw):
+    gold = draw(NUMERALS | TEXTS)
+    guesses = [st.just(gold), st.just(gold.upper()), NUMERALS, TEXTS]
+    value = numeral_value(gold)
+    if value is not None:
+        near = st.builds(lambda factor, places: _decimal(value * factor, places),
+                         st.fractions(Fraction(93, 100), Fraction(107, 100), max_denominator=1000), st.integers(0, 5))
+        guesses.append(near)
+    return draw(st.one_of(guesses)), gold
+
+
+@settings(max_examples=1000, deadline=None)
+@given(answer_pairs())
+def test_relaxed_match_is_chartqa_outside_the_named_cases(pair):
+    assume(not beyond_chartqa(*pair))
+    assert relaxed_match(*pair) is relaxed_correct(*pair)
 
 
 def test_relaxed_match_zero_tolerance():

@@ -1,10 +1,13 @@
-"""Every name a solvechart module exports through __all__ exists."""
+"""Every name a solvechart module exports through __all__ exists, and the
+packages import each other one way, through public names only."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -35,3 +38,72 @@ def test_one_error_kind_enum():
         if isinstance(value, type) and issubclass(value, Enum) and value.__name__.endswith("ErrorKind")
     }
     assert [kind.__qualname__ for kind in kinds] == ["ErrorKind"]
+
+
+# -- the package graph ---------------------------------------------------------
+
+ROOT = Path(solvechart.__file__).parent
+# Each subpackage is one node of the graph, and so is each top-level module.
+NODES = {"agents", "align", "dsl", "engine", "evaluation", "solgen", "cli", "errors", "files", "values"}
+
+
+def _module_names() -> dict[str, Path]:
+    names = {}
+    for path in sorted(ROOT.rglob("*.py")):
+        parts = path.relative_to(ROOT).with_suffix("").parts
+        names[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return names
+
+
+def _imports(name: str, path: Path, modules: set[str]):
+    """(module, imported name or None) for each solvechart import in one module, relative ones resolved;
+    `name` is the module's dotted path below solvechart, "" for the package itself."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("solvechart."):
+                    yield alias.name.removeprefix("solvechart."), None
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package.split(".") if package else []
+                base = base[:len(base) - node.level + 1]
+                target = ".".join(filter(None, [*base, node.module or ""]))
+            elif (node.module or "").startswith("solvechart."):
+                target = node.module.removeprefix("solvechart.")
+            else:
+                continue
+            for alias in node.names:
+                submodule = f"{target}.{alias.name}".lstrip(".")
+                yield (submodule, None) if submodule in modules else (target, alias.name)
+
+
+def package_graph_findings() -> list[str]:
+    """Each import of a _-prefixed name across nodes, then each cycle among the nodes."""
+    modules = _module_names()
+    findings, edges = [], {node: set() for node in NODES}
+    for name, path in modules.items():
+        source = name.split(".")[0]
+        for target, imported in _imports(name, path, set(modules)):
+            node = target.split(".")[0]
+            if source in NODES and node in NODES and node != source:
+                edges[source].add(node)
+                if imported is not None and imported.startswith("_"):
+                    findings.append(f"{name} <- {target}.{imported}")
+    reach = edges  # made transitive in place, by Warshall's algorithm
+    for middle in NODES:
+        for node in NODES:
+            if middle in reach[node]:
+                reach[node] |= reach[middle]
+    cycles = {" <-> ".join(sorted({node} | {other for other in reach[node] if node in reach[other]}))
+              for node in NODES if node in reach[node]}
+    return findings + sorted(cycles)
+
+
+def test_graph_covers_every_module():
+    nodes = {name.split(".")[0] for name in _module_names()} - {""}
+    assert nodes == NODES
+
+
+def test_packages_depend_one_way_through_public_names():
+    assert package_graph_findings() == []
