@@ -29,45 +29,70 @@ def _unanswerable(message: str) -> AgentError:
 
 _Entry = TypeVar("_Entry")
 
+# A slot of more words than this normalizes every name it reads instead of testing each name for each word first.
+_CHECKED_WORDS = 8
 
-def _resolve_name(part: str, entries: Sequence[_Entry], forms: Sequence[str]) -> _Entry | None:
+
+def _resolve_name(part: str, entries: Sequence[_Entry], names: Sequence[str], forms: list[str | None]) -> _Entry | None:
     """Finds the entry whose name the slot text refers to, longest match first.
 
-    forms[i] is the normalized name of entries[i].  The oracle's one name
-    rule: a name matches when its normalized form is the whole slot text or a
-    run of its words; the first of equally long forms wins.
+    names[i] is the name of entries[i], and forms[i] its normalized form, or
+    None until a slot first needs it.  The oracle's one name rule: a name
+    matches when its normalized form is the whole slot text or a run of its
+    words; the first of equally long forms wins.
+
+    A name is normalized only if its casefolded text holds a word of the slot
+    as a substring.  One that holds none cannot match: each word of its form is
+    a run of letters and digits in that casefolded text, every word of a
+    matching form is a word of the slot, and an empty form never matches.  The
+    test costs one substring search per slot word per name, so a slot of more
+    than _CHECKED_WORDS words (a program may ask a question of any length)
+    skips it and normalizes each name it has not yet normalized.
     """
+    words = part.split(" ") if part.count(" ") < _CHECKED_WORDS else ()
     padded = f" {part} "
     best, best_length = None, 0
-    for entry, form in zip(entries, forms):
+    for index, form in enumerate(forms):
+        if form is None:
+            if words:
+                folded = names[index].casefold()
+                for word in words:
+                    if word in folded:
+                        break
+                else:
+                    continue
+            form = forms[index] = normalize_question(names[index])
         if len(form) > best_length and (part == form or f" {form} " in padded):
-            best, best_length = entry, len(form)
+            best, best_length = entries[index], len(form)
     return best
 
 
 class _Names:
-    """One question's view of a table's names: each list of forms is built when a slot first needs it.
+    """One question's view of a table's names: each list is built when a slot first needs it.
 
-    So a name is normalized at most once per question, however many slots
-    and splits read it.  Nothing outlives the question.
+    A list's forms start as None and are filled in by _resolve_name, so a name
+    is normalized at most once per question, however many slots and splits
+    read it, and only if some slot shares a word with it.  Nothing outlives
+    the question.
     """
 
-    __slots__ = ("table", "_series_forms", "_categories")
+    __slots__ = ("table", "_series", "_categories")
 
     def __init__(self, table: ChartTable) -> None:
         self.table = table
-        self._series_forms: list[str] | None = None
-        self._categories: tuple[list[str], list[str]] | None = None
+        self._series: tuple[Sequence[Series], list[str], list[str | None]] | None = None
+        self._categories: tuple[list[str], list[str], list[str | None]] | None = None
 
-    def series(self) -> tuple[Sequence[Series], list[str]]:
-        if self._series_forms is None:
-            self._series_forms = [normalize_question(entry.name) for entry in self.table.series]
-        return self.table.series, self._series_forms
+    def series(self) -> tuple[Sequence[Series], list[str], list[str | None]]:
+        if self._series is None:
+            entries = self.table.series
+            self._series = entries, [entry.name for entry in entries], [None] * len(entries)
+        return self._series
 
-    def categories(self) -> tuple[list[str], list[str]]:
+    def categories(self) -> tuple[list[str], list[str], list[str | None]]:
         if self._categories is None:
             labels = self.table.categories()
-            self._categories = labels, [normalize_question(label) for label in labels]
+            self._categories = labels, labels, [None] * len(labels)
         return self._categories
 
 
@@ -95,7 +120,10 @@ def _read_cell(names: _Names, text: str) -> tuple[bool, float | None]:
     if cell is None:
         return False, None
     entry, label = cell
-    return True, entry.values[entry.categories.index(label)] if label in entry.categories else None
+    try:
+        return True, entry.values[entry.categories.index(label)]
+    except ValueError:
+        return True, None
 
 
 def _value_of(names: _Names, rest: str) -> str:

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .agents.base import AgentHandle, AgentQuery
 from .agents.http import HttpAgent
@@ -53,11 +53,41 @@ from .values import stringify
 # accepts also runs from a program file.
 MAX_PROGRAM_BYTES = 4 * MAX_REPLY_CHARS
 
+# The types the C JSON encoder writes as one token; a list holding only these is rendered in one call.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _indented_json(value: Any, depth: int = 0) -> Iterator[str]:
+    """json.dumps(value, indent=2, sort_keys=True) in pieces, each list of plain values in one C-encoder call.
+
+    With indent set, json keeps its C encoder out and renders every number
+    in Python.  A list of plain values lies one item to a line at one indent,
+    which the C encoder writes when that line break and indent are its item
+    separator.  Dict keys must be strings.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _JSON_SCALARS:
+        yield "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + inner[:-2] + "]"
+    elif isinstance(value, (list, tuple)) and value:
+        for index, item in enumerate(value):
+            yield ("," if index else "[") + inner
+            yield from _indented_json(item, depth + 1)
+        yield inner[:-2] + "]"
+    elif isinstance(value, dict) and value:
+        for index, key in enumerate(sorted(value)):
+            yield ("," if index else "{") + inner + json.dumps(key) + ": "
+            yield from _indented_json(value[key], depth + 1)
+        yield inner[:-2] + "}"
+    else:
+        yield json.dumps(value)
+
+
 # The largest align-demo inputs.  The command holds several patches x patches
-# arrays, their JSON text and, for the JSON encoder, one object per printed
-# number, so its memory grows as the square of the patch count: a 45x45 grid
-# (2,025 patches) peaked at 1.5 GB resident, and 4,096 patches would need
-# four times as much.  The parameters hold several dim x dim matrices.
+# arrays and, for printing, each as lists of Python floats, so its memory grows
+# as the square of the patch count: measured as a child process with one BLAS
+# thread, a 32x32 grid (1,024 patches) peaked at 169 MB resident and a 45x45
+# grid (2,025 patches) at 544 MB, and 4,096 patches would need about four
+# times as much.  The parameters hold several dim x dim matrices.
 MAX_DEMO_PATCHES = 2048
 MAX_DEMO_DIM = 1024
 
@@ -382,7 +412,8 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
         "bundle": bundle.to_json_dict(),
         "invariants": report,
     }
-    print(json.dumps(document, indent=2, sort_keys=True))
+    sys.stdout.writelines(_indented_json(document))
+    sys.stdout.write("\n")
     return 0
 
 

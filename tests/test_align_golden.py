@@ -9,13 +9,19 @@ differ in their last bits.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from make_align_golden import ARRAYS, CASES, measures, run_case
+from make_align_golden import ARRAYS, CASES, measures
+from solvechart.cli import _indented_json, parse_args, run_command
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "align"
 RTOL = 1e-9
@@ -27,11 +33,21 @@ def test_every_case_has_a_small_golden_file():
     assert sum(path.stat().st_size for path in GOLDEN.glob("*.json")) < 100_000
 
 
+def printed(argv: list[str]) -> str:
+    """What `solvechart align-demo ARGV` prints, checked to be json.dumps' indent-2, sorted-key text."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_command(parse_args(["align-demo", *argv])) == 0
+    text = out.getvalue()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    return text
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_align_demo_matches_its_golden_summary(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert want["argv"] == CASES[name]
-    document = run_case(CASES[name])
+    document = json.loads(printed(CASES[name]))
     assert document["config"] == want["config"]
     assert document["bundle"]["clusters"] == want["clusters"]
     assert document["invariants"] == want["invariants"]
@@ -42,3 +58,23 @@ def test_align_demo_matches_its_golden_summary(name):
         assert list(array.shape) == pinned["shape"], array_name
         for key, value in measures(array, pinned["indices"]).items():
             np.testing.assert_allclose(value, pinned[key], rtol=RTOL, atol=ATOL, err_msg=f"{array_name} {key}")
+
+
+def test_a_32x32_demo_prints_indented_json():
+    """The largest grid the tests run: 1,024 patches, three 1,024 x 1,024 arrays."""
+    document = json.loads(printed(["--grid", "32x32", "--seed", "3"]))
+    assert len(document["bundle"]["alignment"]) == 1024
+
+
+_plain = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4), st.just(math.inf), st.just(-0.0)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(_plain, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.tuples(inner, inner), st.dictionaries(st.text(max_size=4), inner, max_size=4),
+), max_leaves=20))
+def test_indented_json_is_json_dumps_byte_for_byte(value):
+    """Empty and mixed lists, tuples, nested dicts, non-ASCII keys and non-finite floats included."""
+    assert "".join(_indented_json(value)) == json.dumps(value, indent=2, sort_keys=True)

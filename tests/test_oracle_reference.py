@@ -19,10 +19,20 @@ from solvechart.agents.table import ChartTable, Series, normalize_question
 
 # Some names differ from their normalized form by case and punctuation ("U.S." is "u s"). No pool may hold
 # two names with one normalized form: a table refuses them, so drawing both would fail the strategy.
+# The oracle normalizes only names whose casefolded text holds a word of the slot, so the pools also hold
+# names where that test is easy to get wrong: one that casefolding lengthens ("Straße" is "strasse"),
+# punctuation inside a word ("18-29" is "18 29"), letters outside ASCII ("São Paulo" is "s o paulo"), and a
+# name that is a substring of another name's word ("Sale" in "Sales").
 SERIES_NAMES = ["Total", "Total Sales", "Sales", "Salt and Pepper", "Made in USA", "A", "In", "And", "Apples",
-                "U.S.", "St. Louis", "Sales (EUR)"]
+                "U.S.", "St. Louis", "Sales (EUR)", "Sale", "Straße", "São Paulo", "18-29"]
 CATEGORIES = ["Jan", "Feb", "2012", "Jan 2012", "Made in USA", "North and South", "Total", "Q1", "and",
-              "Q1 '12", "U.S.", "St. Louis", "Mar-Apr"]
+              "Q1 '12", "U.S.", "St. Louis", "Mar-Apr", "18-29", "Straße", "São Paulo", "Sale"]
+# Other ways a user may type a name; some reach it, some only share a word with it.
+SPELLINGS = {
+    "Straße": ["Straße", "strasse", "STRASSE", "Strase"],
+    "São Paulo": ["São Paulo", "s o paulo", "Sao Paulo", "SÃO PAULO"],
+    "18-29": ["18-29", "18 29", "1829", "18"],
+}
 VALUES = [0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 150.0]
 PREFIXES = ["", "What is the ", "what's the ", "What was ", "the ", "whats "]
 EXTREME_WORDS = ["highest", "lowest", "maximum", "minimum", "max", "min"]
@@ -64,8 +74,9 @@ def styled(draw, text: str) -> str:
 
 
 def name(draw, in_table: list[str], vocabulary: list[str]) -> str:
-    """Mostly a name the table holds, sometimes one it may not."""
-    return draw(st.sampled_from(in_table or vocabulary) if draw(st.integers(0, 3)) else st.sampled_from(vocabulary))
+    """Mostly a name the table holds, sometimes one it may not, in any of its spellings."""
+    drawn = draw(st.sampled_from(in_table or vocabulary) if draw(st.integers(0, 3)) else st.sampled_from(vocabulary))
+    return draw(st.sampled_from(SPELLINGS.get(drawn, [drawn])))
 
 
 def cell_text(draw, table: ChartTable) -> str:
@@ -128,6 +139,24 @@ NESTED = table_of(
 EQUAL_FORMS = table_of(("Sales", [("Feb", 3.0), ("Jan", 1.0)]), ("Total", [("Jan", 2.0)]))
 ONE_SERIES = table_of(("Sales", [("Made in USA", 7.0), ("Jan", 1.0)]))
 RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Mar-Apr", 2.0), ("Q1 '12", -3.0)]))
+# Names whose casefolded text and normalized form differ, and one name inside another's word.
+WORDS = table_of(
+    ("Sale", [("18-29", 1.0), ("Straße", 2.0)]),
+    ("Sales", [("São Paulo", 3.0), ("18-29", 4.0)]),
+    ("Straße", [("Sale", 5.0), ("São Paulo", 6.0)]),
+)
+# Names holding " in " and " and ", so that both split loops of a two-cell question run more than once.
+SPLIT_NAMES = table_of(
+    ("Total", [("Jan", 5.0)]),
+    ("Total Sales", [("Jan", 9.0), ("Made in USA", 3.0)]),
+    ("Salt and Pepper", [("North and South", 4.0), ("Jan", -2.5)]),
+    ("Made in USA", [("Jan", 1.0), ("Made in USA", 2.0)]),
+)
+# Slots of more words than the oracle tests name by name: each resolves through a long run of words.
+LONG_SLOTS = [
+    "What is the value of one two three four five six seven Made in USA in Made in USA?",
+    "What is the sum of a b c d e f g h i Total Sales in Made in USA and Total in Jan?",
+]
 
 
 @pytest.mark.parametrize(
@@ -169,19 +198,19 @@ RAGGED = table_of(("U.S.", [("Q1 '12", 4.0), ("Jan", 1.0)]), ("St. Louis", [("Ma
         (NESTED, "What is the value of Pepper in Made in USA?"),
         # "made" names no series; the one series' category fallback reads the whole slot.
         (ONE_SERIES, "What is the value of Made in USA?"),
+        (WORDS, "What is the value of strasse in Sale?"),
+        (WORDS, "What is the value of Sale in 18-29?"),
+        (WORDS, "What is the value of SALES in 18 29?"),
+        (WORDS, "What is the value of Sales in s o paulo?"),
+        (WORDS, "What is the value of Straße in Sao Paulo?"),
+        (WORDS, "What is the highest value of STRASSE?"),
+        (WORDS, "What is the difference between Sale in Straße and Straße in Sale?"),
+        (ONE_SERIES, "What is the value of a b c d e f g h i Made in USA?"),
+        *((SPLIT_NAMES, question) for question in LONG_SLOTS),
     ],
 )
 def test_oracle_matches_reference_on_named_cases(table, question):
     assert_agrees(table, question)
-
-
-# Names holding " in " and " and ", so that both split loops of a two-cell question run more than once.
-SPLIT_NAMES = table_of(
-    ("Total", [("Jan", 5.0)]),
-    ("Total Sales", [("Jan", 9.0), ("Made in USA", 3.0)]),
-    ("Salt and Pepper", [("North and South", 4.0), ("Jan", -2.5)]),
-    ("Made in USA", [("Jan", 1.0), ("Made in USA", 2.0)]),
-)
 
 
 @pytest.mark.parametrize(
@@ -196,19 +225,50 @@ SPLIT_NAMES = table_of(
         (SPLIT_NAMES, "What is the sum of Salt and Pepper in North and Oranges in Jan?"),
         (ONE_SERIES, "What is the difference of Made in USA and Jan?"),
         (SPLIT_NAMES, "compare the trends"),
+        (WORDS, "What is the value of strasse in Sale?"),
+        (WORDS, "What is the difference between Sale in Straße and Straße in Sale?"),
+        (WORDS, "What is the value of Sales in Sao Paulo?"),
+        *((SPLIT_NAMES, question) for question in LONG_SLOTS),
     ],
 )
 def test_a_question_normalizes_each_name_at_most_once(monkeypatch, table, question):
-    """One call for the question, then at most one per series name and one per distinct category label."""
+    """One call for the question, then at most one per series name and one per distinct category label.
+
+    A slot of at most oracle._CHECKED_WORDS words normalizes only names whose casefolded text holds one of
+    its words.
+    """
+    calls, parts = [], []
+
+    def counting(text: str) -> str:
+        calls.append(text)
+        if parts and parts[-1].count(" ") < oracle._CHECKED_WORDS:
+            assert any(word in text.casefold() for word in parts[-1].split(" ")), (text, parts[-1])
+        return normalize_question(text)
+
+    def resolving(part: str, *names):
+        parts.append(part)
+        return resolve_name(part, *names)
+
+    resolve_name = oracle._resolve_name
+    monkeypatch.setattr(oracle, "normalize_question", counting)
+    monkeypatch.setattr(oracle, "_resolve_name", resolving)
+    assert outcome(oracle_answer, table, question) == outcome(oracle_reference.oracle_answer, table, question)
+    assert len(calls) <= 1 + len(table.series) + len(table.categories())
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_slot_past_the_word_bound_normalizes_every_name_it_reads(monkeypatch, extra):
+    """Past the bound the oracle skips the per-word test, whose cost grows with the slot's words."""
     calls = []
 
     def counting(text: str) -> str:
         calls.append(text)
         return normalize_question(text)
 
+    words = " ".join(f"w{index}" for index in range(oracle._CHECKED_WORDS - 1 + extra))
     monkeypatch.setattr(oracle, "normalize_question", counting)
-    assert outcome(oracle_answer, table, question) == outcome(oracle_reference.oracle_answer, table, question)
-    assert len(calls) <= 1 + len(table.series) + len(table.categories())
+    assert_agrees(NESTED, f"What is the highest value of {words} Total?")
+    assert calls[1:] == (NESTED.series_names() if extra else ["Total", "Total Sales"])
 
 
 # Names that casefold expands, or whose letters and digits lie outside ASCII.
