@@ -48,11 +48,13 @@ SAMPLES = 8  # entries pinned per array
 
 
 def run_case(argv: list[str]) -> dict:
-    """The document `solvechart align-demo ARGV` prints."""
+    """The document `solvechart align-demo ARGV` prints; the text must be json.dumps' indent-2, sorted-key form."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert run_command(parse_args(["align-demo", *argv])) == 0
-    return json.loads(out.getvalue())
+    document = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return document
 
 
 def measures(array: np.ndarray, indices: list[list[int]]) -> dict:

@@ -9,8 +9,6 @@ differ in their last bits.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import math
 from pathlib import Path
@@ -20,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from make_align_golden import ARRAYS, CASES, measures
-from solvechart.cli import _indented_json, parse_args, run_command
+from make_align_golden import ARRAYS, CASES, measures, run_case
+from solvechart.cli import _indented_json
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden" / "align"
 RTOL = 1e-9
@@ -33,21 +31,11 @@ def test_every_case_has_a_small_golden_file():
     assert sum(path.stat().st_size for path in GOLDEN.glob("*.json")) < 100_000
 
 
-def printed(argv: list[str]) -> str:
-    """What `solvechart align-demo ARGV` prints, checked to be json.dumps' indent-2, sorted-key text."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run_command(parse_args(["align-demo", *argv])) == 0
-    text = out.getvalue()
-    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-    return text
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_align_demo_matches_its_golden_summary(name):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert want["argv"] == CASES[name]
-    document = json.loads(printed(CASES[name]))
+    document = run_case(CASES[name])
     assert document["config"] == want["config"]
     assert document["bundle"]["clusters"] == want["clusters"]
     assert document["invariants"] == want["invariants"]
@@ -62,7 +50,7 @@ def test_align_demo_matches_its_golden_summary(name):
 
 def test_a_32x32_demo_prints_indented_json():
     """The largest grid the tests run: 1,024 patches, three 1,024 x 1,024 arrays."""
-    document = json.loads(printed(["--grid", "32x32", "--seed", "3"]))
+    document = run_case(["--grid", "32x32", "--seed", "3"])
     assert len(document["bundle"]["alignment"]) == 1024
 
 
