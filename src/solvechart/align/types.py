@@ -254,14 +254,3 @@ class AlignmentBundle:
             self, dims, principle_weights=(3,), cluster_weights=("k", "k"), alignment=("n", "n"),
             annotated=("n", "n"), refined=("n", "d"), fused=("n", "d"),
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "clusters": self.clusters.labels.tolist(),
-            "principle_weights": self.principle_weights.tolist(),
-            "cluster_weights": self.cluster_weights.tolist(),
-            "alignment": self.alignment.tolist(),
-            "annotated": self.annotated.tolist(),
-            "refined": self.refined.tolist(),
-            "fused": self.fused.tolist(),
-        }

@@ -63,8 +63,11 @@ def _indented_json(value: Any, depth: int = 0) -> Iterator[str]:
     With indent set, json keeps its C encoder out and renders every number
     in Python.  A list of plain values lies one item to a line at one indent,
     which the C encoder writes when that line break and indent are its item
-    separator.  Dict keys must be strings.
+    separator.  Dict keys must be strings.  A numpy array, told by its ndim so
+    that numpy stays unimported, prints as its tolist(), a matrix a row at a time.
     """
+    if hasattr(value, "ndim"):
+        value = list(value) if value.ndim > 1 else value.tolist()
     inner = "\n" + "  " * (depth + 1)
     if isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _JSON_SCALARS:
         yield "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + inner[:-2] + "]"
@@ -83,13 +86,15 @@ def _indented_json(value: Any, depth: int = 0) -> Iterator[str]:
 
 
 # The largest align-demo inputs.  The command holds several patches x patches
-# arrays and, for printing, each as lists of Python floats, so its memory grows
-# as the square of the patch count: measured as a child process with one BLAS
-# thread, a 32x32 grid (1,024 patches) peaked at 169 MB resident and a 45x45
-# grid (2,025 patches) at 544 MB, and 4,096 patches would need about four
-# times as much.  The parameters hold several dim x dim matrices.
+# arrays, so its memory grows as the square of the patch count: measured as a
+# child process with one BLAS thread, a 32x32 grid (1,024 patches) peaked at
+# 104 MB resident and a 45x45 grid (2,025 patches) at 290 MB, and 4,096
+# patches would need about four times as much.  Each attention layer holds
+# 4 x dim x dim parameter floats, 33.6 MB at the largest dim, so 16 layers
+# hold about 537 MB.
 MAX_DEMO_PATCHES = 2048
 MAX_DEMO_DIM = 1024
+MAX_DEMO_LAYERS = 16
 
 
 class CliError(SolveChartError):
@@ -377,6 +382,8 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
         raise CliError(f"--grid {rows}x{cols} has {rows * cols} patches, more than {MAX_DEMO_PATCHES}")
     if cmd.dim > MAX_DEMO_DIM:
         raise CliError(f"--dim {cmd.dim} is more than {MAX_DEMO_DIM}")
+    if getattr(cmd, "layers", 0) > MAX_DEMO_LAYERS:  # unset unless given, see the flag
+        raise CliError(f"--layers {cmd.layers} is more than {MAX_DEMO_LAYERS}")
     # Imported here so that no other command pays for numpy.
     from .align import PipelineConfig, check_bundle, make_grid, make_params, make_query, run_alignment_pipeline
     from .align.cluster import DEFAULT_K_MAX, DEFAULT_LINKAGE_THRESHOLD
@@ -407,9 +414,10 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
     bundle = run_alignment_pipeline(grid, query, params, pipeline_config)
     report = check_bundle(grid, bundle)
     settings = {k: v for k, v in vars(cmd).items() if k not in ("command", "config", "handler")}
+    arrays = ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused")
     document = {
         "config": {**settings, "grid": f"{rows}x{cols}"},
-        "bundle": bundle.to_json_dict(),
+        "bundle": {"clusters": bundle.clusters.labels, **{name: getattr(bundle, name) for name in arrays}},
         "invariants": report,
     }
     sys.stdout.writelines(_indented_json(document))

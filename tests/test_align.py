@@ -619,20 +619,6 @@ def test_pipeline_permutation_equivariance():
     assert np.allclose(permuted_bundle.fused, bundle.fused[order], atol=1e-8)
 
 
-def test_bundle_serializes_to_plain_json(tmp_path):
-    import json
-
-    grid = make_grid(2, 2, 8, seed=3)
-    bundle = run_alignment_pipeline(
-        grid, make_query(8, seed=3), make_params(8, seed=3, top_k=4), PipelineConfig()
-    )
-    doc = bundle.to_json_dict()
-    text = json.dumps(doc)
-    parsed = json.loads(text)
-    assert parsed["clusters"] == bundle.clusters.labels.tolist()
-    assert len(parsed["fused"]) == 4
-
-
 # -- invariant checker flags ------------------------------------------------
 
 def test_check_bundle_detects_tampering():

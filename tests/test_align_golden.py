@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from make_align_golden import ARRAYS, CASES, measures, run_case
 from solvechart.cli import _indented_json
@@ -57,12 +58,25 @@ def test_a_32x32_demo_prints_indented_json():
 _plain = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4), st.just(math.inf), st.just(-0.0)
 )
+# float64 entries include NaN, the infinities and -0.0; a side of 0 gives a zero-size array.
+_arrays = hnp.arrays(st.sampled_from([np.float64, np.int64]), hnp.array_shapes(min_dims=1, max_dims=2, min_side=0))
+
+
+def _as_lists(value):
+    """value with each numpy array in it replaced by its tolist()."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_lists(item) for item in value]
+    return value
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.recursive(_plain, lambda inner: st.one_of(
+@given(st.recursive(st.one_of(_plain, _arrays), lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.tuples(inner, inner), st.dictionaries(st.text(max_size=4), inner, max_size=4),
 ), max_leaves=20))
 def test_indented_json_is_json_dumps_byte_for_byte(value):
-    """Empty and mixed lists, tuples, nested dicts, non-ASCII keys and non-finite floats included."""
-    assert "".join(_indented_json(value)) == json.dumps(value, indent=2, sort_keys=True)
+    """Empty and mixed lists, tuples, nested dicts, non-ASCII keys, non-finite floats and numpy arrays included."""
+    assert "".join(_indented_json(value)) == json.dumps(_as_lists(value), indent=2, sort_keys=True)

@@ -12,7 +12,7 @@ from conftest import ELECTION_PROGRAM, json_server, src_env
 from solvechart.agents.base import AgentQuery
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.table import load_table
-from solvechart.cli import MAX_DEMO_DIM, MAX_DEMO_PATCHES, CliError, _load_config, main, parse_args, run_command
+from solvechart.cli import MAX_DEMO_DIM, MAX_DEMO_LAYERS, MAX_DEMO_PATCHES, CliError, _load_config, main, parse_args, run_command
 
 
 def cli(*argv: str) -> int:
@@ -621,6 +621,8 @@ def test_importing_the_cli_leaves_numpy_out():
         (["--dim", "1025"], None, "--dim 1025 is more than 1024"),
         ([], {"grid": "1x99999"}, "--grid 1x99999 has 99999 patches, more than 2048"),
         ([], {"dim": 4096}, "--dim 4096 is more than 1024"),
+        (["--layers", "17"], None, "--layers 17 is more than 16"),
+        ([], {"layers": 1000}, "--layers 1000 is more than 16"),
     ],
 )
 def test_align_demo_refuses_sizes_it_cannot_hold_before_loading_numpy(tmp_path, argv, config, message):
@@ -643,13 +645,15 @@ def test_align_demo_takes_the_largest_sizes_it_holds(monkeypatch):
     class Reached(Exception):
         pass
 
-    def make_grid(rows, cols, dim, seed):
-        raise Reached(rows * cols, dim)
+    def make_params(dim, seed, layers, top_k):
+        raise Reached(dim, layers)  # before any parameter is drawn
 
-    monkeypatch.setattr(solvechart.align, "make_grid", make_grid)
+    patches = []
+    monkeypatch.setattr(solvechart.align, "make_grid", lambda rows, cols, dim, seed: patches.append(rows * cols))
+    monkeypatch.setattr(solvechart.align, "make_params", make_params)
     with pytest.raises(Reached) as reached:
-        run_command(parse_args(["align-demo", "--grid", "32x64", "--dim", "1024"]))
-    assert reached.value.args == (MAX_DEMO_PATCHES, MAX_DEMO_DIM)
+        run_command(parse_args(["align-demo", "--grid", "32x64", "--dim", "1024", "--layers", "16"]))
+    assert (patches, reached.value.args) == ([MAX_DEMO_PATCHES], (MAX_DEMO_DIM, MAX_DEMO_LAYERS))
 
 
 def test_closed_stdout_exits_quietly():
