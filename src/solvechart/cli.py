@@ -7,7 +7,8 @@ Subcommands:
 * ``solve``: produce a program for a question (live model or replay
   cassette), execute it, print the answer.
 * ``align-demo``: run the visual alignment pipeline on synthetic patches
-  and print the bundle plus an invariant report as JSON.
+  and print, as JSON, the cluster labels, an invariant report and each
+  array's shape, sum and absolute sum.
 * ``eval``: run a dataset through the harness and print the report.
 
 stdout carries machine-readable output only (answers, canonical programs,
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from .agents.base import AgentHandle, AgentQuery
 from .agents.http import HttpAgent
@@ -48,42 +49,13 @@ from .solgen.generate import MAX_REPLY_CHARS, generate_solution
 from .solgen.prompt import chart_hints
 from .values import stringify
 
+if TYPE_CHECKING:
+    from .align import AlignmentBundle
+
 
 # UTF-8 spends at most 4 bytes a character, so any reply the model path
 # accepts also runs from a program file.
 MAX_PROGRAM_BYTES = 4 * MAX_REPLY_CHARS
-
-# The types the C JSON encoder writes as one token; a list holding only these is rendered in one call.
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _indented_json(value: Any, depth: int = 0) -> Iterator[str]:
-    """json.dumps(value, indent=2, sort_keys=True) in pieces, each list of plain values in one C-encoder call.
-
-    With indent set, json keeps its C encoder out and renders every number
-    in Python.  A list of plain values lies one item to a line at one indent,
-    which the C encoder writes when that line break and indent are its item
-    separator.  Dict keys must be strings.  A numpy array, told by its ndim so
-    that numpy stays unimported, prints as its tolist(), a matrix a row at a time.
-    """
-    if hasattr(value, "ndim"):
-        value = list(value) if value.ndim > 1 else value.tolist()
-    inner = "\n" + "  " * (depth + 1)
-    if isinstance(value, (list, tuple)) and value and set(map(type, value)) <= _JSON_SCALARS:
-        yield "[" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1] + inner[:-2] + "]"
-    elif isinstance(value, (list, tuple)) and value:
-        for index, item in enumerate(value):
-            yield ("," if index else "[") + inner
-            yield from _indented_json(item, depth + 1)
-        yield inner[:-2] + "]"
-    elif isinstance(value, dict) and value:
-        for index, key in enumerate(sorted(value)):
-            yield ("," if index else "{") + inner + json.dumps(key) + ": "
-            yield from _indented_json(value[key], depth + 1)
-        yield inner[:-2] + "}"
-    else:
-        yield json.dumps(value)
-
 
 # The largest align-demo inputs.  The command holds several patches x patches
 # arrays, so its memory grows as the square of the patch count: measured as a
@@ -95,6 +67,8 @@ def _indented_json(value: Any, depth: int = 0) -> Iterator[str]:
 MAX_DEMO_PATCHES = 2048
 MAX_DEMO_DIM = 1024
 MAX_DEMO_LAYERS = 16
+# The AlignmentBundle arrays that align-demo summarizes.
+DEMO_ARRAYS = ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused")
 
 
 class CliError(SolveChartError):
@@ -141,6 +115,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for seeds: an int of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -221,9 +203,9 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     p_align = _subcommand(sub, "align-demo", "run the alignment pipeline on synthetic patches", _cmd_align_demo)
     p_align.add_argument("--grid", default="4x4", metavar="RxC", help="patch grid shape")
     p_align.add_argument("--dim", type=positive_int, default=16, help="embedding dimension")
-    p_align.add_argument("--seed", type=int, default=0, help="seed for patches, query and parameters")
+    p_align.add_argument("--seed", type=non_negative_int, default=0, help="seed for patches, query and parameters")
     # solvechart.align owns these five defaults and imports numpy, so the flags
-    # stay unset unless given and _cmd_align_demo fills them in from the library.
+    # stay unset unless given and _align_demo fills them in from the library.
     for flag, kind, text in (
         ("--layers", int, "intra-cluster attention layers"),
         ("--top-k", int, "patches marked by cross-cluster annotation"),
@@ -376,7 +358,8 @@ def _parse_grid(spec: str) -> tuple[int, int]:
     return rows, cols
 
 
-def _cmd_align_demo(cmd: argparse.Namespace) -> int:
+def _align_demo(cmd: argparse.Namespace) -> tuple[dict, AlignmentBundle, dict]:
+    """Runs align-demo's pipeline; returns the printed config, the AlignmentBundle and the invariant report."""
     rows, cols = _parse_grid(cmd.grid)
     if rows * cols > MAX_DEMO_PATCHES:
         raise CliError(f"--grid {rows}x{cols} has {rows * cols} patches, more than {MAX_DEMO_PATCHES}")
@@ -412,16 +395,23 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
         noise_seed=cmd.seed,
     )
     bundle = run_alignment_pipeline(grid, query, params, pipeline_config)
-    report = check_bundle(grid, bundle)
     settings = {k: v for k, v in vars(cmd).items() if k not in ("command", "config", "handler")}
-    arrays = ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused")
+    return {**settings, "grid": f"{rows}x{cols}"}, bundle, check_bundle(grid, bundle)
+
+
+def _cmd_align_demo(cmd: argparse.Namespace) -> int:
+    config, bundle, report = _align_demo(cmd)
+    arrays = {name: getattr(bundle, name) for name in DEMO_ARRAYS}
     document = {
-        "config": {**settings, "grid": f"{rows}x{cols}"},
-        "bundle": {"clusters": bundle.clusters.labels, **{name: getattr(bundle, name) for name in arrays}},
+        "config": config,
+        "clusters": bundle.clusters.labels.tolist(),
         "invariants": report,
+        "arrays": {
+            name: {"shape": list(array.shape), "sum": float(array.sum()), "abs_sum": float(abs(array).sum())}
+            for name, array in arrays.items()
+        },
     }
-    sys.stdout.writelines(_indented_json(document))
-    sys.stdout.write("\n")
+    print(json.dumps(document, indent=2, sort_keys=True))
     return 0
 
 

@@ -8,11 +8,12 @@ the current code, so record them from a known-good checkout, not from the
 change under test.
 
 A summary pins exactly the printed config, the cluster labels and the
-invariant report.  For each array it pins the shape exactly, and the sum,
-the sum of absolute values, the row sums and the entries at a few seeded
-indices to within test_align_golden's tolerance: raw bytes would tie the
-file to one numpy and BLAS build.  Floats are stored to 12 significant
-digits, far inside that tolerance, to keep the files small.
+invariant report.  For each array it pins the printed shape exactly, and
+to within test_align_golden's tolerance the printed sum and sum of absolute
+values, and the row sums and the entries at a few seeded indices of the
+bundle the command computes: raw bytes would tie the file to one numpy and
+BLAS build.  Floats are stored to 12 significant digits, far inside that
+tolerance, to keep the files small.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from solvechart.cli import parse_args, run_command
+from solvechart.cli import DEMO_ARRAYS as ARRAYS, _align_demo, parse_args, run_command
 
 # align-demo's default dimension (16) and seed 3, at three sizes; the three
 # ablations at 8x8; a single patch, which needs a top-k of 1; and a grid of
@@ -43,7 +44,6 @@ CASES = {
     "1x1": ["--grid", "1x1", "--seed", "3", "--top-k", "1"],
     "4x4-dim1-ties": ["--grid", "4x4", "--dim", "1", "--seed", "3", "--linkage-threshold", "-1", "--k-max", "12"],
 }
-ARRAYS = ("principle_weights", "cluster_weights", "alignment", "annotated", "refined", "fused")
 SAMPLES = 8  # entries pinned per array
 
 
@@ -57,12 +57,16 @@ def run_case(argv: list[str]) -> dict:
     return document
 
 
+def bundle_arrays(argv: list[str]) -> dict[str, np.ndarray]:
+    """The arrays `solvechart align-demo ARGV` summarizes, by name."""
+    _, bundle, _ = _align_demo(parse_args(["align-demo", *argv]))
+    return {name: getattr(bundle, name) for name in ARRAYS}
+
+
 def measures(array: np.ndarray, indices: list[list[int]]) -> dict:
-    """The float summaries of one array; a vector counts as one row."""
+    """The float summaries of one array that align-demo does not print; a vector counts as one row."""
     rows = array.reshape(1, -1) if array.ndim == 1 else array
     return {
-        "sum": float(array.sum()),
-        "abs_sum": float(np.abs(array).sum()),
         "row_sums": rows.sum(axis=1).tolist(),
         "entries": [float(array[tuple(index)]) for index in indices],
     }
@@ -78,18 +82,18 @@ def _short(value):
 
 def record(name: str) -> dict:
     document = run_case(CASES[name])
-    bundle = document["bundle"]
     arrays = {}
-    for array_name in ARRAYS:
-        array = np.array(bundle[array_name], dtype=np.float64)
+    for array_name, array in bundle_arrays(CASES[name]).items():
+        printed = document["arrays"][array_name]
         rng = random.Random(f"{name}/{array_name}")
-        indices = [[rng.randrange(size) for size in array.shape] for _ in range(SAMPLES)]
-        summary = {key: _short(value) for key, value in measures(array, indices).items()}
-        arrays[array_name] = {"shape": list(array.shape), "indices": indices, **summary}
+        indices = [[rng.randrange(size) for size in printed["shape"]] for _ in range(SAMPLES)]
+        summary = {"sum": printed["sum"], "abs_sum": printed["abs_sum"], **measures(array, indices)}
+        summary = {key: _short(value) for key, value in summary.items()}
+        arrays[array_name] = {"shape": printed["shape"], "indices": indices, **summary}
     return {
         "argv": CASES[name],
         "config": document["config"],
-        "clusters": bundle["clusters"],
+        "clusters": document["clusters"],
         "invariants": document["invariants"],
         "arrays": arrays,
     }

@@ -12,7 +12,10 @@ from conftest import ELECTION_PROGRAM, json_server, src_env
 from solvechart.agents.base import AgentQuery
 from solvechart.agents.oracle import OracleAgent
 from solvechart.agents.table import load_table
-from solvechart.cli import MAX_DEMO_DIM, MAX_DEMO_LAYERS, MAX_DEMO_PATCHES, CliError, _load_config, main, parse_args, run_command
+from solvechart.cli import (
+    MAX_DEMO_DIM, MAX_DEMO_LAYERS, MAX_DEMO_PATCHES, MAX_PROGRAM_BYTES, CliError, _load_config, main, parse_args,
+    run_command,
+)
 
 
 def cli(*argv: str) -> int:
@@ -113,6 +116,14 @@ def test_parse_args_align_demo_dim_below_one_exits_2(capsys, text):
     assert f"--dim: must be at least 1, got {text}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["-1", "-2"])
+def test_parse_args_align_demo_negative_seed_exits_2(capsys, text):
+    with pytest.raises(SystemExit) as excinfo:
+        parse_args(["align-demo", "--seed", text])
+    assert excinfo.value.code == 2
+    assert f"--seed: must be at least 0, got {text}" in capsys.readouterr().err
+
+
 def test_parse_args_bad_choice_exits_2():
     with pytest.raises(SystemExit) as excinfo:
         parse_args(["eval", "--dataset", "d", "--mode", "telepathy"])
@@ -198,6 +209,8 @@ def test_config_values_checked_and_converted_like_flags(tmp_path, argv, config, 
          "'tolerance': must be a finite number of at least 0, got nan"),
         (["align-demo"], {"dim": 0}, "'dim': must be at least 1, got 0"),
         (["align-demo"], '{"dim": ' + "9" * 5000 + "}", "invalid JSON in {path}: Exceeds the limit"),
+        (["align-demo"], {"seed": -2}, "'seed': must be at least 0, got -2"),
+        (["align-demo"], {"seed": "-1"}, "'seed': must be at least 0, got -1"),
     ],
 )
 def test_bad_config_exits_1_without_traceback(monkeypatch, tmp_path, capsys, argv, config, message):
@@ -527,11 +540,11 @@ def test_solve_with_another_agent_reads_the_table_only_for_a_live_model(monkeypa
 def test_align_demo_document(capsys):
     assert cli("align-demo", "--grid", "3x3", "--dim", "8", "--seed", "5") == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"bundle", "config", "invariants"}
+    assert set(doc) == {"arrays", "clusters", "config", "invariants"}
     assert doc["config"]["grid"] == "3x3"
     assert all(doc["invariants"].values())
-    assert len(doc["bundle"]["clusters"]) == 9
-    assert len(doc["bundle"]["fused"]) == 9
+    assert len(doc["clusters"]) == 9
+    assert doc["arrays"]["fused"]["shape"] == [9, 8]
 
 
 def test_align_demo_noise_ablation_flips_invariant(capsys):
@@ -656,11 +669,18 @@ def test_align_demo_takes_the_largest_sizes_it_holds(monkeypatch):
     assert (patches, reached.value.args) == ([MAX_DEMO_PATCHES], (MAX_DEMO_DIM, MAX_DEMO_LAYERS))
 
 
-def test_closed_stdout_exits_quietly():
-    # The document (about 272 KB) overflows the pipe buffer, so the process is
-    # still writing when the reader goes away, as with `| head -c 600`.
-    argv = [sys.executable, "-m", "solvechart.cli", "align-demo", "--grid", "8x8", "--seed", "3"]
-    with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+def test_closed_stdout_exits_quietly(tmp_path):
+    # The canonical program (about 300 KB) overflows the pipe buffer, so the
+    # process is still writing when the reader goes away, as with `| head -c 600`.
+    path = tmp_path / "long.txt"
+    path.write_text("".join(f"value_{index:05d} = {index} + 1\n" for index in range(13_000)), encoding="utf-8")
+    assert 250_000 < path.stat().st_size < MAX_PROGRAM_BYTES
+    argv = [sys.executable, "-m", "solvechart.cli", "parse", str(path)]
+    # PYTHONUNBUFFERED puts stdout's text layer straight on the file descriptor,
+    # and CPython's text layer then drops the unwritten tail of a short write
+    # without an error; the child gets the buffered stdout a shell pipeline gives.
+    env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(600)) == 600
         proc.stdout.close()
         stderr = proc.stderr.read()
