@@ -71,56 +71,31 @@ def _resolve_name(part: str, entries: Sequence[_Entry], names: Sequence[str], fo
     return best
 
 
-class _Names:
-    """One question's view of a table's names: each list is built when a slot first needs it.
-
-    A list's forms start as None and are filled in by _resolve_name, so a name
-    is normalized at most once per question, however many slots and splits
-    read it, and only if some slot shares a word with it.  Nothing outlives
-    the question.
-    """
-
-    __slots__ = ("table", "_series", "_categories")
-
-    def __init__(self, table: ChartTable) -> None:
-        self.table = table
-        self._series: tuple[Sequence[Series], list[str], list[str | None]] | None = None
-        self._categories: tuple[list[str], list[str], list[str | None]] | None = None
-
-    def series(self) -> tuple[Sequence[Series], list[str], list[str | None]]:
-        if self._series is None:
-            entries = self.table.series
-            self._series = entries, [entry.name for entry in entries], [None] * len(entries)
-        return self._series
-
-    def categories(self) -> tuple[list[str], list[str], list[str | None]]:
-        if self._categories is None:
-            labels = self.table.categories()
-            self._categories = labels, labels, [None] * len(labels)
-        return self._categories
+# One question's normalized forms: forms[0][i] for table.series_names[i], forms[1][i] for table.categories[i].
+_Forms = tuple[list[str | None], list[str | None]]
 
 
-def _resolve_cell(names: _Names, text: str) -> tuple[Series, str] | None:
+def _resolve_cell(table: ChartTable, forms: _Forms, text: str) -> tuple[Series, str] | None:
     """Maps slot text to (series, category label), or None."""
     pieces = text.split(" in ")
     if len(pieces) > 1:
         for split in range(len(pieces) - 1, 0, -1):
-            entry = _resolve_name(" in ".join(pieces[:split]), *names.series())
+            entry = _resolve_name(" in ".join(pieces[:split]), table.series, table.series_names, forms[0])
             if entry is None:
                 continue
-            label = _resolve_name(" in ".join(pieces[split:]), *names.categories())
+            label = _resolve_name(" in ".join(pieces[split:]), table.categories, table.categories, forms[1])
             if label is not None:
                 return entry, label
-    if len(names.table.series) == 1:
-        label = _resolve_name(text, *names.categories())
+    if len(table.series) == 1:
+        label = _resolve_name(text, table.categories, table.categories, forms[1])
         if label is not None:
-            return names.table.series[0], label
+            return table.series[0], label
     return None
 
 
-def _read_cell(names: _Names, text: str) -> tuple[bool, float | None]:
+def _read_cell(table: ChartTable, forms: _Forms, text: str) -> tuple[bool, float | None]:
     """Resolves slot text to a cell, then reads it: (resolved, value, or None where the series lacks the label)."""
-    cell = _resolve_cell(names, text)
+    cell = _resolve_cell(table, forms, text)
     if cell is None:
         return False, None
     entry, label = cell
@@ -130,22 +105,22 @@ def _read_cell(names: _Names, text: str) -> tuple[bool, float | None]:
         return True, None
 
 
-def _value_of(names: _Names, rest: str) -> str:
-    resolved, value = _read_cell(names, rest)
+def _value_of(table: ChartTable, forms: _Forms, rest: str) -> str:
+    resolved, value = _read_cell(table, forms, rest)
     if value is None:
         raise _unanswerable(f"no point for {rest!r}" if resolved else f"cannot resolve {rest!r} against the table")
     return stringify(value)
 
 
-def _extreme_of_series(names: _Names, which: str, series: str) -> str:
-    entry = _resolve_name(series, *names.series())
+def _extreme_of_series(table: ChartTable, forms: _Forms, which: str, series: str) -> str:
+    entry = _resolve_name(series, table.series, table.series_names, forms[0])
     if entry is None or not entry.values:
         raise _unanswerable(f"cannot resolve series {series!r}")
     pick = max if which in ("highest", "maximum", "max") else min
     return stringify(pick(entry.values))
 
 
-def _arg_extreme(names: _Names, subject: str, which: str) -> str:
+def _arg_extreme(table: ChartTable, forms: _Forms, subject: str, which: str) -> str:
     """Names the series or category of the overall highest/lowest point, table order on ties.
 
     Within a series `pick` returns the first extreme value and `index` finds its
@@ -154,7 +129,7 @@ def _arg_extreme(names: _Names, subject: str, which: str) -> str:
     """
     pick, beats = (max, operator.gt) if which == "highest" else (min, operator.lt)
     best: tuple[Series, float] | None = None
-    for entry in names.table.series:
+    for entry in table.series:
         if entry.values:
             value = pick(entry.values)
             if best is None or beats(value, best[1]):
@@ -165,16 +140,16 @@ def _arg_extreme(names: _Names, subject: str, which: str) -> str:
     return entry.name if subject == "series" else entry.categories[entry.values.index(value)]
 
 
-def _two_cells(combine: Callable[[float, float], float], names: _Names, rest: str) -> str:
+def _two_cells(combine: Callable[[float, float], float], table: ChartTable, forms: _Forms, rest: str) -> str:
     """Combines the first split of the slot text into two cells that both have a point."""
     pieces = rest.split(" and ")
     if len(pieces) < 2:
         raise _unanswerable(f"expected two cells in {rest!r}")
     for split in range(1, len(pieces)):
-        _, first = _read_cell(names, " and ".join(pieces[:split]))
+        _, first = _read_cell(table, forms, " and ".join(pieces[:split]))
         if first is None:
             continue
-        _, second = _read_cell(names, " and ".join(pieces[split:]))
+        _, second = _read_cell(table, forms, " and ".join(pieces[split:]))
         if second is not None:
             value = combine(first, second)
             if not math.isfinite(value):
@@ -200,13 +175,17 @@ def oracle_answer(table: ChartTable, question: str) -> str:
     """Answers a template question from the table, numbers via stringify.
 
     Raises AgentError (UNANSWERABLE) when no template fits or a slot does not
-    resolve against the table.
+    resolve against the table.  The question's forms of the table's names
+    start as None and are filled in by _resolve_name, so a name is normalized
+    at most once per question, however many slots and splits read it, and
+    only if some slot shares a word with it.  Nothing outlives the question.
     """
     text = normalize_question(question)
     for pattern, handler in _TEMPLATES:
         match = pattern.fullmatch(text)
         if match:
-            return handler(_Names(table), **match.groupdict())
+            forms = [None] * len(table.series_names), [None] * len(table.categories)
+            return handler(table, forms, **match.groupdict())
     raise _unanswerable(f"no template matches {question!r}")
 
 

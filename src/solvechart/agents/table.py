@@ -2,8 +2,9 @@
 
 A ChartTable is the underlying data of one chart: named series of
 (category, value) points, stored column-wise.  One JSON document holds one
-table.  A table only holds validated columns; the oracle alone resolves names
-against it, by `normalize_question`.
+table.  A table only holds validated columns, and keeps the two name lists
+read from them: its series names and its distinct category labels.  The
+oracle alone resolves names against it, by `normalize_question`.
 """
 
 from __future__ import annotations
@@ -58,15 +59,18 @@ class ChartTable:
     x_label: str
     y_label: str
     series: tuple[Series, ...]
-    _categories: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # Built once, while the table is validated: the series names in table
+    # order, and each distinct category label once, in first-seen order.
+    series_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    categories: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Admits only cells the oracle can reach: finite values, names distinct once normalized.
 
-        Also keeps the table's distinct category labels, in first-seen order.
         A category tuple that several series share is checked once.
         """
-        if "" in (forms := _distinct_forms(self.series_names(), "series")):
+        object.__setattr__(self, "series_names", tuple(entry.name for entry in self.series))
+        if "" in (forms := _distinct_forms(self.series_names, "series")):
             raise TableFormatError(f"series name {forms['']!r} has no letters or digits")
         labels: dict[str, None] = {}
         checked: set[int] = set()
@@ -85,15 +89,8 @@ class ChartTable:
                 cells = zip(entry.categories, entry.values)
                 category, value = next(cell for cell in cells if not math.isfinite(cell[1]))
                 raise TableFormatError(f"non-finite value {value!r} in series {entry.name!r} at {category!r}")
-        object.__setattr__(self, "_categories", tuple(labels))
-        _distinct_forms(self._categories, "categories")
-
-    def series_names(self) -> list[str]:
-        return [entry.name for entry in self.series]
-
-    def categories(self) -> list[str]:
-        """Each distinct category label once, in first-seen order, as kept when the table was built."""
-        return list(self._categories)
+        object.__setattr__(self, "categories", tuple(labels))
+        _distinct_forms(self.categories, "categories")
 
 
 def _parse_table(payload: dict) -> ChartTable:

@@ -24,6 +24,7 @@ optional flag for are ignored, so one file may serve several subcommands.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .dsl.parser import parse_program
 from .engine.interpreter import EngineConfig, execute
 from .errors import SolveChartError
 from .evaluation.dataset import load_dataset
-from .evaluation.harness import EvalConfig, run_eval
+from .evaluation.harness import MAX_WORKERS, EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
 from .files import check_output_path, read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
@@ -417,6 +418,8 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
 
 def _cmd_eval(cmd: argparse.Namespace) -> int:
     _refuse_in_agent_only(cmd, "--trace-dir", "--llm", "--llm-replay")
+    if cmd.workers > MAX_WORKERS:
+        raise CliError(f"--workers {cmd.workers} is more than {MAX_WORKERS}")
     _check_outputs(cmd)
     items = load_dataset(cmd.dataset)
     mode = cmd.mode.replace("-", "_")
@@ -457,7 +460,18 @@ def run_command(cmd: argparse.Namespace) -> int:
         return _report_error(exc)
 
 
+def _buffer_stdout() -> None:
+    """Under PYTHONUNBUFFERED or -u, stdout's text layer ignores a short write, so a reader that closes the pipe
+    early loses the rest with no error; a buffered writer on the same descriptor, left open, writes again until
+    all is written or raises BrokenPipeError.  Lines still go out as they are printed."""
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        buffered = open(out.fileno(), "wb", closefd=False)
+        sys.stdout = io.TextIOWrapper(buffered, encoding=out.encoding, errors=out.errors, line_buffering=True)
+
+
 def main() -> None:
+    _buffer_stdout()
     try:
         cmd = parse_args(sys.argv[1:])
     except CliError as exc:

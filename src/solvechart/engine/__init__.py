@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from ..values import Value, coerce_numeric, stringify
 from .interpreter import (
     AgentCallRecord,
     EngineConfig,
@@ -20,8 +19,5 @@ __all__ = [
     "ExecutionResult",
     "ExecutionTrace",
     "TraceStep",
-    "Value",
-    "coerce_numeric",
     "execute",
-    "stringify",
 ]

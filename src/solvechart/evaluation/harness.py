@@ -45,6 +45,11 @@ LlmSource = Union[LlmConfig, Cassette]
 # where the fixture reads a table again at an LRU stack distance of at most 2 and eval-lookup at most 3.
 TABLES_HELD = 8
 
+# The most threads one run evaluates items on.  A thread pool starts a thread for each item queued while none is
+# idle, so an unbounded count could ask for one OS thread per item.  agents.http keeps 16 idle sockets, so with
+# more threads than that, sockets put back past the 16th are closed instead of reused.
+MAX_WORKERS = 16
+
 
 @dataclass(frozen=True, slots=True)
 class EvalConfig:
@@ -65,6 +70,8 @@ class EvalConfig:
             raise ValueError("programmatic mode requires an llm_client")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers {self.workers} is more than {MAX_WORKERS}")
         if not 0 <= self.tolerance < math.inf:
             raise ValueError("tolerance must be a finite number of at least 0")
 

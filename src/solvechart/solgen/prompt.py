@@ -32,7 +32,7 @@ def system_prompt() -> str:
 
 def chart_hints(table: ChartTable) -> str:
     """The chart context passed to build_prompt: the table's title and series names."""
-    return f"{table.title}; series: {', '.join(table.series_names())}"
+    return f"{table.title}; series: {', '.join(table.series_names)}"
 
 
 def build_prompt(question: str, chart_hints: str | None = None) -> PromptBundle:

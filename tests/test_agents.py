@@ -64,7 +64,7 @@ def test_answer_latency_nonnegative():
 
 def test_load_table_fixture(election_table):
     assert election_table.title == "Vote share by party"
-    assert election_table.series_names() == ["Republican", "Democrat"]
+    assert election_table.series_names == ("Republican", "Democrat")
     republican = election_table.series[0]
     assert republican.values[republican.categories.index("2012")] == 50.0
     assert oracle_answer(election_table, "value of republican in 2012") == "50"
@@ -157,12 +157,12 @@ def test_load_table_keeps_one_string_per_label(tmp_path):
 
 
 def test_categories_reads_the_list_kept_at_build():
-    """200 series x 2,000 labels: categories() copies the list the table kept, with no walk over the points."""
+    """200 series x 2,000 labels: categories is the tuple kept at build, read with no walk over the points."""
     labels = [f"c{index}" for index in range(2000)]
     points = [(label, 1.0) for label in labels]
     table = make_table(*((f"s{index}", points) for index in range(200)))
     start = time.perf_counter()
-    assert table.categories() == labels
+    assert table.categories == tuple(labels)
     assert time.perf_counter() - start < 1.0
 
 
@@ -177,7 +177,7 @@ def test_load_table_shares_one_category_tuple_per_list(tmp_path):
     a, b, c, d = table.series
     assert c.categories is a.categories
     assert d.categories is not a.categories and b.categories is not a.categories
-    assert table.categories() == ["Jan", "Feb", "Mar"]
+    assert table.categories == ("Jan", "Feb", "Mar")
     assert c.values == (4.0, 5.0)
 
 
@@ -189,7 +189,7 @@ def test_ragged_table_keeps_each_series_order(tmp_path):
     ])
     table = load_table(path)
     assert [entry.categories for entry in table.series] == [("Feb", "Jan"), ("Jan", "Mar", "Feb")]
-    assert table.categories() == ["Feb", "Jan", "Mar"]
+    assert table.categories == ("Feb", "Jan", "Mar")
     assert table.series[1].values == (3.0, 4.0, 5.0)
     assert oracle_answer(table, "value of A in Jan") == "2" and oracle_answer(table, "value of B in Feb") == "5"
     assert oracle_answer(table, "which month has the highest value") == "Feb"

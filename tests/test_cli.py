@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from solvechart.cli import (
     MAX_DEMO_DIM, MAX_DEMO_LAYERS, MAX_DEMO_PATCHES, MAX_PROGRAM_BYTES, CliError, _load_config, main, parse_args,
     run_command,
 )
+from solvechart.evaluation.harness import MAX_WORKERS
 
 
 def cli(*argv: str) -> int:
@@ -669,24 +671,42 @@ def test_align_demo_takes_the_largest_sizes_it_holds(monkeypatch):
     assert (patches, reached.value.args) == ([MAX_DEMO_PATCHES], (MAX_DEMO_DIM, MAX_DEMO_LAYERS))
 
 
-def test_closed_stdout_exits_quietly(tmp_path):
-    # The canonical program (about 300 KB) overflows the pipe buffer, so the
-    # process is still writing when the reader goes away, as with `| head -c 600`.
+def _parse_into_closed_pipe(tmp_path, env: dict[str, str]) -> tuple[bytes, int]:
+    """Runs `parse` on a program whose canonical form (about 300 KB) overflows the pipe buffer, and closes the
+    reader after 600 bytes, as `| head -c 600` does while the process is still writing; returns (stderr, status)."""
     path = tmp_path / "long.txt"
     path.write_text("".join(f"value_{index:05d} = {index} + 1\n" for index in range(13_000)), encoding="utf-8")
     assert 250_000 < path.stat().st_size < MAX_PROGRAM_BYTES
     argv = [sys.executable, "-m", "solvechart.cli", "parse", str(path)]
-    # PYTHONUNBUFFERED puts stdout's text layer straight on the file descriptor,
-    # and CPython's text layer then drops the unwritten tail of a short write
-    # without an error; the child gets the buffered stdout a shell pipeline gives.
-    env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(600)) == 600
         proc.stdout.close()
         stderr = proc.stderr.read()
         status = proc.wait(timeout=60)
-    assert stderr == b""
-    assert status == 1
+    return stderr, status
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # The buffered stdout a shell pipeline gives.
+    env = {key: value for key, value in src_env().items() if key != "PYTHONUNBUFFERED"}
+    assert _parse_into_closed_pipe(tmp_path, env) == (b"", 1)
+
+
+def test_closed_unbuffered_stdout_exits_quietly(tmp_path):
+    """Under PYTHONUNBUFFERED stdout's text layer writes straight to the pipe and would drop the unwritten tail
+    of a short write without an error; the command still takes the broken-pipe path."""
+    assert _parse_into_closed_pipe(tmp_path, {**src_env(), "PYTHONUNBUFFERED": "1"}) == (b"", 1)
+
+
+@pytest.mark.parametrize("argv, config, workers", [(["--workers", "17"], None, 17), ([], {"workers": 100_000}, 100_000)])
+def test_eval_refuses_more_workers_before_reading_the_dataset(tmp_path, capsys, argv, config, workers):
+    if config is not None:
+        (tmp_path / "conf.json").write_text(json.dumps(config), encoding="utf-8")
+        argv = ["--config", str(tmp_path / "conf.json")]
+    threads = threading.active_count()
+    assert cli("eval", "--dataset", str(tmp_path / "missing.jsonl"), "--mode", "agent-only", *argv) == 1
+    assert capsys.readouterr().err == f"solvechart: error: --workers {workers} is more than {MAX_WORKERS}\n"
+    assert threading.active_count() == threads
 
 
 # -- eval command -----------------------------------------------------------

@@ -11,12 +11,9 @@ from solvechart.dsl.formatter import format_expression, format_program
 from solvechart.dsl.nodes import Assignment, Binary, Call, NumberLit, SolutionProgram, StringLit
 from solvechart.dsl.parser import parse_program
 from solvechart.engine.interpreter import MAX_TEXT_CHARS, EngineConfig, execute
-from solvechart.engine import (
-    EngineError,
-    coerce_numeric,
-    stringify,
-)
+from solvechart.engine import EngineError
 from solvechart.errors import ErrorKind
+from solvechart.values import coerce_numeric, stringify
 
 
 class MapAgent:

@@ -27,7 +27,7 @@ from solvechart.evaluation.dataset import (
     EvalItem,
     load_dataset,
 )
-from solvechart.evaluation.harness import TABLES_HELD, EvalConfig, run_eval
+from solvechart.evaluation.harness import MAX_WORKERS, TABLES_HELD, EvalConfig, run_eval
 from solvechart.evaluation.metrics import relaxed_match
 from solvechart.solgen.client import LlmConfig
 from solvechart.solgen.prompt import chart_hints
@@ -151,7 +151,7 @@ def test_bundled_fixture_dataset_loads(fixtures_dir):
     assert [item.id for item in items] == sorted(item.id for item in items)
     for item in items:
         assert item.table_path is not None
-        assert load_table(item.table_path).series_names()
+        assert load_table(item.table_path).series_names
 
 
 # -- relaxed matching -------------------------------------------------------
@@ -831,6 +831,13 @@ def test_config_validation():
     for tolerance in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             EvalConfig(mode="agent_only", agent_factory=oracle_factory, tolerance=tolerance)
+
+
+def test_config_refuses_more_workers_than_a_run_takes():
+    assert EvalConfig(mode="agent_only", agent_factory=oracle_factory, workers=MAX_WORKERS).workers == MAX_WORKERS
+    for workers in (MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"workers {workers} is more than {MAX_WORKERS}"):
+            EvalConfig(mode="agent_only", agent_factory=oracle_factory, workers=workers)
 
 
 def test_snapshot_is_limited_and_stable():

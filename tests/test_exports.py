@@ -30,6 +30,19 @@ def test_all_names_resolve(name: str):
     assert missing == []
 
 
+def test_each_name_is_exported_from_its_own_package_node_only():
+    """A name that a solvechart module defines is in the __all__ of modules of that module's node only."""
+    elsewhere = []
+    for name in MODULES:
+        module = importlib.import_module(name)
+        node = name.removeprefix("solvechart.").split(".")[0]
+        for export in getattr(module, "__all__", ()):
+            home = getattr(getattr(module, export), "__module__", None) or ""
+            if home.startswith("solvechart.") and home.split(".")[1] != node:
+                elsewhere.append(f"{name}.{export}")
+    assert elsewhere == []
+
+
 def test_one_error_kind_enum():
     kinds = {
         value
@@ -98,6 +111,17 @@ def package_graph_findings() -> list[str]:
     cycles = {" <-> ".join(sorted({node} | {other for other in reach[node] if node in reach[other]}))
               for node in NODES if node in reach[node]}
     return findings + sorted(cycles)
+
+
+def test_sources_parse_as_python_3_10():
+    """The package supports Python 3.10, so no module may use newer grammar; stdlib APIs are not checked."""
+    newer = []
+    for path in sorted(ROOT.rglob("*.py")):
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            newer.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert newer == []
 
 
 def test_graph_covers_every_module():

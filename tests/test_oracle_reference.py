@@ -8,6 +8,8 @@ holding " in " or " and ", and empty series come up often.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,15 +75,15 @@ def styled(draw, text: str) -> str:
     return case(text) + draw(st.sampled_from(["", "?", "!?", " ."]))
 
 
-def name(draw, in_table: list[str], vocabulary: list[str]) -> str:
+def name(draw, in_table: Sequence[str], vocabulary: list[str]) -> str:
     """Mostly a name the table holds, sometimes one it may not, in any of its spellings."""
     drawn = draw(st.sampled_from(in_table or vocabulary) if draw(st.integers(0, 3)) else st.sampled_from(vocabulary))
     return draw(st.sampled_from(SPELLINGS.get(drawn, [drawn])))
 
 
 def cell_text(draw, table: ChartTable) -> str:
-    series = name(draw, table.series_names(), SERIES_NAMES + ["Oranges"])
-    category = name(draw, table.categories(), CATEGORIES + ["Mar"])
+    series = name(draw, table.series_names, SERIES_NAMES + ["Oranges"])
+    category = name(draw, table.categories, CATEGORIES + ["Mar"])
     return draw(st.sampled_from([f"{series} in {category}", category, series]))
 
 
@@ -93,7 +95,7 @@ def questions(draw, table: ChartTable) -> str:
         text = f"{prefix}value of {cell_text(draw, table)}"
     elif template == "extreme":
         word = draw(st.sampled_from(EXTREME_WORDS))
-        text = f"{prefix}{word} value of {name(draw, table.series_names(), SERIES_NAMES + ['Oranges'])}"
+        text = f"{prefix}{word} value of {name(draw, table.series_names, SERIES_NAMES + ['Oranges'])}"
     elif template == "arg":
         subject = draw(st.sampled_from(["series", "year", "category", "month"]))
         text = f"Which {subject} has the {draw(st.sampled_from(['highest', 'lowest']))} value"
@@ -123,7 +125,7 @@ def test_categories_match_the_reference_walk(data):
         labels = data.draw(st.permutations(pool))[:data.draw(st.integers(0, len(pool)))]
         series.append((name, [(label, float(index)) for index, label in enumerate(labels)]))
     table = table_of(*series)
-    assert table.categories() == oracle_reference.categories(table)
+    assert list(table.categories) == oracle_reference.categories(table)
 
 
 TIES = table_of(("A", [("Jan", 2.0), ("Feb", 1.0), ("Mar", 2.0)]), ("Sales", [("Jan", 2.0), ("Feb", 1.0)]))
@@ -253,7 +255,7 @@ def test_a_question_normalizes_each_name_at_most_once(monkeypatch, table, questi
     monkeypatch.setattr(oracle, "normalize_question", counting)
     monkeypatch.setattr(oracle, "_resolve_name", resolving)
     assert outcome(oracle_answer, table, question) == outcome(oracle_reference.oracle_answer, table, question)
-    assert len(calls) <= 1 + len(table.series) + len(table.categories())
+    assert len(calls) <= 1 + len(table.series) + len(table.categories)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -268,7 +270,7 @@ def test_a_slot_past_the_word_bound_normalizes_every_name_it_reads(monkeypatch, 
     words = " ".join(f"w{index}" for index in range(oracle._CHECKED_WORDS - 1 + extra))
     monkeypatch.setattr(oracle, "normalize_question", counting)
     assert_agrees(NESTED, f"What is the highest value of {words} Total?")
-    assert calls[1:] == (NESTED.series_names() if extra else ["Total", "Total Sales"])
+    assert calls[1:] == (list(NESTED.series_names) if extra else ["Total", "Total Sales"])
 
 
 # Names that casefold expands, or whose letters and digits lie outside ASCII.
