@@ -130,4 +130,4 @@ def cluster_patches(
     labels = np.empty(n, dtype=np.int64)
     for cluster_id, group in enumerate(survivors):
         labels[group] = cluster_id
-    return ClusterSet(labels, len(survivors))
+    return ClusterSet(labels)

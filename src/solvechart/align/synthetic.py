@@ -35,14 +35,7 @@ def make_query(dim: int, seed: int) -> QueryEmbedding:
     return QueryEmbedding(rng.normal(size=dim))
 
 
-def make_params(
-    dim: int,
-    seed: int,
-    layers: int = DEFAULT_LAYERS,
-    top_k: int = DEFAULT_TOP_K,
-    annotation_boost: float = 1.0,
-    prop_threshold: float = 0.5,
-) -> AlignParams:
+def make_params(dim: int, seed: int, layers: int = DEFAULT_LAYERS, top_k: int = DEFAULT_TOP_K) -> AlignParams:
     """Draws a full parameter set from a seed, scaled for stability."""
     rng = np.random.default_rng(seed + 202)
     hidden = max(4, dim)
@@ -63,16 +56,8 @@ def make_params(
             ff_b1=rng.normal(scale=0.1, size=hidden),
             ff_w2=rng.normal(scale=1.0 / np.sqrt(hidden), size=(hidden, dim)),
             ff_b2=rng.normal(scale=0.1, size=dim),
-            d_k=d_k,
         )
         for _ in range(layers)
     )
     fuse = FuseParams(gamma=np.ones(dim), beta=np.zeros(dim))
-    return AlignParams(
-        mlp=mlp,
-        attention=attention,
-        fuse=fuse,
-        top_k=top_k,
-        annotation_boost=annotation_boost,
-        prop_threshold=prop_threshold,
-    )
+    return AlignParams(mlp=mlp, attention=attention, fuse=fuse, top_k=top_k)

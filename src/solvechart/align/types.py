@@ -8,7 +8,7 @@ equivariance a testable property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,10 +116,10 @@ class QueryEmbedding:
 
 @dataclass(frozen=True)
 class ClusterSet:
-    """A partition of patch ids: labels[i] in 0..k-1, every id used."""
+    """A partition of patch ids: labels[i] in 0..k-1, every id used; k is the count of distinct labels."""
 
     labels: np.ndarray  # (n,) integer ids
-    k: int
+    k: int = field(init=False)
 
     def __post_init__(self) -> None:
         labels = np.asarray(self.labels, dtype=np.int64)
@@ -127,11 +127,10 @@ class ClusterSet:
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ShapeMismatch("labels must be a non-empty 1-d array")
-        if self.k < 1:
-            raise DegenerateInput("k must be positive")
         present = np.unique(labels)
-        if present[0] < 0 or present[-1] >= self.k or present.size != self.k:
+        if present[0] != 0 or present[-1] != present.size - 1:
             raise DegenerateInput("labels must use every id in 0..k-1")
+        object.__setattr__(self, "k", present.size)
 
     def members(self, cluster_id: int) -> np.ndarray:
         return np.flatnonzero(self.labels == cluster_id)
@@ -178,15 +177,18 @@ class AttentionLayerParams:
     ff_b1: np.ndarray  # (h,)
     ff_w2: np.ndarray  # (h, d)
     ff_b2: np.ndarray  # (d,)
-    d_k: int
 
     def __post_init__(self) -> None:
-        if self.d_k < 1:
+        if np.ndim(self.w_q) == 2 and np.shape(self.w_q)[1] == 0:
             raise DegenerateInput("d_k must be positive")
         _freeze_checked(
-            self, {"d_k": self.d_k}, w_q=("d", "d_k"), w_k=("d", "d_k"), w_v=("d", "d"),
+            self, {}, w_q=("d", "d_k"), w_k=("d", "d_k"), w_v=("d", "d"),
             ff_w1=("d", "h"), ff_b1=("h",), ff_w2=("h", "d"), ff_b2=("d",),
         )
+
+    @property
+    def d_k(self) -> int:
+        return self.w_q.shape[1]
 
 
 @dataclass(frozen=True)

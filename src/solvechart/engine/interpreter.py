@@ -14,10 +14,9 @@ assignments itself, straight from the scan that found them.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..agents.base import AgentError, AgentHandle, AgentQuery, Lookahead
 from ..dsl.formatter import format_expression, format_string
@@ -38,6 +37,7 @@ from ..dsl.nodes import (
     Unary,
 )
 from ..errors import ErrorKind, SolveChartError
+from ..files import json_text
 from ..values import Value, coerce_numeric, is_number, stringify
 
 __all__ = [
@@ -80,7 +80,7 @@ class ExecutionTrace:
     question, raw answer, value); ("if" or "elif", condition, decision) for
     a tested branch; or (kind, detail, value) for a step whose detail is
     already text.  The TraceStep and AgentCallRecord objects, and their
-    text, are built the first time steps, agent_calls or to_json_* is read,
+    text, are built the first time steps, agent_calls or to_json_text is read,
     so a run whose trace nobody reads builds none of them.
     """
 
@@ -126,11 +126,8 @@ class ExecutionTrace:
     def __repr__(self) -> str:
         return f"ExecutionTrace(steps={self.steps!r}, agent_calls={self.agent_calls!r})"
 
-    def to_json_dict(self) -> dict:
-        return {"steps": [asdict(step) for step in self.steps], "agent_calls": [asdict(call) for call in self.agent_calls]}
-
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text({"steps": self.steps, "agent_calls": self.agent_calls})
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,8 @@ snapshot so that two runs over the same inputs produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Union
@@ -28,7 +27,7 @@ from ..agents.replay import Cassette
 from ..agents.table import ChartTable, load_table
 from ..engine.interpreter import EngineConfig, execute
 from ..errors import SolveChartError
-from ..files import make_dir, write_text_atomic
+from ..files import json_text, make_dir, write_text_atomic
 from ..solgen.client import LlmConfig
 from ..solgen.generate import generate_solution
 from ..solgen.prompt import chart_hints
@@ -45,9 +44,8 @@ LlmSource = Union[LlmConfig, Cassette]
 # where the fixture reads a table again at an LRU stack distance of at most 2 and eval-lookup at most 3.
 TABLES_HELD = 8
 
-# The most threads one run evaluates items on.  A thread pool starts a thread for each item queued while none is
-# idle, so an unbounded count could ask for one OS thread per item.  agents.http keeps 16 idle sockets, so with
-# more threads than that, sockets put back past the 16th are closed instead of reused.
+# The most threads one run evaluates items on, each taking items until none is left.  agents.http keeps 16 idle
+# sockets, so with more threads than that, sockets put back past the 16th are closed instead of reused.
 MAX_WORKERS = 16
 
 
@@ -111,11 +109,8 @@ class EvalReport:
     config: dict
     empty_dataset: bool = False
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self)
 
 
 def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], ChartTable] | None) -> ItemResult:
@@ -191,8 +186,21 @@ def run_eval(items: list[EvalItem], config: EvalConfig) -> EvalReport:
     else:
         from concurrent.futures import ThreadPoolExecutor  # imported here, so a serial run never loads it
 
+        # One task per thread, not one per item; the threads share one enumerate, whose next() the GIL makes atomic.
+        results = [None] * len(items)
+        queue = enumerate(items)
+
+        def work(_: int) -> None:
+            try:
+                for index, item in queue:
+                    results[index] = _evaluate_item(item, config, tables)
+            except BaseException:
+                for _ in queue:  # leaves the other threads no item, so the error surfaces before the rest run
+                    pass
+                raise
+
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda it: _evaluate_item(it, config, tables), items))
+            list(pool.map(work, range(min(config.workers, len(items)))))  # raises a thread's exception here
     accuracy = sum(1 for r in results if r.correct) / len(results)
     return EvalReport(
         items=tuple(results),

@@ -17,13 +17,14 @@ import stat
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, BinaryIO, Iterator
 
 from .errors import SolveChartError
 
-__all__ = ["MAX_FILE_BYTES", "check_output_path", "make_dir", "overwrite_tail", "read_bytes", "read_json", "read_text",
-           "write_text_atomic"]
+__all__ = ["MAX_FILE_BYTES", "check_output_path", "json_text", "make_dir", "overwrite_tail", "read_bytes", "read_json",
+           "read_text", "write_text_atomic"]
 
 # The limit for every JSON and JSONL input: 16x the largest benchmark input
 # (a 1.0 MB cassette).  Datasets are held in memory whole, so one limit on
@@ -85,6 +86,12 @@ def read_json(path: str | Path, what: str, error: type[SolveChartError]) -> Any:
         return json.loads(text)
     except (ValueError, RecursionError) as err:  # bad JSON, an over-long integer, or too-deep nesting
         raise error(f"invalid JSON in {path}: {err}") from err
+
+
+def json_text(document: Any) -> str:
+    """document as 2-space indented JSON with sorted keys and a closing newline; a dataclass renders as its fields."""
+    return json.dumps(document, default=lambda record: {f.name: getattr(record, f.name) for f in fields(record)},
+                      indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -331,13 +333,13 @@ def test_weights_shape_mismatch():
 
 def test_interaction_single_cluster():
     grid = grid_from([[1.0, 0.0], [1.0, 0.0]])
-    clusters = ClusterSet(np.zeros(2, dtype=np.int64), 1)
+    clusters = ClusterSet(np.zeros(2, dtype=np.int64))
     assert cluster_interaction(grid, clusters).tolist() == [[1.0]]
 
 
 def test_interaction_orthogonal_centroids():
     grid = grid_from([[1.0, 0.0], [0.0, 1.0]])
-    clusters = ClusterSet(np.array([0, 1], dtype=np.int64), 2)
+    clusters = ClusterSet(np.array([0, 1], dtype=np.int64))
     weights = cluster_interaction(grid, clusters)
     expected_diag = np.exp(1.0) / (np.exp(1.0) + np.exp(0.0))
     assert np.allclose(np.diag(weights), expected_diag)
@@ -347,7 +349,7 @@ def test_interaction_orthogonal_centroids():
 
 def test_interaction_identical_centroids_uniform():
     grid = grid_from([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    clusters = ClusterSet(np.array([0, 1, 2], dtype=np.int64), 3)
+    clusters = ClusterSet(np.array([0, 1, 2], dtype=np.int64))
     weights = cluster_interaction(grid, clusters)
     assert np.allclose(weights, 1 / 3)
 
@@ -355,7 +357,7 @@ def test_interaction_identical_centroids_uniform():
 def test_interaction_rejects_labels_shorter_than_grid():
     grid = grid_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ShapeMismatch, match=r"labels must have shape \(n=3\), got \(2,\)"):
-        cluster_interaction(grid, ClusterSet(np.array([0, 1], dtype=np.int64), 2))
+        cluster_interaction(grid, ClusterSet(np.array([0, 1], dtype=np.int64)))
 
 
 # -- composition ------------------------------------------------------------
@@ -364,7 +366,7 @@ def _two_cluster_setup():
     u = [1.0, 0.0, 0.0]
     v = [0.0, 1.0, 0.0]
     grid = PatchGrid(2, 2, np.array([u, u, v, v]))
-    clusters = ClusterSet(np.array([0, 0, 1, 1], dtype=np.int64), 2)
+    clusters = ClusterSet(np.array([0, 0, 1, 1], dtype=np.int64))
     principles = build_principle_matrices(grid)
     return grid, clusters, principles
 
@@ -381,7 +383,7 @@ def test_compose_crosshair_only_uniform_interaction():
 
 def test_compose_all_same_cluster_is_zero():
     grid = grid_from([[1.0, 0.0], [1.0, 0.0]])
-    clusters = ClusterSet(np.zeros(2, dtype=np.int64), 1)
+    clusters = ClusterSet(np.zeros(2, dtype=np.int64))
     principles = build_principle_matrices(grid)
     alignment = compose_alignment(
         np.array([0.3, 0.3, 0.4]), np.array([[1.0]]), principles, clusters
@@ -415,7 +417,7 @@ def test_restricted_equals_masked_dense():
 
 def test_singleton_clusters_match_dense_identity_weights():
     grid = make_grid(1, 3, 8, seed=4)
-    clusters = ClusterSet(np.array([0, 1, 2], dtype=np.int64), 3)
+    clusters = ClusterSet(np.array([0, 1, 2], dtype=np.int64))
     params = make_params(8, seed=4, layers=1)
     refined = intra_cluster_reason(grid, clusters, params.attention)
     reference = dense_masked_refine(grid.embeddings, clusters.labels, params.attention)
@@ -442,9 +444,9 @@ def test_intra_shape_mismatch():
 # -- annotation -------------------------------------------------------------
 
 def _annotate_params(dim: int, **overrides) -> AlignParams:
-    defaults = dict(top_k=1, annotation_boost=2.0, prop_threshold=0.5)
-    defaults.update(overrides)
-    return make_params(dim, seed=0, layers=1, **defaults)
+    fields = dict(top_k=1, annotation_boost=2.0, prop_threshold=0.5)
+    fields.update(overrides)
+    return dataclasses.replace(make_params(dim, seed=0, layers=1), **fields)
 
 
 def test_annotation_propagates_through_alignment():
@@ -658,11 +660,11 @@ def _valid_fields() -> dict:
         MlpParams: dict(w1=ones((5, 3)), b1=ones(5), w2=ones((3, 5)), b2=ones(3)),
         AttentionLayerParams: dict(
             w_q=ones((3, 2)), w_k=ones((3, 2)), w_v=ones((3, 3)), ff_w1=ones((3, 5)),
-            ff_b1=ones(5), ff_w2=ones((5, 3)), ff_b2=ones(3), d_k=2,
+            ff_b1=ones(5), ff_w2=ones((5, 3)), ff_b2=ones(3),
         ),
         FuseParams: dict(gamma=ones(3), beta=ones(3)),
         AlignmentBundle: dict(
-            clusters=ClusterSet(np.array([0, 0, 1, 1]), 2),
+            clusters=ClusterSet(np.array([0, 0, 1, 1])),
             principles=PrincipleMatrices(ones((4, 4)), ones((4, 4)), ones((4, 4))),
             principle_weights=ones(3), cluster_weights=ones((2, 2)), alignment=ones((4, 4)),
             annotated=ones((4, 4)), refined=ones((4, 3)), fused=ones((4, 3)),
@@ -726,3 +728,22 @@ def test_shape_mismatch_names_the_array_the_wanted_shape_and_the_shape_it_got():
     with pytest.raises(ShapeMismatch) as excinfo:
         MlpParams(**fields)
     assert str(excinfo.value) == "w2 must have shape (3, h=5), got (3, 6)"
+
+
+@pytest.mark.parametrize("labels", [[0, 2], [-1, 0], [1, 1]], ids=["gap", "negative", "no-zero"])
+def test_cluster_set_refuses_labels_that_skip_an_id(labels):
+    with pytest.raises(DegenerateInput, match=r"^labels must use every id in 0\.\.k-1$"):
+        ClusterSet(np.array(labels))
+
+
+def test_attention_layer_refuses_a_zero_width_query_projection():
+    fields = _valid_fields()[AttentionLayerParams]
+    fields["w_q"] = np.ones((3, 0))
+    with pytest.raises(DegenerateInput, match=r"^d_k must be positive$"):
+        AttentionLayerParams(**fields)
+
+
+def test_cluster_count_and_key_width_read_back_from_the_arrays():
+    assert ClusterSet(np.array([1, 0, 2, 1])).k == 3
+    assert AttentionLayerParams(**_valid_fields()[AttentionLayerParams]).d_k == 2
+    assert [layer.d_k for layer in make_params(9, seed=0, layers=2).attention] == [4, 4]

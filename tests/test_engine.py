@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import pytest
@@ -304,7 +305,7 @@ def test_determinism(election_program_source, election_agent):
 
 def test_trace_serializes_to_json_dict(election_program_source, election_agent):
     result = execute(parse_program(election_program_source), election_agent, EngineConfig())
-    doc = result.trace.to_json_dict()
+    doc = json.loads(result.trace.to_json_text())
     assert set(doc) == {"steps", "agent_calls"}
     assert doc["agent_calls"][0]["raw_answer"] == "50"
 
@@ -333,7 +334,7 @@ def test_trace_read_twice_or_after_a_fallback_equals_a_fresh_runs():
     assert (trace.steps, trace.agent_calls, trace.to_json_text()) == first
     for fresh in (run(source, agent, fallback_to_ask=True, question="q?").trace for _ in range(2)):
         assert fresh.to_json_text() == first[2]  # JSON read first here, steps first above
-        assert fresh == trace and fresh.to_json_dict() == trace.to_json_dict()
+        assert fresh == trace and json.loads(fresh.to_json_text()) == json.loads(trace.to_json_text())
     other = run(source.replace('"x"', '"z"'), MapAgent({"z": "1", 'say "y"': "2%", "q?": "yes"}),
                 fallback_to_ask=True, question="q?").trace
     assert other != trace

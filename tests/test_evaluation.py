@@ -380,6 +380,42 @@ def test_worker_count_does_not_change_results(temps_path):
     assert serial.items == threaded.items
 
 
+def test_a_worker_thread_error_propagates_before_the_rest_run(temps_path):
+    items = [replace(item, id=f"{item.id}-{n}") for n in range(500) for item in temps_items(temps_path)]
+    built = []
+
+    def factory(item):
+        built.append(item.id)  # list.append is atomic under the GIL
+        if item.id == "t3-0":
+            raise RuntimeError("agent broke on t3-0")
+        return oracle_factory(item)
+
+    with pytest.raises(RuntimeError, match="agent broke on t3-0"):
+        run_eval(items, EvalConfig(mode="agent_only", agent_factory=factory, workers=4))
+    assert len(built) < len(items)
+
+
+def test_worker_threads_build_one_agent_per_item_and_keep_dataset_order(temps_path):
+    items = [replace(item, id=f"{item.id}-{n}") for n in range(13) for item in temps_items(temps_path)][:50]
+    built = []
+
+    def factory(item):
+        built.append(item.id)  # list.append is atomic under the GIL
+        return oracle_factory(item)
+
+    report = run_eval(items, EvalConfig(mode="agent_only", agent_factory=factory, workers=4))
+    assert sorted(built) == sorted(item.id for item in items)
+    assert [r.id for r in report.items] == [item.id for item in items]
+    assert report.items == run_eval(items, EvalConfig(mode="agent_only", agent_factory=oracle_factory)).items
+
+
+def test_more_workers_than_items_give_the_serial_report(temps_path):
+    items = temps_items(temps_path)[:3]
+    serial = run_eval(items, EvalConfig(mode="agent_only", agent_factory=oracle_factory))
+    threaded = run_eval(items, EvalConfig(mode="agent_only", agent_factory=oracle_factory, workers=MAX_WORKERS))
+    assert threaded.to_json_text() == serial.to_json_text().replace('"workers": 1', f'"workers": {MAX_WORKERS}')
+
+
 def test_repeat_runs_byte_identical(temps_path):
     items = temps_items(temps_path)
     config = EvalConfig(
@@ -815,7 +851,7 @@ def test_live_backends_from_worker_threads_match_serial(temps_path):
             ]
     finally:
         sys.setswitchinterval(interval)
-    serial, threaded = (report.to_json_dict() for report in reports)
+    serial, threaded = (json.loads(report.to_json_text()) for report in reports)
     assert serial["accuracy"] == 1.0
     assert threaded["config"] == {**serial["config"], "workers": 4}
     assert threaded["items"] == serial["items"]
