@@ -12,7 +12,8 @@ connection.
 
 Each endpoint URL is parsed once, and the head it fixes (request line,
 Host, Accept-Encoding, Content-Type) is built once with it; a call adds
-only the caller's headers, Content-Length and the body.
+only the Authorization line when it has an API key, Content-Length and the
+body.
 
 post_json is its two halves in sequence: _send_json writes the request on a
 pooled socket, and _read_json reads the reply and pools or closes the
@@ -44,12 +45,10 @@ _MAX_LINE = 65536  # bytes in one reply head line, line end included (the stdlib
 _MAX_HEADERS = 100  # header (or trailer) lines of one head, its closing blank line included (the stdlib client's limit)
 _RECV_BYTES = 65536
 _MAX_ROUTES = 16  # endpoint URLs whose parse and fixed head are kept
-_OWN_FIELDS = frozenset({"host", "accept-encoding", "content-type", "content-length"})  # set by post_json alone
 
 # json.dumps(..., allow_nan=False) would build a new encoder on every call.
 _encode_json = json.JSONEncoder(allow_nan=False).encode
 
-_HEADER_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")  # an RFC 9110 token
 _TARGET = re.compile(r"[\x21-\x7e]+")  # printable ASCII without spaces
 _STATUS_LINE = re.compile(rb"\s*(HTTP/1\.\S*)\s+([1-9]\d\d)(?:\s.*)?", re.DOTALL)  # version, code 100-999
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
@@ -85,8 +84,13 @@ def _tls_context():
 def _is_open(sock: socket.socket) -> bool:
     """True when an idle socket's peer has neither closed it nor sent anything unasked."""
     try:
+        if hasattr(select, "poll"):  # select.select cannot watch a descriptor numbered FD_SETSIZE or more
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            return not poller.poll(0)
+        # Windows has no poll; its select limits a count of sockets, not a descriptor number.
         return not select.select([sock], [], [], 0)[0]
-    except (OSError, ValueError):  # ValueError: a descriptor past select's FD_SETSIZE
+    except OSError:
         return False
 
 
@@ -125,7 +129,7 @@ def _connection(key: tuple[str, str, int], deadline: float) -> socket.socket:
 
 @lru_cache(maxsize=_MAX_ROUTES)
 def _route(url: str) -> tuple[tuple[str, str, int], bytes]:
-    """url's (scheme, host, port) and the head of a POST to it, up to the caller's headers.
+    """url's (scheme, host, port) and the head of a POST to it, up to its Authorization line.
 
     Raises:
         ValueError: not an http(s) URL, a bad port, or a target that cannot go on the wire.
@@ -147,20 +151,18 @@ def _route(url: str) -> tuple[tuple[str, str, int], bytes]:
     return (scheme, host, port), (head + "Content-Type: application/json\r\n").encode("latin-1")
 
 
-def _request(head: bytes, body: bytes, headers: dict | None) -> bytes:
+def _request(head: bytes, body: bytes, api_key: str | None) -> bytes:
     """The whole POST request, the route's head to the body, as the bytes to send in one write.
 
     Raises:
-        ValueError: a caller header that cannot go on the wire, or one that
-            names a field post_json sets itself.
+        ValueError: an API key holding CR or LF, or a character outside Latin-1.
     """
-    lines = []
-    for name, value in (headers or {}).items():
-        if not _HEADER_NAME.fullmatch(name) or name.lower() in _OWN_FIELDS or "\r" in value or "\n" in value:
-            raise ValueError(f"invalid header {name!r}: {value!r}")
-        lines.append(f"{name}: {value}\r\n")
-    lines.append(f"Content-Length: {len(body)}\r\n\r\n")
-    return head + "".join(lines).encode("latin-1") + body
+    auth = ""
+    if api_key:
+        if "\r" in api_key or "\n" in api_key:
+            raise ValueError("API key contains CR or LF")
+        auth = f"Authorization: Bearer {api_key}\r\n"
+    return head + f"{auth}Content-Length: {len(body)}\r\n\r\n".encode("latin-1") + body
 
 
 class _Reader:
@@ -301,26 +303,25 @@ def _failure(error: type[SolveChartError], url: str, err: Exception) -> SolveCha
 
 
 def post_json(
-    endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None,
+    endpoint: str, path: str, payload: dict, *, timeout_s: float, api_key: str | None = None,
     error: type[SolveChartError] = AgentError,
 ) -> Any:
     """POSTs payload as JSON to {endpoint}{path} and returns the decoded body.
 
     timeout_s bounds the whole call: connecting, sending and reading the reply.
-    headers are sent after Host, Accept-Encoding and Content-Type, and may
-    not name those or Content-Length.
+    A non-empty api_key goes out as an ``Authorization: Bearer`` header.
 
     Raises:
         error (AgentError by default): TIMEOUT on timeouts, TRANSPORT on
-            bad URLs, refused headers, connection failures, malformed replies
+            bad URLs, a refused API key, connection failures, malformed replies
             or non-200 statuses, BAD_RESPONSE when the body is not JSON or is over
             MAX_BODY_BYTES.
     """
-    return _read_json(_send_json(endpoint, path, payload, timeout_s=timeout_s, headers=headers, error=error), error)
+    return _read_json(_send_json(endpoint, path, payload, timeout_s=timeout_s, api_key=api_key, error=error), error)
 
 
 def _send_json(
-    endpoint: str, path: str, payload: dict, *, timeout_s: float, headers: dict | None = None,
+    endpoint: str, path: str, payload: dict, *, timeout_s: float, api_key: str | None = None,
     error: type[SolveChartError] = AgentError,
 ) -> _Sent:
     """post_json's first half: writes the request on a pooled socket; raises as post_json does."""
@@ -329,11 +330,11 @@ def _send_json(
     sock = None
     try:
         key, head = _route(url)
-        request = _request(head, _encode_json(payload).encode("utf-8"), headers)
+        request = _request(head, _encode_json(payload).encode("utf-8"), api_key)
         sock = _connection(key, deadline)
         sock.settimeout(_time_left(deadline))  # sendall's timeout bounds the whole send
         sock.sendall(request)
-    # ValueError: a bad port, a NaN in the payload or a refused header.
+    # ValueError: a bad port, a NaN in the payload or a refused API key.
     except (OSError, ValueError) as err:
         if sock is not None:
             sock.close()

@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-6
+ANNOTATION_BOOST = 1.0  # added to every entry in a marked row or column
+PROP_THRESHOLD = 0.5  # marks propagate across entries above this share of the maximum alignment
 
 
 def layer_norm_rows(array: np.ndarray) -> np.ndarray:
@@ -129,8 +131,8 @@ def cross_cluster_annotate(
 
     The query scores every refined patch; the top_k scorers are marked (ties
     broken toward the lower index), and the mark propagates to any patch
-    aligned with a marked one above params.prop_threshold times the maximum
-    alignment value.  Marked rows and columns gain params.annotation_boost;
+    aligned with a marked one above PROP_THRESHOLD times the maximum
+    alignment value.  Marked rows and columns gain ANNOTATION_BOOST;
     everything else is untouched, so the result dominates the input
     entrywise.
     """
@@ -146,12 +148,12 @@ def cross_cluster_annotate(
     ranked = np.argsort(-scores, kind="stable")
     marked = np.zeros(n, dtype=bool)
     marked[ranked[: params.top_k]] = True
-    threshold = params.prop_threshold * float(alignment.max()) if alignment.size else 0.0
+    threshold = PROP_THRESHOLD * float(alignment.max()) if alignment.size else 0.0
     reachable = (alignment[marked, :] > threshold).any(axis=0)
     marked |= reachable
     annotated = alignment.astype(np.float64).copy()
     pair_marked = marked[:, None] | marked[None, :]
-    annotated[pair_marked] += params.annotation_boost
+    annotated[pair_marked] += ANNOTATION_BOOST
     return annotated
 
 

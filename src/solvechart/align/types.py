@@ -204,28 +204,18 @@ class FuseParams:
 
 @dataclass(frozen=True)
 class AlignParams:
-    """Everything learned or tuned that the pipeline consumes.
-
-    prop_threshold is relative: marks propagate across alignment entries
-    exceeding prop_threshold times the maximum alignment value.
-    """
+    """Everything learned or tuned that the pipeline consumes."""
 
     mlp: MlpParams
     attention: tuple[AttentionLayerParams, ...]
     fuse: FuseParams
     top_k: int = DEFAULT_TOP_K
-    annotation_boost: float = 1.0
-    prop_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if not self.attention:
             raise DegenerateInput("at least one attention layer is required")
         if self.top_k < 1:
             raise DegenerateInput("top_k must be positive")
-        if self.annotation_boost <= 0:
-            raise DegenerateInput("annotation_boost must be positive")
-        if not 0.0 <= self.prop_threshold <= 1.0:
-            raise DegenerateInput("prop_threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

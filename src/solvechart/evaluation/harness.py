@@ -116,6 +116,10 @@ class EvalReport:
 def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], ChartTable] | None) -> ItemResult:
     """One item's result; tables is the run's table reader, None where the run reads no table."""
     try:
+        if config.mode == "programmatic" and config.trace_dir is not None and (
+            item.id in (".", "..") or "/" in item.id or "\0" in item.id
+        ):
+            raise SolveChartError(f"cannot name a trace after item id {item.id!r}: not a plain file name")
         if config.agent_factory is not None:
             agent = config.agent_factory(item)
         elif item.table_path is None:
@@ -146,8 +150,6 @@ def _evaluate_item(item: EvalItem, config: EvalConfig, tables: Callable[[str], C
             prediction = stringify(result.answer)
             fallback_used = result.fallback_used
             if config.trace_dir is not None:
-                if item.id in (".", "..") or "/" in item.id or "\0" in item.id:
-                    raise SolveChartError(f"cannot name a trace after item id {item.id!r}: not a plain file name")
                 out = Path(config.trace_dir) / f"{item.id}.json"
                 write_text_atomic(out, result.trace.to_json_text())
                 trace_path = str(out)

@@ -20,6 +20,8 @@ __all__ = ["API_KEY_ENV", "LlmConfig", "LlmError", "chat_completion"]
 API_KEY_ENV = "SOLVECHART_API_KEY"
 DEFAULT_MODEL = "Qwen2-7B-Instruct"
 DEFAULT_TIMEOUT_S = 120.0
+TEMPERATURE = 0.0  # greedy decoding: a question gets the same program each time
+MAX_TOKENS = 512  # the reply's length cap
 
 
 class LlmError(SolveChartError):
@@ -30,14 +32,8 @@ class LlmError(SolveChartError):
 class LlmConfig:
     endpoint: str
     model: str = DEFAULT_MODEL
-    temperature: float = 0.0
-    max_tokens: int = 512
     api_key: str | None = None  # falls back to the environment
     timeout_s: float = DEFAULT_TIMEOUT_S
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
 
 
 def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
@@ -48,18 +44,17 @@ def chat_completion(config: LlmConfig, bundle: PromptBundle) -> str:
             BAD_RESPONSE also when the completion lacks a text content field.
     """
     key = config.api_key if config.api_key is not None else os.environ.get(API_KEY_ENV)
-    headers = {"Authorization": f"Bearer {key}"} if key else None
     payload = {
         "model": config.model,
         "messages": [
             {"role": "system", "content": bundle.system},
             {"role": "user", "content": bundle.user},
         ],
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
+        "temperature": TEMPERATURE,
+        "max_tokens": MAX_TOKENS,
     }
     body = post_json(
-        config.endpoint, "/v1/chat/completions", payload, timeout_s=config.timeout_s, headers=headers, error=LlmError
+        config.endpoint, "/v1/chat/completions", payload, timeout_s=config.timeout_s, api_key=key, error=LlmError
     )
     try:
         content = body["choices"][0]["message"]["content"]

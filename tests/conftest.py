@@ -86,8 +86,12 @@ class _CountingServer(ThreadingHTTPServer):
     """Keeps every accepted connection, and cuts the idle ones on close.
 
     Cutting them ends their handler threads, and a client cannot reuse one
-    with a later server that happens to get the same port.
+    with a later server that happens to get the same port.  The handler
+    threads are not daemons, so closing the server joins them: none is left
+    to close its socket while the next test counts descriptors.
     """
+
+    daemon_threads = False
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -101,12 +105,12 @@ class _CountingServer(ThreadingHTTPServer):
         pass  # the client sees a dropped connection; a reply cut off by a timeout is not an error
 
     def server_close(self):
-        super().server_close()
         for request in self.connections:
             try:
                 request.shutdown(socket.SHUT_RDWR)
             except OSError:  # the handler already closed it
                 pass
+        super().server_close()  # joins the handler threads, which the shutdowns let end
 
 
 @contextmanager

@@ -679,6 +679,33 @@ def test_idle_connection_closed_by_the_server_is_replaced():
         assert len(server.connections) == 2
 
 
+HELD_FDS = 1100  # descriptors held open, so the next socket's number is past select's FD_SETSIZE of 1024
+
+
+def test_pool_reuses_a_socket_whose_descriptor_is_past_fd_setsize():
+    resource = pytest.importorskip("resource")
+    hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+    if hard != resource.RLIM_INFINITY and hard < HELD_FDS + 100:
+        pytest.skip(f"the hard descriptor limit {hard} is below {HELD_FDS + 100}")
+    probe = (
+        "import os, resource, sys\n"
+        "from solvechart.agents import http\n"
+        "held, need = int(sys.argv[2]), int(sys.argv[2]) + 100\n"
+        "soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+        "if soft != resource.RLIM_INFINITY and soft < need:\n"
+        "    resource.setrlimit(resource.RLIMIT_NOFILE, (need, hard))\n"
+        "fds = [os.open(os.devnull, os.O_RDONLY) for _ in range(held)]\n"
+        "for _ in range(20):\n"
+        "    http.post_json(sys.argv[1], '/answer', {}, timeout_s=5)\n"
+        "print(http._idle[-1][1].fileno())\n"
+    )
+    with json_server(lambda path, body: {"answer": "50"}) as (server, url):
+        result = _run_with_src(probe, url, str(HELD_FDS))
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) >= 1024
+    assert len(server.connections) == 1
+
+
 def test_body_over_the_cap_is_bad_response_and_drops_its_connection(monkeypatch):
     monkeypatch.setattr(agents_http, "MAX_BODY_BYTES", 100)
     with json_server(lambda path, body: {"answer": "x" * (200 if body["question"] == "big" else 1)}) as (server, url):

@@ -18,6 +18,7 @@ from solvechart.align.principles import (
     row_softmax,
 )
 from solvechart.align.reason import (
+    ANNOTATION_BOOST,
     cluster_interaction,
     compose_alignment,
     cross_cluster_annotate,
@@ -443,10 +444,8 @@ def test_intra_shape_mismatch():
 
 # -- annotation -------------------------------------------------------------
 
-def _annotate_params(dim: int, **overrides) -> AlignParams:
-    fields = dict(top_k=1, annotation_boost=2.0, prop_threshold=0.5)
-    fields.update(overrides)
-    return dataclasses.replace(make_params(dim, seed=0, layers=1), **fields)
+def _annotate_params(dim: int, top_k: int = 1) -> AlignParams:
+    return make_params(dim, seed=0, layers=1, top_k=top_k)
 
 
 def test_annotation_propagates_through_alignment():
@@ -462,22 +461,8 @@ def test_annotation_propagates_through_alignment():
     marked = {2, 5}
     for i in range(n):
         for j in range(n):
-            boost = 2.0 if (i in marked or j in marked) else 0.0
+            boost = ANNOTATION_BOOST if (i in marked or j in marked) else 0.0
             assert annotated[i, j] == pytest.approx(alignment[i, j] + boost)
-
-
-def test_annotation_zero_boost_is_identity():
-    grid = make_grid(2, 3, 8, seed=7)
-    clusters = cluster_patches(grid, 0.35, 12)
-    principles = build_principle_matrices(grid)
-    weights = np.array([0.5, 0.25, 0.25])
-    alignment = compose_alignment(
-        weights, cluster_interaction(grid, clusters), principles, clusters
-    )
-    params = _annotate_params(8, annotation_boost=1e-9)
-    query = make_query(8, seed=7)
-    annotated = cross_cluster_annotate(grid.embeddings, query, alignment, params)
-    assert np.allclose(annotated, alignment, atol=1e-8)
 
 
 def test_annotation_top_k_equals_n_boosts_everything():
@@ -487,7 +472,7 @@ def test_annotation_top_k_equals_n_boosts_everything():
     alignment = np.zeros((n, n))
     params = _annotate_params(dim, top_k=n)
     annotated = cross_cluster_annotate(refined, query, alignment, params)
-    assert np.all(annotated == 2.0)
+    assert np.all(annotated == ANNOTATION_BOOST)
 
 
 def test_annotation_tie_breaks_toward_low_index():
@@ -513,6 +498,10 @@ def test_annotation_monotone_dominance():
     params = make_params(8, seed=11, top_k=3)
     annotated = cross_cluster_annotate(grid.embeddings, make_query(8, seed=11), alignment, params)
     assert np.all(annotated >= alignment)
+
+
+def test_align_params_hold_the_learned_arrays_and_top_k_only():
+    assert [field.name for field in dataclasses.fields(AlignParams)] == ["mlp", "attention", "fuse", "top_k"]
 
 
 def test_annotation_top_k_exceeding_n_rejected():
@@ -633,8 +622,6 @@ def test_check_bundle_detects_tampering():
 
     tampered = bundle.alignment.copy()
     tampered[0, 0] = 0.5
-    import dataclasses
-
     broken = dataclasses.replace(bundle, alignment=tampered)
     report = check_bundle(grid, broken)
     assert report["same_cluster_nullity"] is False

@@ -818,6 +818,17 @@ def test_trace_dir_rejects_ids_that_are_not_plain_file_names(temps_path, tmp_pat
     ]
 
 
+def test_an_id_that_cannot_name_a_trace_fails_before_any_agent_call(temps_path, tmp_path):
+    agent = CountingAgent()
+    item = replace(temps_items(temps_path)[0], id="a/b")
+    config = EvalConfig(
+        mode="programmatic", agent_factory=lambda _: agent, llm_client=temps_cassette(), trace_dir=str(tmp_path)
+    )
+    (result,) = run_eval([item], config).items
+    assert result.reason == "cannot name a trace after item id 'a/b': not a plain file name"
+    assert agent.calls == 0
+
+
 def test_live_backends_from_worker_threads_match_serial(temps_path):
     # Both HTTP backends share one pooled session; worker threads must not
     # cross their replies.

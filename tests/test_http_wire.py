@@ -200,7 +200,7 @@ def test_bytes_after_the_reply_keep_its_connection_out_of_the_pool():
 
 def test_request_is_one_post_with_the_fixed_headers():
     with canned_server([(CANNED["content-length"], True)]) as state:
-        post_json(state["url"] + "/base", "/answer?x=1", {"q": "é"}, timeout_s=5, headers={"Authorization": "Bearer k"})
+        post_json(state["url"] + "/base", "/answer?x=1", {"q": "é"}, timeout_s=5, api_key="k")
     head, _, body = state["requests"][0].partition(b"\r\n\r\n")
     lines = head.split(b"\r\n")
     port = state["url"].rsplit(":", 1)[1]
@@ -212,22 +212,11 @@ def test_request_is_one_post_with_the_fixed_headers():
     assert json.loads(body) == {"q": "é"}
 
 
-@pytest.mark.parametrize(
-    "headers", [{"Authorization": "Bearer k\r\nX-Injected: 1"}, {"X-Bad\n": "v"}, {"Authorization": "a\nb"}]
-)
-def test_cr_or_lf_in_a_header_is_refused_before_connecting(headers):
+@pytest.mark.parametrize("api_key", ["k\r\nX-Injected: 1", "a\nb", "k\r"], ids=["crlf", "lf", "cr"])
+def test_cr_or_lf_in_a_header_is_refused_before_connecting(api_key):
     with canned_server([(CANNED["content-length"], True)]) as state:
         with pytest.raises(AgentError) as err:
-            post_json(state["url"], "/answer", {}, timeout_s=5, headers=headers)
-        assert state["connections"] == 0
-    assert err.value.kind is ErrorKind.TRANSPORT
-
-
-@pytest.mark.parametrize("headers", [{"Content-Length": "0"}, {"host": "elsewhere"}, {"CONTENT-TYPE": "text/plain"}])
-def test_a_header_that_post_json_sets_itself_is_refused_before_connecting(headers):
-    with canned_server([(CANNED["content-length"], True)]) as state:
-        with pytest.raises(AgentError) as err:
-            post_json(state["url"], "/answer", {}, timeout_s=5, headers=headers)
+            post_json(state["url"], "/answer", {}, timeout_s=5, api_key=api_key)
         assert state["connections"] == 0
     assert err.value.kind is ErrorKind.TRANSPORT
 
@@ -235,9 +224,9 @@ def test_a_header_that_post_json_sets_itself_is_refused_before_connecting(header
 def test_cr_or_lf_in_a_header_is_refused_after_the_url_was_posted_to():
     reply = (CANNED["content-length"], False)
     with canned_server([reply, reply]) as state:
-        post_json(state["url"], "/answer", {}, timeout_s=5, headers={"Authorization": "Bearer k"})
+        post_json(state["url"], "/answer", {}, timeout_s=5, api_key="k")
         with pytest.raises(AgentError) as err:
-            post_json(state["url"], "/answer", {}, timeout_s=5, headers={"Authorization": "Bearer k\r\nX-Injected: 1"})
+            post_json(state["url"], "/answer", {}, timeout_s=5, api_key="k\r\nX-Injected: 1")
         assert post_json(state["url"], "/answer", {}, timeout_s=5) == json.loads(BODY)
         assert state["connections"] == 1
     assert err.value.kind is ErrorKind.TRANSPORT

@@ -12,6 +12,8 @@ from solvechart.dsl import format_program, parse_program
 from solvechart.errors import ErrorKind
 from solvechart.solgen.client import (
     API_KEY_ENV,
+    MAX_TOKENS,
+    TEMPERATURE,
     LlmConfig,
     LlmError,
     chat_completion,
@@ -190,15 +192,16 @@ def chat_server():
 def test_chat_completion_protocol(chat_server, monkeypatch):
     monkeypatch.delenv(API_KEY_ENV, raising=False)
     server, url = chat_server
-    config = LlmConfig(endpoint=url, model="test-model", temperature=0.5, max_tokens=64)
+    config = LlmConfig(endpoint=url, model="test-model")
     reply = chat_completion(config, build_prompt("q", chart_hints="h"))
     assert reply == GOOD_REPLY
     request = server.requests[0]
     assert request["path"] == "/v1/chat/completions"
     assert request["auth"] is None
     assert request["payload"]["model"] == "test-model"
-    assert request["payload"]["temperature"] == 0.5
-    assert request["payload"]["max_tokens"] == 64
+    assert list(request["payload"]) == ["model", "messages", "temperature", "max_tokens"]
+    assert request["payload"]["temperature"] == TEMPERATURE == 0.0
+    assert request["payload"]["max_tokens"] == MAX_TOKENS == 512
     roles = [m["role"] for m in request["payload"]["messages"]]
     assert roles == ["system", "user"]
     assert request["payload"]["messages"][1]["content"] == "Question: q\nChart: h"
@@ -261,11 +264,6 @@ def test_chat_completion_connection_refused():
     with pytest.raises(LlmError) as excinfo:
         chat_completion(config, build_prompt("q"))
     assert excinfo.value.kind is ErrorKind.TRANSPORT
-
-
-def test_llm_config_rejects_negative_temperature():
-    with pytest.raises(ValueError):
-        LlmConfig(endpoint="http://x", temperature=-0.1)
 
 
 # -- generation from a cassette ---------------------------------------------
