@@ -46,12 +46,14 @@ def _cosine_similarity(embeddings: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise DegenerateInput("cannot take the cosine of a zero-norm embedding")
     unit = embeddings / norms[:, None]
-    return np.clip(unit @ unit.T, -1.0, 1.0)
+    similarity = unit @ unit.T
+    return np.clip(similarity, -1.0, 1.0, out=similarity)
 
 
 def cosine_distances(embeddings: np.ndarray) -> np.ndarray:
     """Pairwise cosine distance matrix; zero-norm rows are rejected."""
-    distances = 1.0 - _cosine_similarity(embeddings)
+    distances = _cosine_similarity(embeddings)
+    np.subtract(1.0, distances, out=distances)
     np.fill_diagonal(distances, 0.0)
     return distances
 

@@ -18,6 +18,7 @@ SIMPLEX_ATOL = 1e-6
 ROW_SUM_ATOL = 1e-6
 LN_MEAN_ATOL = 1e-6
 LN_VAR_ATOL = 1e-4
+ROW_BLOCK = 64  # rows compared at a time by _dominates
 
 
 def _shapes_consistent(grid: PatchGrid, bundle: AlignmentBundle) -> bool:
@@ -41,7 +42,16 @@ def _row_stochastic_ok(matrix: np.ndarray) -> bool:
 def _nullity_ok(bundle: AlignmentBundle) -> bool:
     labels = bundle.clusters.labels
     same_cluster = labels[:, None] == labels[None, :]
-    return bool(np.all(bundle.alignment[same_cluster] == 0.0))
+    # No same-cluster entry is nonzero (nan counts as nonzero), read in place rather than gathered.
+    return not np.any(bundle.alignment, where=same_cluster)
+
+
+def _dominates(annotated: np.ndarray, alignment: np.ndarray) -> bool:
+    # Row blocks keep the shifted copy of alignment to a block, not a second n x n array.
+    return all(
+        np.all(annotated[start:start + ROW_BLOCK] >= alignment[start:start + ROW_BLOCK] - 1e-12)
+        for start in range(0, alignment.shape[0], ROW_BLOCK)
+    )
 
 
 def _ln_rows_ok(bundle: AlignmentBundle) -> bool:
@@ -68,7 +78,7 @@ def check_bundle(grid: PatchGrid, bundle: AlignmentBundle) -> dict[str, bool]:
         "same_cluster_nullity": _nullity_ok(bundle),
         "alignment_nonnegative": bool(np.all(bundle.alignment >= 0.0)),
         "annotated_nonnegative": bool(np.all(bundle.annotated >= 0.0)),
-        "annotated_dominates": bool(np.all(bundle.annotated >= bundle.alignment - 1e-12)),
+        "annotated_dominates": _dominates(bundle.annotated, bundle.alignment),
         "layer_norm_rows": _ln_rows_ok(bundle),
     }
     return report

@@ -19,10 +19,18 @@ DEFAULT_PROXIMITY_RADIUS = 3.0
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis; scores is left as it was."""
     shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    # Integer scores shift to integers, which exp cannot overwrite with floats.
+    weights = np.exp(shifted, out=shifted if shifted.dtype.kind == "f" else None)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+def _squared_offsets(coords: np.ndarray) -> np.ndarray:
+    """(coords[i] - coords[j]) ** 2 for every pair, squared in place."""
+    offsets = np.subtract(coords[:, None], coords[None, :])
+    return np.square(offsets, out=offsets)
 
 
 def build_principle_matrices(grid: PatchGrid, radius: float = DEFAULT_PROXIMITY_RADIUS) -> PrincipleMatrices:
@@ -38,13 +46,16 @@ def build_principle_matrices(grid: PatchGrid, radius: float = DEFAULT_PROXIMITY_
         raise DegenerateInput("radius must be positive")
     n = grid.count
     rows, cols = grid.positions[:, 0], grid.positions[:, 1]
-    same_row = rows[:, None] == rows[None, :]
-    same_col = cols[:, None] == cols[None, :]
-    crosshair = (same_row | same_col).astype(np.float64)
+    same_line = rows[:, None] == rows[None, :]
+    same_line |= cols[:, None] == cols[None, :]
+    crosshair = same_line.astype(np.float64)
     np.fill_diagonal(crosshair, 0.0)
 
-    euclidean = np.sqrt((rows[:, None] - rows[None, :]) ** 2 + (cols[:, None] - cols[None, :]) ** 2)
-    proximity = (euclidean <= radius).astype(np.float64)
+    # The distances become the 0/1 proximity in their own buffer.
+    proximity = _squared_offsets(rows)
+    proximity += _squared_offsets(cols)
+    np.sqrt(proximity, out=proximity)
+    proximity[...] = proximity <= radius
     np.fill_diagonal(proximity, 0.0)
 
     masked = _cosine_similarity(grid.embeddings)

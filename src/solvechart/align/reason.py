@@ -69,19 +69,21 @@ def compose_alignment(
     factors are non-negative, so the result is non-negative.
     """
     weights = np.asarray(weights, dtype=np.float64)
+    cluster_weights = np.asarray(cluster_weights, dtype=np.float64)
     labels = clusters.labels
     _check_shapes(
         {"n": labels.shape[0], "k": clusters.k},
         weights=(weights, (3,)), principles=(principles.crosshair, ("n", "n")),
         cluster_weights=(cluster_weights, ("k", "k")),
     )
-    blended = (
-        weights[0] * principles.crosshair
-        + weights[1] * principles.proximity
-        + weights[2] * principles.similarity
-    )
-    lifted = cluster_weights[labels[:, None], labels[None, :]]
-    alignment = blended * lifted
+    # Accumulated through one scratch array, summing in the order
+    # (w0 * crosshair + w1 * proximity) + w2 * similarity.  Labels are valid
+    # indices, so mode="clip" clips nothing; it spares take's buffered output.
+    alignment = np.multiply(principles.crosshair, weights[0])
+    scratch = np.multiply(principles.proximity, weights[1])
+    alignment += scratch
+    alignment += np.multiply(principles.similarity, weights[2], out=scratch)
+    alignment *= np.take(cluster_weights[labels], labels, axis=1, out=scratch, mode="clip")
     alignment[labels[:, None] == labels[None, :]] = 0.0
     return alignment
 
@@ -151,9 +153,9 @@ def cross_cluster_annotate(
     threshold = PROP_THRESHOLD * float(alignment.max()) if alignment.size else 0.0
     reachable = (alignment[marked, :] > threshold).any(axis=0)
     marked |= reachable
-    annotated = alignment.astype(np.float64).copy()
+    annotated = np.array(alignment, dtype=np.float64, order="C")
     pair_marked = marked[:, None] | marked[None, :]
-    annotated[pair_marked] += ANNOTATION_BOOST
+    np.add(annotated, ANNOTATION_BOOST, out=annotated, where=pair_marked)
     return annotated
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -44,7 +43,7 @@ from .errors import SolveChartError
 from .evaluation.dataset import load_dataset
 from .evaluation.harness import MAX_WORKERS, EvalConfig, run_eval
 from .evaluation.metrics import DEFAULT_TOLERANCE
-from .files import check_output_path, read_json, read_text, write_text_atomic
+from .files import check_output_path, json_text, read_json, read_text, write_text_atomic
 from .solgen.client import LlmConfig
 from .solgen.generate import MAX_REPLY_CHARS, generate_solution
 from .solgen.prompt import chart_hints
@@ -61,7 +60,7 @@ MAX_PROGRAM_BYTES = 4 * MAX_REPLY_CHARS
 # The largest align-demo inputs.  The command holds several patches x patches
 # arrays, so its memory grows as the square of the patch count: measured as a
 # child process with one BLAS thread, a 32x32 grid (1,024 patches) peaked at
-# 104 MB resident and a 45x45 grid (2,025 patches) at 290 MB, and 4,096
+# 89 MB resident and a 45x45 grid (2,025 patches) at 232 MB, and 4,096
 # patches would need about four times as much.  Each attention layer holds
 # 4 x dim x dim parameter floats, 33.6 MB at the largest dim, so 16 layers
 # hold about 537 MB.
@@ -412,7 +411,7 @@ def _cmd_align_demo(cmd: argparse.Namespace) -> int:
             for name, array in arrays.items()
         },
     }
-    print(json.dumps(document, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(document))
     return 0
 
 

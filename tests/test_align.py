@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -608,6 +609,88 @@ def test_pipeline_permutation_equivariance():
     assert np.allclose(permuted_bundle.annotated, bundle.annotated[order][:, order], atol=1e-8)
     assert np.allclose(permuted_bundle.refined, bundle.refined[order], atol=1e-8)
     assert np.allclose(permuted_bundle.fused, bundle.fused[order], atol=1e-8)
+
+
+# -- working set ------------------------------------------------------------
+
+# One align op (the pipeline plus check_bundle) at 24x24 and d=64 peaked at
+# 5.6 patches x patches float64 arrays under numpy 2.4; the bundle itself
+# holds five, and building them out of place peaked at 7.3.
+MAX_OP_ARRAYS = 6.25
+
+
+def test_one_align_op_holds_about_six_patch_arrays_at_its_peak():
+    dim = 64
+    params = make_params(dim, seed=5)
+
+    def op(seed):
+        grid = make_grid(24, 24, dim, seed=seed)
+        check_bundle(grid, run_alignment_pipeline(grid, make_query(dim, seed=seed), params))
+
+    op(1)  # numpy and BLAS set up their caches outside the measurement
+    tracemalloc.start()
+    try:
+        op(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / (576 * 576 * 8) < MAX_OP_ARRAYS
+
+
+def _arrays_in(*objects) -> list[np.ndarray]:
+    """Every array among objects, looking inside dataclasses and tuples."""
+    found = []
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif dataclasses.is_dataclass(obj):
+            found.extend(_arrays_in(*(getattr(obj, f.name) for f in dataclasses.fields(obj))))
+        elif isinstance(obj, tuple):
+            found.extend(_arrays_in(*obj))
+    return found
+
+
+def _stage_calls() -> dict:
+    """Each stage that builds arrays in place, with writable copies of its array inputs."""
+    grid, query, params = make_grid(6, 5, 8, seed=4), make_query(8, seed=4), make_params(8, seed=4, top_k=3)
+    bundle = run_alignment_pipeline(grid, query, params)
+    return {
+        "cosine_distances": (cosine_distances, (grid.embeddings.copy(),)),
+        "build_principle_matrices": (build_principle_matrices, (grid,)),
+        "row_softmax": (row_softmax, (bundle.alignment.copy(),)),
+        "compose_alignment": (
+            compose_alignment,
+            (bundle.principle_weights.copy(), bundle.cluster_weights.copy(), bundle.principles, bundle.clusters),
+        ),
+        "cross_cluster_annotate": (cross_cluster_annotate, (bundle.refined.copy(), query, bundle.alignment.copy(), params)),
+        "fuse": (fuse, (bundle.refined.copy(), bundle.annotated.copy(), params.fuse)),
+        "check_bundle": (check_bundle, (grid, bundle)),
+    }
+
+
+@pytest.mark.parametrize("stage", [
+    "cosine_distances", "build_principle_matrices", "row_softmax", "compose_alignment",
+    "cross_cluster_annotate", "fuse", "check_bundle",
+])
+def test_stage_leaves_writable_inputs_unchanged(stage):
+    call, args = _stage_calls()[stage]
+    arrays = _arrays_in(*args)
+    for array in arrays:  # the types freeze their arrays; a write must not fail but show
+        array.setflags(write=True)
+    before = [array.tobytes() for array in arrays]
+    call(*args)
+    assert [array.tobytes() for array in arrays] == before
+
+
+def test_row_softmax_of_integers_is_float64_and_leaves_them_alone():
+    scores = np.array([[3, 1, 2, 2], [-5, 0, 7, 40], [0, 0, 0, 0]])
+    kept = scores.copy()
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    expected = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+    got = row_softmax(scores)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    assert np.array_equal(scores, kept) and scores.dtype == kept.dtype
 
 
 # -- invariant checker flags ------------------------------------------------
